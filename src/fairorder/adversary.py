@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import ParameterError, Request
+from .model import ParameterError, Request, is_finite
 from .rng import Stream
 
 
@@ -42,6 +42,8 @@ class DelayModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DelayKind(self.kind))
+        if not all(is_finite(x) for x in (self.d, self.lo, self.hi, self.scale, self.cap)):
+            raise ParameterError("delay parameters must be finite numbers")
         if min(self.d, self.lo, self.hi, self.cap) < 0 or self.scale <= 0:
             raise ParameterError("delays must be non-negative and scale positive")
         if self.kind is DelayKind.UNIFORM and self.hi < self.lo:
@@ -86,8 +88,8 @@ class ByzantineClientSpec:
     bribe: float = 0.0
 
     def __post_init__(self):
-        if self.bribe < 0:
-            raise ParameterError("bribe must be non-negative")
+        if not is_finite(self.bribe) or self.bribe < 0:
+            raise ParameterError("bribe must be a finite non-negative number")
 
 
 def _with_eta_bump(r: Request, eta_feature: int, amount: float) -> Request:

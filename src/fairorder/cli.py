@@ -27,7 +27,7 @@ from .model import ParameterError
 from .noise import ConfigurationError, NoiseSpec, order_probability_at_gap, uniform_delta
 from .rng import derive, tag
 from .scenario import (FairPolicy, ScenarioConfig, lint_scenario, load_scenario,
-                       two_request_gap_scenario)
+                       sweep_from_dict, two_request_gap_scenario)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -38,15 +38,27 @@ EXIT_LIVENESS = 4
 SEED_ENV = "FAIRORDER_SEED"
 
 
-def _resolve_seed(args, scenario: ScenarioConfig | None) -> int:
+def _resolve_seed(args, scenario: ScenarioConfig | None = None, default: int = 0) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigurationError(f"{SEED_ENV} must be an integer, got {env!r}") from None
     if scenario is not None and scenario.trials is not None:
         return scenario.trials.base_seed
-    return 0
+    return default
+
+
+def _trial_count(args, default: int) -> int:
+    """The --trials override if given (it must be positive), else ``default``."""
+    if args.trials is None:
+        return default
+    if args.trials <= 0:
+        raise ConfigurationError(f"--trials must be positive, got {args.trials}")
+    return args.trials
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -112,7 +124,7 @@ def cmd_certify(args) -> int:
         print("error: certify needs a trials block with a pair", file=sys.stderr)
         return EXIT_CONFIG
     trials = scenario.trials
-    n_trials = args.trials or trials.n_trials
+    n_trials = _trial_count(args, trials.n_trials)
     seed = _resolve_seed(args, scenario)
     warnings = lint_scenario(scenario)
     for warning in warnings:
@@ -141,23 +153,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    grid = doc.get("sweep")
-    if not grid or not grid.get("epsilons") or grid.get("gaps") is None or not grid["gaps"]:
-        print("error: sweep needs a 'sweep' block with epsilons and gaps", file=sys.stderr)
-        return EXIT_CONFIG
-    epsilons = [float(e) for e in grid["epsilons"]]
-    gaps = [float(n) for n in grid["gaps"]]
-    n_trials = args.trials or int(grid.get("n_trials", 10000))
-    base_seed = args.seed if args.seed is not None else int(
-        os.environ.get(SEED_ENV, grid.get("base_seed", 0)))
-    lam = float(grid.get("lambda", 1.0))
+    grid = sweep_from_dict(json.loads(Path(args.config).read_text()))
+    n_trials = _trial_count(args, grid.n_trials)
+    base_seed = _resolve_seed(args, default=grid.base_seed)
     lines = ["epsilon,n,analytic_p,p_hat,ratio,bound,verdict"]
     worst = EXIT_PASS
     sweep_tag = tag("sweep")
-    cells = [(e, n) for e in epsilons for n in gaps]
+    cells = [(e, n) for e in grid.epsilons for n in grid.gaps]
     for cell, (epsilon, n) in enumerate(cells):
-        scenario = two_request_gap_scenario(gap=n, epsilon=epsilon, lam=lam)
+        scenario = two_request_gap_scenario(gap=n, epsilon=epsilon, lam=grid.lam)
         report = stats.estimate_order_probability(
             scenario, scenario.policy, (0, 1), n_trials,
             derive(base_seed, sweep_tag, cell), jobs=args.jobs)
@@ -193,8 +197,8 @@ def cmd_randomizer(args) -> int:
         bound=block.get("bound"),
     )
     strategy = randomizer.ByzantineStrategy(block.get("strategy", "constant"))
-    instances = args.trials or int(block.get("instances", 1000))
-    seed = _resolve_seed(args, None)
+    instances = _trial_count(args, int(block.get("instances", 1000)))
+    seed = _resolve_seed(args)
     disagreements = 0
     values = []
     for instance in range(instances):

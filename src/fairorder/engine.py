@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adversary import DelayKind, apply_delay
+from .adversary import DelayKind, _with_eta_bump, apply_delay
 from .model import FeaturePartition, Request, score
 from .noise import NoiseSpec, sample
 from .rng import Stream, derive, tag
@@ -292,12 +292,9 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
             continue
         model = scenario.delay.for_client(r.client_id)
         if model.kind is DelayKind.CONSTANT:
-            tick, bumped = r.issue_tick + math.ceil(model.d), r
-            if model.d:
-                feats = list(r.features)
-                feats[scenario.eta_feature] += model.d
-                bumped = Request(r.id, r.client_id, tuple(feats), r.issue_tick, r.declared_tick)
-            static.append((tick, bumped))
+            # A zero delay leaves the features untouched (adding 0.0 would turn -0.0 into 0.0).
+            bumped = _with_eta_bump(r, scenario.eta_feature, model.d) if model.d else r
+            static.append((r.issue_tick + math.ceil(model.d), bumped))
         else:
             needs_rng = True
     if needs_rng:
@@ -381,6 +378,61 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
         deliver_ticks=dict(state.deliver_ticks),
         order_ticks=order_ticks,
     )
+
+
+def static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
+                      seed_hi: int) -> tuple[int, int | None]:
+    """Count the seeds in [seed_lo, seed_hi) whose run orders pair[0] before pair[1].
+
+    Exact shortcut for a static schedule; the result equals running
+    ``run_prepared(prep, seed, record=False)`` for every seed. Returns
+    (count, missing), where ``missing`` is the first seed whose final
+    order lacks either request (count is then 0), or None.
+
+    On a static schedule the tick at which each request is ordered does
+    not depend on the seed: stability depends only on the in-flight set.
+    One reference run gives those ticks, and if the pair orders at
+    different ticks, or under fcfs/ttl (which draw no randomness), it
+    decides every seed. Within one fair burst the policy emits in
+    adjusted-score order, so two noise draws decide the pair unless the
+    adjusted scores tie; such seeds, which also depend on the pick
+    stream, run through the engine. So does every seed when a perceived
+    score is not finite: infinite noise could then make some adjusted
+    score NaN, which changes how the engine selects within the burst.
+    """
+    a, b = pair
+    ref = run_prepared(prep, seed_lo, record=False)
+    ticks = ref.order_ticks
+    if a not in ticks or b not in ticks:
+        return 0, seed_lo
+
+    def engine_first(order: tuple[int, ...]) -> bool:
+        return order.index(a) < order.index(b)
+
+    policy = prep.policy
+    if ticks[a] != ticks[b] or not isinstance(policy, FairPolicy):
+        return (seed_hi - seed_lo if engine_first(ref.final_order) else 0), None
+    totals = prep.static_totals
+    seeds = range(seed_lo, seed_hi)
+    if not all(math.isfinite(t) for t in totals.values()):
+        return sum(engine_first(run_prepared(prep, s, record=False).final_order)
+                   for s in seeds), None
+    spec = policy.spec
+    low_first = policy.direction != "highest_first"
+    total_a, total_b = totals[a], totals[b]
+    adj_a, adj_b = total_a, total_b
+    count = 0
+    for seed in seeds:
+        if spec is not None:
+            adj_a = total_a + sample(spec, Stream(derive(seed, TAG_NOISE, a)))
+            adj_b = total_b + sample(spec, Stream(derive(seed, TAG_NOISE, b)))
+        if adj_a < adj_b:
+            count += low_first
+        elif adj_a > adj_b:
+            count += not low_first
+        else:
+            count += engine_first(run_prepared(prep, seed, record=False).final_order)
+    return count, None
 
 
 def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,

@@ -11,6 +11,7 @@ adjacent requests may drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -21,6 +22,14 @@ class DimensionMismatchError(ValueError):
 
 class ParameterError(ValueError):
     """A numeric parameter is outside its allowed range."""
+
+
+def is_finite(value) -> bool:
+    """True iff ``value`` is a real number other than NaN or an infinity."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)

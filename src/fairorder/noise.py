@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ParameterError
+from .model import ParameterError, is_finite
 from .rng import Stream
 
 DEFAULT_EPSILON = 2.0  # common production choice when a scenario leaves it unset
@@ -53,6 +53,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", NoiseKind(self.kind))
+        for name in ("epsilon", "sensitivity", "bound", "delta"):
+            value = getattr(self, name)
+            if value is not None and not is_finite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
         if self.sensitivity <= 0:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adversary import ByzantineClientSpec, DelayModel
-from .model import FeaturePartition, ParameterError, Request, check_noise_bound, max_eta_gap, score
+from .model import (FeaturePartition, ParameterError, Request, check_noise_bound, is_finite,
+                    max_eta_gap, score)
 from .noise import ConfigurationError, NoiseSpec
 
 
@@ -67,6 +68,31 @@ class TrialsBlock:
 
 
 @dataclass(frozen=True)
+class SweepBlock:
+    """An (epsilon x gap) certification grid over the canonical pair scenario."""
+
+    epsilons: tuple[float, ...]
+    gaps: tuple[float, ...]
+    n_trials: int = 10000
+    base_seed: int = 0
+    lam: float = 1.0
+
+    def __post_init__(self):
+        if not self.epsilons or not self.gaps:
+            raise ConfigurationError("sweep needs a 'sweep' block with epsilons and gaps")
+        for name, values in (("epsilons", self.epsilons), ("gaps", self.gaps),
+                             ("lambda", (self.lam,))):
+            if not all(map(is_finite, values)):
+                raise ConfigurationError(f"sweep {name} must be finite numbers")
+        if min(self.epsilons) <= 0 or self.lam <= 0:
+            raise ConfigurationError("sweep epsilons and lambda must be positive")
+        if min(self.gaps) < 0:
+            raise ConfigurationError("sweep gaps must be non-negative")
+        if self.n_trials <= 0:
+            raise ConfigurationError("sweep n_trials must be positive")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     feature_count: int
     relevant: tuple[int, ...]
@@ -88,6 +114,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         part = self.partition  # validates relevant indices
+        if not is_finite(self.lam):
+            raise ConfigurationError(f"lambda must be a finite number, got {self.lam!r}")
         if self.lam <= 0:
             raise ConfigurationError("lambda must be positive")
         if not 0 <= self.eta_feature < self.feature_count:
@@ -100,6 +128,8 @@ class ScenarioConfig:
         for r in self.requests:
             if len(r.features) != self.feature_count:
                 raise ConfigurationError(f"request {r.id} has wrong feature count")
+            if not all(map(math.isfinite, r.features)):
+                raise ConfigurationError(f"request {r.id} has a non-finite feature")
         if isinstance(self.policy, TtlPolicy) and not (
             0 <= self.policy.deadline_feature < self.feature_count
         ):
@@ -112,8 +142,11 @@ class ScenarioConfig:
                 raise ConfigurationError("need one lag per server")
             if any(lag < 0 for lag in ms.lags):
                 raise ConfigurationError("lags must be non-negative")
-        if self.trials is not None and self.trials.n_trials <= 0:
-            raise ConfigurationError("n_trials must be positive")
+        if self.trials is not None:
+            if self.trials.n_trials <= 0:
+                raise ConfigurationError("n_trials must be positive")
+            if self.trials.force_k is not None and not is_finite(self.trials.force_k):
+                raise ConfigurationError("force_k must be a finite number")
         unknown = {o for o in self.deliver_overrides} - set(ids)
         if unknown:
             raise ConfigurationError(f"deliver_overrides reference unknown ids {sorted(unknown)}")
@@ -325,6 +358,25 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"malformed scenario: {exc}") from exc
+
+
+def sweep_from_dict(doc) -> SweepBlock:
+    """The validated ``sweep`` block of a sweep config document."""
+    grid = doc.get("sweep") if isinstance(doc, dict) else None
+    if not isinstance(grid, dict):
+        raise ConfigurationError("sweep needs a 'sweep' block with epsilons and gaps")
+    try:
+        return SweepBlock(
+            epsilons=tuple(float(e) for e in grid.get("epsilons") or ()),
+            gaps=tuple(float(n) for n in grid.get("gaps") or ()),
+            n_trials=int(grid.get("n_trials", 10000)),
+            base_seed=int(grid.get("base_seed", 0)),
+            lam=float(grid.get("lambda", 1.0)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"malformed sweep block: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

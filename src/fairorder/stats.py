@@ -1,7 +1,10 @@
 """Monte Carlo estimation and certification of ordering equality.
 
 The estimator replays the engine across a contiguous block of seeds and
-counts how often one request of a pair precedes the other. Certifiers
+counts how often one request of a pair precedes the other. On a static
+schedule it counts with the engine's exact pair kernel
+(``static_pair_count``) and runs the engine only for seeds the kernel
+cannot decide from two noise draws. Certifiers
 then compare the estimate against a fairness bound:
 
   multiplicative   Pr[r before r'] <= B * Pr[r' before r],
@@ -33,7 +36,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .engine import Prepared, prepare, run_prepared
+from .engine import Prepared, prepare, run_prepared, static_pair_count
 from .model import ParameterError, check_noise_bound, k_distance, score
 from .scenario import Policy, ScenarioConfig
 
@@ -98,6 +101,8 @@ def reports_csv(reports) -> str:
 
 
 def _count_chunk(prep: Prepared, pair: tuple[int, int], seed_lo: int, seed_hi: int):
+    if prep.static_schedule is not None:
+        return static_pair_count(prep, pair, seed_lo, seed_hi)
     a, b = pair
     count = 0
     missing = None

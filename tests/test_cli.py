@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from fairorder.cli import main
 
@@ -66,6 +69,11 @@ class TestRunCommand:
         assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
         assert "seed=99" in (tmp_path / "trace.txt").read_text()
 
+    def test_malformed_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, BASE_CONFIG)
+        monkeypatch.setenv("FAIRORDER_SEED", "abc")
+        assert main(["run", "--config", config, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: FAIRORDER_SEED must be an integer, got 'abc'\n"
 
 class TestCheckCommand:
     def test_honest_trace_passes(self, tmp_path):
@@ -116,6 +124,32 @@ class TestCertifyCommand:
         config = write_config(tmp_path, doc)
         assert main(["certify", "--config", config, "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("edit", [
+        {"lambda": math.nan},
+        {"lambda": math.inf},
+        {"noise": {"kind": "laplace", "epsilon": math.nan}},
+        {"noise": {"kind": "laplace", "epsilon": 1.0, "sensitivity": math.inf}},
+        {"delay": {"kind": "constant", "d": math.inf}},
+        {"adversaries": [{"client_id": 0, "bribe": math.nan}]},
+        {"clients": [{"id": c, "requests": [{"id": c, "issue_tick": 0,
+                                             "features": [math.nan, 0.0]}]}
+                     for c in (0, 1)]},
+    ])
+    def test_non_finite_parameters_exit_two(self, tmp_path, edit, capsys):
+        doc = dict(certify_config(), **edit)
+        config = write_config(tmp_path, doc)
+        assert main(["certify", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trial_override_exits_two(self, tmp_path, trials, capsys):
+        config = write_config(tmp_path, certify_config())
+        code = main(["certify", "--config", config, "--out", str(tmp_path), "--trials", trials])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --trials must be positive, got {trials}\n"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_inconclusive_near_bound_exits_three(self, tmp_path):
         # true p ~ 0.93 against the e^1 bound with only 100 trials: the
         # radius is too wide to refute, too narrow to clear
@@ -142,6 +176,27 @@ class TestSweepCommand:
         config = write_config(tmp_path, {"sweep": {"epsilons": [], "gaps": []}})
         assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"lambda": math.nan}, {"lambda": "x"}, {"epsilons": [1.0, math.inf]},
+        {"gaps": [math.nan]}, {"gaps": 5}, {"n_trials": "x"}, {"n_trials": math.inf},
+        {"base_seed": "x"},
+    ])
+    def test_malformed_grid_exits_two(self, tmp_path, edit, capsys):
+        doc = {"sweep": dict({"epsilons": [1.0], "gaps": [0.0], "n_trials": 100}, **edit)}
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_positive_trial_override_exits_two(self, tmp_path):
+        config = self.sweep_config(tmp_path)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path), "--trials", "0"]) == 2
+
+    def test_malformed_env_seed_exits_two(self, tmp_path, monkeypatch):
+        config = self.sweep_config(tmp_path)
+        monkeypatch.setenv("FAIRORDER_SEED", "1.5")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 2
+
     def test_repeat_invocations_byte_identical(self, tmp_path):
         config = self.sweep_config(tmp_path)
         main(["sweep", "--config", config, "--out", str(tmp_path / "a")])
@@ -156,6 +211,13 @@ class TestRandomizerCommand:
         config = write_config(tmp_path, doc)
         assert main(["randomizer", "--config", config, "--out", str(tmp_path)]) == 0
         assert "disagreements=0" in capsys.readouterr().out
+
+
+    def test_non_positive_trial_override_exits_two(self, tmp_path):
+        doc = {"randomizer": {"n": 4, "f": 1, "instances": 10}}
+        config = write_config(tmp_path, doc)
+        assert main(["randomizer", "--config", config, "--out", str(tmp_path),
+                     "--trials", "-1"]) == 2
 
 
 class TestQuorumCommand:

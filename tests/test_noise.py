@@ -178,6 +178,14 @@ class TestNoiseSpecValidation:
         with pytest.raises(ConfigurationError):
             NoiseSpec(kind="uniform", epsilon=1.0, bound=-1.0)
 
+    @pytest.mark.parametrize("field", ["epsilon", "sensitivity", "bound", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        params = dict(kind="uniform", epsilon=1.0, sensitivity=1.0, bound=2.0, delta=0.1)
+        params[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            NoiseSpec(**params)
+
     def test_scale(self):
         spec = NoiseSpec(kind="laplace", epsilon=2.0, sensitivity=4.0)
         assert spec.scale == 2.0

@@ -103,9 +103,12 @@ def apply_delay(r: Request, model: DelayModel, rng: Stream, eta_feature: int) ->
 
     Returns (delivery_tick, request). The real-valued delay lands in the
     eta feature; the delivery tick is issue_tick plus the delay rounded
-    up (arrival cannot precede the full delay).
+    up (arrival cannot precede the full delay). A zero delay leaves the
+    request untouched (adding 0.0 would turn a -0.0 feature into 0.0).
     """
     delay = model.sample(r.client_id, rng)
+    if not delay:
+        return r.issue_tick, r
     return r.issue_tick + math.ceil(delay), _with_eta_bump(r, eta_feature, delay)
 
 

@@ -24,10 +24,10 @@ from pathlib import Path
 from . import checkers, quorum, randomizer, stats
 from .engine import parse_trace, run, serialize_trace, TraceParseError
 from .model import ParameterError
-from .noise import ConfigurationError, NoiseSpec, order_probability_at_gap, uniform_delta
+from .noise import ConfigurationError, order_probability_at_gap, uniform_delta
 from .rng import derive, tag
 from .scenario import (FairPolicy, ScenarioConfig, lint_scenario, load_scenario,
-                       sweep_from_dict, two_request_gap_scenario)
+                       randomizer_from_dict, sweep_from_dict, two_request_gap_scenario)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -181,28 +181,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_randomizer(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    block = doc.get("randomizer")
-    if not block:
-        print("error: config lacks a 'randomizer' block", file=sys.stderr)
-        return EXIT_CONFIG
-    replicas = randomizer.ReplicaSet(
-        n=int(block["n"]), f=int(block["f"]),
-        byzantine_ids=frozenset(int(i) for i in block.get("byzantine", ())),
-    )
-    spec = NoiseSpec(
-        kind=block.get("kind", "laplace"),
-        epsilon=float(block.get("epsilon", 1.0)),
-        sensitivity=float(block.get("sensitivity", 1.0)),
-        bound=block.get("bound"),
-    )
-    strategy = randomizer.ByzantineStrategy(block.get("strategy", "constant"))
-    instances = _trial_count(args, int(block.get("instances", 1000)))
+    block = randomizer_from_dict(json.loads(Path(args.config).read_text()))
+    replicas, spec = block.replicas, block.spec
+    instances = _trial_count(args, block.instances)
     seed = _resolve_seed(args)
     disagreements = 0
     values = []
     for instance in range(instances):
-        outcome = randomizer.run_randomizer(replicas, spec, instance, seed, strategy)
+        outcome = randomizer.run_randomizer(replicas, spec, instance, seed, block.strategy)
         if not randomizer.check_agreement(outcome, replicas):
             disagreements += 1
         values.append(outcome.per_replica[min(replicas.correct_ids)])

@@ -1,8 +1,9 @@
 """Discrete-event simulator of one ordering server.
 
-A run processes a scenario's issue and delivery events tick by tick and
-lets the active policy move requests from the pending set into the
-output order. Everything is a pure function of (scenario, policy,
+A run visits the ticks that carry issue and delivery events and lets
+the active policy move requests from the pending set into the output
+order; a recorded run keeps the event rows, and per-tick snapshots are
+derived from them. Everything is a pure function of (scenario, policy,
 seed): delays and noise samples are derived statelessly from the seed
 and the request id, so replaying a seed reproduces the trace bit for
 bit, and recording a full trace versus only the final order cannot
@@ -24,9 +25,10 @@ asynchronous impossibility).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .adversary import DelayKind, _with_eta_bump, apply_delay
+from .adversary import DelayKind, apply_delay
 from .model import FeaturePartition, Request, score
 from .noise import NoiseSpec, sample
 from .rng import Stream, derive, tag
@@ -47,45 +49,28 @@ class TraceParseError(ValueError):
 
 ISSUE = "issue"
 DELIVER = "deliver"
-POLICY_STEP = "policy_step"
 ORDER = "order"
 
 
 @dataclass(frozen=True)
 class Event:
-    """One step input or output.
-
-    ``issue`` carries the request itself, ``deliver`` and ``order``
-    carry a request id. ``policy_step`` is an input command only; the
-    trace records its emissions as ``order`` events.
-    """
+    """One trace row: the tick, the kind (issue, deliver or order), the request id."""
 
     at_tick: int
     kind: str
-    request: Request | None = None
-    request_id: int | None = None
-
-    @property
-    def rid(self) -> int | None:
-        if self.request is not None:
-            return self.request.id
-        return self.request_id
+    rid: int
 
 
 @dataclass
 class EngineState:
-    """Server-side state: client queues, received set, pending set, output."""
+    """Server-side state: in-flight requests, received set, pending set, output."""
 
     tick: int = 0
-    client_pending: dict[int, dict[int, Request]] = field(default_factory=dict)
+    in_flight: dict[int, Request] = field(default_factory=dict)  # issued, not delivered
     server_received: dict[int, Request] = field(default_factory=dict)
     pending: dict[int, Request] = field(default_factory=dict)
     output: list[int] = field(default_factory=list)
     deliver_ticks: dict[int, int] = field(default_factory=dict)
-
-    def in_flight(self) -> list[Request]:
-        """Requests issued but not yet delivered."""
-        return [r for q in self.client_pending.values() for r in q.values()]
 
 
 @dataclass(frozen=True)
@@ -97,7 +82,11 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete timed record of one run (snapshots indexed by tick)."""
+    """Complete timed record of one run.
+
+    The event rows are the record; ``snapshots`` (indexed by tick) are
+    derived from them by ``snapshots_from_events``.
+    """
 
     events: tuple[Event, ...]
     snapshots: tuple[Snapshot, ...]
@@ -112,36 +101,33 @@ class Trace:
         return len(self.snapshots) - 1
 
 
-class PolicyRuntime:
-    """Per-run policy context: noise cache, tie-break stream, gating."""
+def _noise(spec: NoiseSpec | None, seed: int, rid: int) -> float:
+    """A request's noise sample: a pure function of (seed, request id)."""
+    return 0.0 if spec is None else sample(spec, Stream(derive(seed, TAG_NOISE, rid)))
 
-    def __init__(self, policy: Policy, partition, seed: int, stability_gating: bool = True,
-                 perceived_totals: dict[int, float] | None = None):
+
+class PolicyRuntime:
+    """Per-run policy context: perceived totals, noise, tie-break stream, gating."""
+
+    def __init__(self, policy: Policy, seed: int, totals: dict[int, float],
+                 stability_gating: bool = True):
         self.policy = policy
-        self.partition = partition
         self.seed = seed
+        self.totals = totals
         self.stability_gating = stability_gating
         self.pick_stream = Stream(derive(seed, TAG_PICK))
-        self.noise_cache: dict[int, float] = {}
-        self._score_cache: dict[int, float] = dict(perceived_totals or ())
-
-    def perceived(self, r: Request) -> float:
-        s = self._score_cache.get(r.id)
-        if s is None:
-            s = score(r, self.partition).total
-            self._score_cache[r.id] = s
-        return s
+        self.spec = policy.spec if isinstance(policy, FairPolicy) else None
+        self._adjusted: dict[int, float] = {}
 
     def noise_for(self, r: Request) -> float:
-        y = self.noise_cache.get(r.id)
-        if y is None:
-            spec = self.policy.spec if isinstance(self.policy, FairPolicy) else None
-            y = 0.0 if spec is None else sample(spec, Stream(derive(self.seed, TAG_NOISE, r.id)))
-            self.noise_cache[r.id] = y
-        return y
+        return _noise(self.spec, self.seed, r.id)
 
     def adjusted(self, r: Request) -> float:
-        return self.perceived(r) + self.noise_for(r)
+        """Perceived score plus noise, computed once per request."""
+        a = self._adjusted.get(r.id)
+        if a is None:
+            a = self._adjusted[r.id] = self.totals[r.id] + self.noise_for(r)
+        return a
 
 
 def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: bool = True) -> bool:
@@ -156,39 +142,23 @@ def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: 
     """
     if not stability_gating or isinstance(policy, FcfsPolicy):
         return True
-    flight = state.in_flight()
     if isinstance(policy, TtlPolicy):
         i = policy.deadline_feature
         key = (r.features[i], r.id)
-        return all((f.features[i], f.id) > key for f in flight)
-    return not flight
+        return all((f.features[i], f.id) > key for f in state.in_flight.values())
+    return not state.in_flight
 
 
-def fair_policy_step(pending, part, spec: NoiseSpec | None, rng: Stream, *,
-                     noise_cache: dict[int, float] | None = None,
-                     perceived: dict[int, float] | None = None,
+def fair_policy_step(pending, adjusted, rng: Stream,
                      direction: str = "lowest_first") -> Request:
-    """Select the next request: minimum noise-adjusted score, ties uniform.
+    """Select the next request: minimum adjusted score, ties uniform.
 
-    Each request's working score is its perceived score plus one noise
-    sample; the sample is taken once per request and cached, so
-    re-running the step never re-rolls an already-adjusted request.
-    ``perceived`` optionally supplies precomputed score totals.
+    ``adjusted[i]`` is the noise-adjusted score of ``pending[i]``;
+    ``rng`` (the pick stream) is drawn from only to break exact ties.
     """
     pending = list(pending)
     if not pending:
         raise ProtocolError("fair policy step on an empty pending set")
-    cache = noise_cache if noise_cache is not None else {}
-    adjusted = []
-    for r in pending:
-        y = cache.get(r.id)
-        if y is None:
-            y = 0.0 if spec is None else sample(spec, rng)
-            cache[r.id] = y
-        total = perceived.get(r.id) if perceived is not None else None
-        if total is None:
-            total = score(r, part).total
-        adjusted.append(total + y)
     best = max(adjusted) if direction == "highest_first" else min(adjusted)
     high_priority = [r for r, a in zip(pending, adjusted) if a == best]
     if len(high_priority) == 1:
@@ -203,28 +173,23 @@ def _select(stable: list[Request], state: EngineState, rt: PolicyRuntime) -> Req
     if isinstance(policy, TtlPolicy):
         i = policy.deadline_feature
         return min(stable, key=lambda r: (r.features[i], r.id))
-    for r in stable:
-        rt.noise_for(r)
-    return fair_policy_step(stable, rt.partition, policy.spec, rt.pick_stream,
-                            noise_cache=rt.noise_cache, perceived=rt._score_cache,
+    return fair_policy_step(stable, [rt.adjusted(r) for r in stable], rt.pick_stream,
                             direction=policy.direction)
 
 
 def _apply_issue(state: EngineState, r: Request) -> None:
-    state.client_pending.setdefault(r.client_id, {})[r.id] = r
+    state.in_flight[r.id] = r
 
 
-def _apply_deliver(state: EngineState, rid: int) -> Request:
+def _apply_deliver(state: EngineState, rid: int) -> None:
     if rid in state.server_received:
         raise ProtocolError(f"request {rid} delivered twice")
-    for q in state.client_pending.values():
-        r = q.pop(rid, None)
-        if r is not None:
-            state.server_received[rid] = r
-            state.pending[rid] = r
-            state.deliver_ticks[rid] = state.tick
-            return r
-    raise ProtocolError(f"deliver of unknown request {rid}")
+    r = state.in_flight.pop(rid, None)
+    if r is None:
+        raise ProtocolError(f"deliver of unknown request {rid}")
+    state.server_received[rid] = r
+    state.pending[rid] = r
+    state.deliver_ticks[rid] = state.tick
 
 
 def _emit_orders(state: EngineState, rt: PolicyRuntime) -> list[int]:
@@ -241,20 +206,38 @@ def _emit_orders(state: EngineState, rt: PolicyRuntime) -> list[int]:
     return emitted
 
 
-def step(state: EngineState, event: Event, runtime: PolicyRuntime) -> EngineState:
-    """Apply one event to the state (updated in place and returned)."""
-    if event.at_tick < state.tick:
-        raise ProtocolError(f"event at tick {event.at_tick} is in the past (now {state.tick})")
-    state.tick = event.at_tick
-    if event.kind == ISSUE:
-        _apply_issue(state, event.request)
-    elif event.kind == DELIVER:
-        _apply_deliver(state, event.request_id)
-    elif event.kind == POLICY_STEP:
-        _emit_orders(state, runtime)
-    else:
-        raise ProtocolError(f"unknown event kind {event.kind!r}")
-    return state
+@dataclass(frozen=True)
+class Schedule:
+    """One run's requests, delays folded in, grouped by issue and delivery tick.
+
+    Groups are sorted by id; ``ticks`` lists every tick with a group,
+    ascending, and ``totals`` maps each id to its perceived score total.
+    """
+
+    issues: dict[int, list[Request]]
+    delivers: dict[int, list[Request]]
+    ticks: tuple[int, ...]
+    totals: dict[int, float]
+
+
+def _schedule(scenario: ScenarioConfig, partition: FeaturePartition,
+              requests: tuple[Request, ...], seed: int) -> Schedule:
+    issues: dict[int, list[Request]] = {}
+    delivers: dict[int, list[Request]] = {}
+    totals: dict[int, float] = {}
+    for r in requests:
+        if r.id in scenario.deliver_overrides:
+            tick = scenario.deliver_overrides[r.id]
+        else:
+            rng = Stream(derive(seed, TAG_DELAY, r.id))
+            tick, r = apply_delay(r, scenario.delay, rng, scenario.eta_feature)
+        totals[r.id] = score(r, partition).total
+        issues.setdefault(r.issue_tick, []).append(r)
+        if tick is not None:
+            delivers.setdefault(tick, []).append(r)
+    for group in (*issues.values(), *delivers.values()):
+        group.sort(key=lambda r: r.id)
+    return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), totals)
 
 
 @dataclass(frozen=True)
@@ -272,11 +255,7 @@ class Prepared:
     partition: FeaturePartition
     requests: tuple[Request, ...]
     drain: int
-    static_schedule: tuple[tuple[int | None, Request], ...] | None
-    static_issues: dict[int, list[Request]] | None
-    static_delivers: dict[int, list[Request]] | None
-    static_last_event: int
-    static_totals: dict[int, float] | None
+    static_schedule: Schedule | None
 
 
 def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
@@ -284,94 +263,44 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
     policy = policy if policy is not None else scenario.policy
     partition = scenario.partition
     reqs = scenario.build_requests()
-    needs_rng = False
-    static: list[tuple[int | None, Request]] = []
-    for r in reqs:
-        if r.id in scenario.deliver_overrides:
-            static.append((scenario.deliver_overrides[r.id], r))
-            continue
-        model = scenario.delay.for_client(r.client_id)
-        if model.kind is DelayKind.CONSTANT:
-            # A zero delay leaves the features untouched (adding 0.0 would turn -0.0 into 0.0).
-            bumped = _with_eta_bump(r, scenario.eta_feature, model.d) if model.d else r
-            static.append((r.issue_tick + math.ceil(model.d), bumped))
-        else:
-            needs_rng = True
-    if needs_rng:
-        return Prepared(scenario, policy, partition, reqs, scenario.drain(),
-                        None, None, None, 0, None)
-    issues, delivers, last_event = _group_schedule(static)
-    totals = {r.id: score(r, partition).total for _, r in static}
-    return Prepared(scenario, policy, partition, reqs, scenario.drain(),
-                    tuple(static), issues, delivers, last_event, totals)
-
-
-def _group_schedule(schedule):
-    issues: dict[int, list[Request]] = {}
-    delivers: dict[int, list[Request]] = {}
-    for tick, r in schedule:
-        issues.setdefault(r.issue_tick, []).append(r)
-        if tick is not None:
-            delivers.setdefault(tick, []).append(r)
-    for group in issues.values():
-        group.sort(key=lambda r: r.id)
-    for group in delivers.values():
-        group.sort(key=lambda r: r.id)
-    last_event = max(list(issues) + list(delivers), default=0)
-    return issues, delivers, last_event
+    static = None
+    if all(scenario.delay.for_client(r.client_id).kind is DelayKind.CONSTANT
+           for r in reqs if r.id not in scenario.deliver_overrides):
+        # Constant delays draw nothing from their stream, so any seed gives this schedule.
+        static = _schedule(scenario, partition, reqs, 0)
+    return Prepared(scenario, policy, partition, reqs, scenario.drain(), static)
 
 
 def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
-    scenario = prep.scenario
-    if prep.static_schedule is not None:
-        issues, delivers = prep.static_issues, prep.static_delivers
-        last_event, totals = prep.static_last_event, prep.static_totals
-    else:
-        schedule: list[tuple[int | None, Request]] = []
-        for r in prep.requests:
-            if r.id in scenario.deliver_overrides:
-                schedule.append((scenario.deliver_overrides[r.id], r))
-            else:
-                rng = Stream(derive(seed, TAG_DELAY, r.id))
-                schedule.append(apply_delay(r, scenario.delay, rng, scenario.eta_feature))
-        issues, delivers, last_event = _group_schedule(schedule)
-        totals = {r.id: score(r, prep.partition).total for _, r in schedule}
-    horizon = last_event + prep.drain
-
-    rt = PolicyRuntime(prep.policy, prep.partition, seed, scenario.stability_gating,
-                       perceived_totals=totals)
+    sched = prep.static_schedule
+    if sched is None:
+        sched = _schedule(prep.scenario, prep.partition, prep.requests, seed)
+    rt = PolicyRuntime(prep.policy, seed, sched.totals, prep.scenario.stability_gating)
     state = EngineState()
     events: list[Event] = []
-    snapshots: list[Snapshot] = []
     issue_ticks: dict[int, int] = {}
     order_ticks: dict[int, int] = {}
-
-    if record:
-        ticks = range(horizon + 1)
-    else:
-        ticks = sorted(set(issues) | set(delivers))
-    for t in ticks:
+    # Stability depends only on the in-flight set, which changes only at
+    # these ticks, so no other tick can emit an order.
+    for t in sched.ticks:
         state.tick = t
-        for r in issues.get(t, ()):
+        for r in sched.issues.get(t, ()):
             _apply_issue(state, r)
             issue_ticks[r.id] = t
             if record:
-                events.append(Event(t, ISSUE, request=r))
-        for r in delivers.get(t, ()):
+                events.append(Event(t, ISSUE, r.id))
+        for r in sched.delivers.get(t, ()):
             _apply_deliver(state, r.id)
             if record:
-                events.append(Event(t, DELIVER, request_id=r.id))
+                events.append(Event(t, DELIVER, r.id))
         for rid in _emit_orders(state, rt):
             order_ticks[rid] = t
             if record:
-                events.append(Event(t, ORDER, request_id=rid))
-        if record:
-            snapshots.append(Snapshot(frozenset(state.server_received),
-                                      frozenset(state.pending),
-                                      tuple(state.output)))
+                events.append(Event(t, ORDER, rid))
+    horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain
     return Trace(
         events=tuple(events),
-        snapshots=tuple(snapshots),
+        snapshots=snapshots_from_events(events, horizon) if record else (),
         final_order=tuple(state.output),
         seed=seed,
         issue_ticks=issue_ticks,
@@ -412,7 +341,7 @@ def static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     policy = prep.policy
     if ticks[a] != ticks[b] or not isinstance(policy, FairPolicy):
         return (seed_hi - seed_lo if engine_first(ref.final_order) else 0), None
-    totals = prep.static_totals
+    totals = prep.static_schedule.totals
     seeds = range(seed_lo, seed_hi)
     if not all(math.isfinite(t) for t in totals.values()):
         return sum(engine_first(run_prepared(prep, s, record=False).final_order)
@@ -420,12 +349,10 @@ def static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     spec = policy.spec
     low_first = policy.direction != "highest_first"
     total_a, total_b = totals[a], totals[b]
-    adj_a, adj_b = total_a, total_b
     count = 0
     for seed in seeds:
-        if spec is not None:
-            adj_a = total_a + sample(spec, Stream(derive(seed, TAG_NOISE, a)))
-            adj_b = total_b + sample(spec, Stream(derive(seed, TAG_NOISE, b)))
+        adj_a = total_a + _noise(spec, seed, a)
+        adj_b = total_b + _noise(spec, seed, b)
         if adj_a < adj_b:
             count += low_first
         elif adj_a > adj_b:
@@ -439,6 +366,45 @@ def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,
         record: bool = True) -> Trace:
     """Simulate one full run; identical inputs yield identical traces."""
     return run_prepared(prepare(scenario, policy), seed, record)
+
+
+def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
+    """The per-tick snapshots 0..horizon implied by a trace's event rows.
+
+    At tick t a request counts as received once it has a deliver row at
+    a tick <= t, and the output lists the order rows at ticks <= t in
+    row order. One sweep visits only the ticks that carry a deliver or
+    order row; every other tick reuses the previous Snapshot object.
+    """
+    delivers: dict[int, list[int]] = {}
+    ordered_at: dict[int, list[int]] = {}  # tick -> positions among the order rows
+    order_rids: list[int] = []
+    for ev in events:
+        if ev.kind == DELIVER:
+            delivers.setdefault(max(ev.at_tick, 0), []).append(ev.rid)
+        elif ev.kind == ORDER:
+            ordered_at.setdefault(max(ev.at_tick, 0), []).append(len(order_rids))
+            order_rids.append(ev.rid)
+    received: frozenset[int] = frozenset()
+    rows: list[int] = []  # positions of the order rows seen so far, ascending
+    output: list[int] = []
+    snap = Snapshot(received, received, ())
+    snapshots: list[Snapshot] = []
+    for t in sorted(delivers.keys() | ordered_at):
+        if t > horizon:
+            break
+        snapshots.extend([snap] * (t - len(snapshots)))
+        if t in delivers:
+            received = received.union(delivers[t])
+        for row in ordered_at.get(t, ()):
+            at = bisect_right(rows, row)
+            rows.insert(at, row)
+            output.insert(at, order_rids[row])
+        ordered = snap.output if t not in ordered_at else tuple(output)
+        snap = Snapshot(received, received - set(ordered), ordered)
+        snapshots.append(snap)
+    snapshots.extend([snap] * (horizon + 1 - len(snapshots)))
+    return tuple(snapshots)
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -483,7 +449,7 @@ def parse_trace(text: str) -> Trace:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
         if kind not in (ISSUE, DELIVER, ORDER):
             raise TraceParseError(f"line {lineno}: unknown event kind {kind!r}")
-        events.append(Event(tick, kind, request_id=rid))
+        events.append(Event(tick, kind, rid))
         if kind == ISSUE:
             issue_ticks[rid] = tick
         elif kind == DELIVER:
@@ -498,18 +464,11 @@ def parse_trace(text: str) -> Trace:
         raise TraceParseError("missing final order line")
     if horizon is None:
         horizon = max([ev.at_tick for ev in events], default=0)
-    # Snapshots are reconstructed from the event rows alone; semantic
-    # disagreements with the final-order line are left for the checkers
-    # (forged traces must parse so they can be judged).
-    order_sequence = [ev.request_id for ev in events if ev.kind == ORDER]
-    snapshots = []
-    for t in range(horizon + 1):
-        received = frozenset(rid for rid, tk in deliver_ticks.items() if tk <= t)
-        output = tuple(rid for rid in order_sequence if order_ticks[rid] <= t)
-        snapshots.append(Snapshot(received, received - set(output), output))
+    # Semantic disagreements with the final-order line are left for the
+    # checkers (forged traces must parse so they can be judged).
     return Trace(
         events=tuple(events),
-        snapshots=tuple(snapshots),
+        snapshots=snapshots_from_events(events, horizon),
         final_order=final_order,
         seed=seed,
         issue_ticks=issue_ticks,

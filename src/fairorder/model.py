@@ -128,15 +128,21 @@ def check_noise_bound(requests: Sequence[Request], part: FeaturePartition, lam: 
     True iff |eta(r) - eta(r')| <= lambda for every adjacent pair in the
     list. Vacuously true when no pair is adjacent. This is a validator
     against a configured lambda, not an estimator.
+
+    Requests are grouped by their relevant values (-0.0 joins 0.0; a NaN
+    value is adjacent to nothing). Float subtraction is monotone, so a
+    group's largest gap is max - min of its etas, NaN etas left out.
     """
     if lam <= 0:
         raise ParameterError("lambda must be positive")
-    scored = [(r, score(r, part)) for r in requests]
-    for i, (r1, s1) in enumerate(scored):
-        for r2, s2 in scored[i + 1:]:
-            if adjacent(r1, r2, part) and abs(s1.eta - s2.eta) > lam:
-                return False
-    return True
+    relevant = sorted(part.relevant)
+    groups: dict[tuple[float, ...], list[float]] = {}
+    for r in requests:
+        eta = score(r, part).eta
+        key = tuple(r.features[i] for i in relevant)
+        if eta == eta and all(v == v for v in key):
+            groups.setdefault(key, []).append(eta)
+    return not any(max(etas) - min(etas) > lam for etas in groups.values())
 
 
 def max_eta_gap(requests: Sequence[Request], part: FeaturePartition) -> float:

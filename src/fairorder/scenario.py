@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .adversary import ByzantineClientSpec, DelayModel
 from .model import (FeaturePartition, ParameterError, Request, check_noise_bound, is_finite,
                     max_eta_gap, score)
 from .noise import ConfigurationError, NoiseSpec
+from .randomizer import ByzantineStrategy, ReplicaSet
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,20 @@ class SweepBlock:
             raise ConfigurationError("sweep gaps must be non-negative")
         if self.n_trials <= 0:
             raise ConfigurationError("sweep n_trials must be positive")
+
+
+@dataclass(frozen=True)
+class RandomizerBlock:
+    """A shared-randomizer agreement sweep over consecutive instance ids."""
+
+    replicas: ReplicaSet
+    spec: NoiseSpec
+    strategy: ByzantineStrategy = ByzantineStrategy.CONSTANT
+    instances: int = 1000
+
+    def __post_init__(self):
+        if self.instances <= 0:
+            raise ConfigurationError("randomizer instances must be positive")
 
 
 @dataclass(frozen=True)
@@ -287,8 +303,19 @@ def _noise_from_json(obj) -> NoiseSpec:
     )
 
 
-def scenario_from_dict(doc: dict) -> ScenarioConfig:
+@contextmanager
+def _malformed(what: str):
+    """Report a missing key or a value of the wrong type as one ConfigurationError."""
     try:
+        yield
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"malformed {what}: {exc}") from exc
+
+
+def scenario_from_dict(doc: dict) -> ScenarioConfig:
+    with _malformed("scenario"):
         requests = []
         for client in doc["clients"]:
             cid = int(client["id"])
@@ -354,10 +381,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             multi_server=ms,
             trials=trials,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"malformed scenario: {exc}") from exc
 
 
 def sweep_from_dict(doc) -> SweepBlock:
@@ -365,7 +388,7 @@ def sweep_from_dict(doc) -> SweepBlock:
     grid = doc.get("sweep") if isinstance(doc, dict) else None
     if not isinstance(grid, dict):
         raise ConfigurationError("sweep needs a 'sweep' block with epsilons and gaps")
-    try:
+    with _malformed("sweep block"):
         return SweepBlock(
             epsilons=tuple(float(e) for e in grid.get("epsilons") or ()),
             gaps=tuple(float(n) for n in grid.get("gaps") or ()),
@@ -373,10 +396,28 @@ def sweep_from_dict(doc) -> SweepBlock:
             base_seed=int(grid.get("base_seed", 0)),
             lam=float(grid.get("lambda", 1.0)),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"malformed sweep block: {exc}") from exc
+
+
+def randomizer_from_dict(doc) -> RandomizerBlock:
+    """The validated ``randomizer`` block of a randomizer config document."""
+    block = doc.get("randomizer") if isinstance(doc, dict) else None
+    if not block or not isinstance(block, dict):
+        raise ConfigurationError("config lacks a 'randomizer' block")
+    with _malformed("randomizer block"):
+        return RandomizerBlock(
+            replicas=ReplicaSet(
+                n=int(block["n"]), f=int(block["f"]),
+                byzantine_ids=frozenset(int(i) for i in block.get("byzantine", ())),
+            ),
+            spec=NoiseSpec(
+                kind=block.get("kind", "laplace"),
+                epsilon=float(block.get("epsilon", 1.0)),
+                sensitivity=float(block.get("sensitivity", 1.0)),
+                bound=block.get("bound"),
+            ),
+            strategy=ByzantineStrategy(block.get("strategy", "constant")),
+            instances=int(block.get("instances", 1000)),
+        )
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

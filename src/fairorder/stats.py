@@ -182,7 +182,7 @@ def _pre_mechanism_requests(prep: Prepared):
     attributed to a single pre-mechanism score and are left out.
     """
     if prep.static_schedule is not None:
-        return {r.id: r for _, r in prep.static_schedule}
+        return {r.id: r for group in prep.static_schedule.issues.values() for r in group}
     return {r.id: r for r in prep.requests}
 
 

@@ -4,6 +4,9 @@ import math
 
 from scipy.integrate import quad
 
+from fairorder.engine import DELIVER, ORDER, Snapshot
+from fairorder.model import adjacent, score
+
 
 def laplace_pdf(x, mu, b):
     return math.exp(-abs(x - mu) / b) / (2.0 * b)
@@ -35,3 +38,31 @@ def order_probability_oracle(mu_x, mu_y, b):
         quad(integrand, lo, hi, epsabs=1e-11, limit=200)[0]
         for lo, hi in zip(bounds, bounds[1:])
     )
+
+
+def pairwise_noise_bound(requests, part, lam):
+    """The noise-bound check by brute force: every pair, compared with ``adjacent``."""
+    scored = [(r, score(r, part)) for r in requests]
+    for i, (r1, s1) in enumerate(scored):
+        for r2, s2 in scored[i + 1:]:
+            if adjacent(r1, r2, part) and abs(s1.eta - s2.eta) > lam:
+                return False
+    return True
+
+
+def snapshots_per_tick(events, horizon):
+    """Every tick's snapshot rebuilt from scratch out of the event rows.
+
+    Received at t: deliver rows at ticks <= t. Output at t: order rows at
+    ticks <= t, in row order. O(horizon x rows); each request id appears
+    in at most one deliver row and one order row.
+    """
+    deliver_ticks = {ev.rid: ev.at_tick for ev in events if ev.kind == DELIVER}
+    order_ticks = {ev.rid: ev.at_tick for ev in events if ev.kind == ORDER}
+    order_sequence = [ev.rid for ev in events if ev.kind == ORDER]
+    snapshots = []
+    for t in range(horizon + 1):
+        received = frozenset(rid for rid, tk in deliver_ticks.items() if tk <= t)
+        output = tuple(rid for rid in order_sequence if order_ticks[rid] <= t)
+        snapshots.append(Snapshot(received, received - set(output), output))
+    return tuple(snapshots)

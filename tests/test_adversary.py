@@ -47,6 +47,14 @@ class TestDelays:
         s = score(bumped, PART)
         assert s.relev == 9.0 and s.eta == 2.0
 
+    def test_zero_delay_keeps_the_request(self):
+        # Adding 0.0 would turn a -0.0 feature into 0.0; random and constant models agree.
+        r = req(eta=-0.0, tick=3)
+        for model in (DelayModel(kind="constant", d=0.0), DelayModel(kind="uniform"),
+                      DelayModel(kind="capped_heavy_tail", cap=0.0)):
+            assert apply_delay(r, model, Stream(0), eta_feature=1) == (3, r)
+            assert str(apply_delay(r, model, Stream(0), eta_feature=1)[1].features[1]) == "-0.0"
+
 
 class TestBribes:
     def test_zero_bribe_is_identity(self):

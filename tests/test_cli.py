@@ -134,6 +134,9 @@ class TestCertifyCommand:
         {"clients": [{"id": c, "requests": [{"id": c, "issue_tick": 0,
                                              "features": [math.nan, 0.0]}]}
                      for c in (0, 1)]},
+        {"clients": [{"id": c, "requests": [{"id": c, "issue_tick": math.inf,
+                                             "features": [0.0, 0.0]}]}
+                     for c in (0, 1)]},
     ])
     def test_non_finite_parameters_exit_two(self, tmp_path, edit, capsys):
         doc = dict(certify_config(), **edit)
@@ -212,6 +215,22 @@ class TestRandomizerCommand:
         assert main(["randomizer", "--config", config, "--out", str(tmp_path)]) == 0
         assert "disagreements=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("block", [
+        {"f": 0},
+        {"n": "x", "f": 0},
+        {"n": 4, "f": 1, "strategy": "nope"},
+        {"n": 4, "f": 1, "instances": 0},
+    ])
+    def test_malformed_block_exits_two(self, tmp_path, block, capsys):
+        config = write_config(tmp_path, {"randomizer": block})
+        assert main(["randomizer", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_block_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"sweep": {}})
+        assert main(["randomizer", "--config", config, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config lacks a 'randomizer' block\n"
 
     def test_non_positive_trial_override_exits_two(self, tmp_path):
         doc = {"randomizer": {"n": 4, "f": 1, "instances": 10}}

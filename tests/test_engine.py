@@ -1,18 +1,15 @@
 import pytest
 
 from gen import random_scenario
-from fairorder.engine import (DELIVER, ISSUE, POLICY_STEP, EngineState, Event,
-                              PolicyRuntime, ProtocolError, Trace, TraceParseError,
-                              fair_policy_step, is_stable, parse_trace, prepare, run,
-                              run_prepared, serialize_trace, step)
+from fairorder.engine import (EngineState, PolicyRuntime, ProtocolError, TraceParseError,
+                              _apply_deliver, _apply_issue, fair_policy_step, is_stable,
+                              parse_trace, prepare, run, run_prepared, serialize_trace)
 from fairorder.adversary import DelayModel
-from fairorder.model import FeaturePartition, Request
+from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.rng import Stream
 from fairorder.scenario import (FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy,
                                 two_request_gap_scenario)
-
-PART = FeaturePartition.from_relevant([0], feature_count=2)
 
 
 def make_scenario(requests, policy=FcfsPolicy(), delay=DelayModel(), **kw):
@@ -28,44 +25,35 @@ def req(rid, relev=0.0, eta=0.0, client=None, tick=0):
 
 
 class TestStep:
+    """Single state transitions: ``_apply_issue`` and ``_apply_deliver``."""
+
     def setup_method(self):
-        self.rt = PolicyRuntime(FcfsPolicy(), PART, seed=0)
         self.state = EngineState()
         self.r = req(0, relev=5.0)
 
     def test_issue_adds_to_client_queue(self):
-        step(self.state, Event(0, ISSUE, request=self.r), self.rt)
-        assert self.r.id in self.state.client_pending[self.r.client_id]
+        _apply_issue(self.state, self.r)
+        assert self.r.id in self.state.in_flight
         assert self.r.id not in self.state.server_received
 
     def test_deliver_moves_to_server(self):
-        step(self.state, Event(0, ISSUE, request=self.r), self.rt)
-        step(self.state, Event(1, DELIVER, request_id=0), self.rt)
+        _apply_issue(self.state, self.r)
+        self.state.tick = 1
+        _apply_deliver(self.state, 0)
         assert self.r.id in self.state.server_received
         assert self.r.id in self.state.pending
-        assert not self.state.client_pending[self.r.client_id]
-
-    def test_policy_step_orders_single_pending(self):
-        step(self.state, Event(0, ISSUE, request=self.r), self.rt)
-        step(self.state, Event(1, DELIVER, request_id=0), self.rt)
-        step(self.state, Event(1, POLICY_STEP), self.rt)
-        assert self.state.output == [0]
-        assert not self.state.pending
+        assert self.state.deliver_ticks == {0: 1}
+        assert not self.state.in_flight
 
     def test_deliver_unknown_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            step(self.state, Event(0, DELIVER, request_id=42), self.rt)
+            _apply_deliver(self.state, 42)
 
     def test_duplicate_deliver_is_protocol_error(self):
-        step(self.state, Event(0, ISSUE, request=self.r), self.rt)
-        step(self.state, Event(1, DELIVER, request_id=0), self.rt)
+        _apply_issue(self.state, self.r)
+        _apply_deliver(self.state, 0)
         with pytest.raises(ProtocolError):
-            step(self.state, Event(2, DELIVER, request_id=0), self.rt)
-
-    def test_past_event_rejected(self):
-        self.state.tick = 5
-        with pytest.raises(ProtocolError):
-            step(self.state, Event(3, ISSUE, request=self.r), self.rt)
+            _apply_deliver(self.state, 0)
 
 
 class TestFcfsRuns:
@@ -97,33 +85,28 @@ class TestFcfsRuns:
 class TestFairPolicy:
     def test_single_pending_returned(self):
         r = req(0)
-        spec = NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)
-        assert fair_policy_step([r], PART, spec, Stream(0)) is r
+        assert fair_policy_step([r], [0.7], Stream(0)) is r
 
     def test_strict_minimum_wins(self):
         a, b = req(0, relev=3.0), req(1, relev=5.0)
-        cache = {0: 0.0, 1: 0.0}
-        got = fair_policy_step([a, b], PART, None, Stream(0), noise_cache=cache)
+        got = fair_policy_step([a, b], [3.0, 5.0], Stream(0))
         assert got is a
 
     def test_highest_first_direction(self):
         a, b = req(0, relev=3.0), req(1, relev=5.0)
-        cache = {0: 0.0, 1: 0.0}
-        got = fair_policy_step([a, b], PART, None, Stream(0), noise_cache=cache,
-                               direction="highest_first")
+        got = fair_policy_step([a, b], [3.0, 5.0], Stream(0), direction="highest_first")
         assert got is b
 
     def test_empty_pending_rejected(self):
         with pytest.raises(ProtocolError):
-            fair_policy_step([], PART, None, Stream(0))
+            fair_policy_step([], [], Stream(0))
 
     def test_tied_scores_picked_uniformly(self):
         a, b = req(0, relev=1.0), req(1, relev=1.0)
         wins = 0
         trials = 4000
         for seed in range(trials):
-            cache = {0: 0.0, 1: 0.0}
-            got = fair_policy_step([a, b], PART, None, Stream(seed), noise_cache=cache)
+            got = fair_policy_step([a, b], [1.0, 1.0], Stream(seed))
             wins += got is a
         assert wins / trials == pytest.approx(0.5, abs=0.03)
 
@@ -143,7 +126,7 @@ class TestFairPolicy:
 
     def test_noise_cached_once_per_request(self):
         spec = NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)
-        rt = PolicyRuntime(FairPolicy(spec=spec), PART, seed=5)
+        rt = PolicyRuntime(FairPolicy(spec=spec), seed=5, totals={0: 0.0})
         r = req(0)
         first = rt.noise_for(r)
         assert rt.noise_for(r) == first
@@ -187,13 +170,13 @@ class TestStability:
     def test_is_stable_examples(self):
         fair = FairPolicy(spec=None)
         state = EngineState()
-        rt = PolicyRuntime(fair, PART, seed=0)
         r0, r1 = req(0, relev=5.0), req(1, relev=1.0, tick=0)
-        step(state, Event(0, ISSUE, request=r0), rt)
-        step(state, Event(0, ISSUE, request=r1), rt)
-        step(state, Event(0, DELIVER, request_id=0), rt)
+        _apply_issue(state, r0)
+        _apply_issue(state, r1)
+        _apply_deliver(state, 0)
         assert not is_stable(r0, state, fair)          # r1 still in flight
-        step(state, Event(2, DELIVER, request_id=1), rt)
+        state.tick = 2
+        _apply_deliver(state, 1)
         assert is_stable(r0, state, fair)              # horizon passed, nothing in flight
         assert is_stable(r0, state, fair, stability_gating=False)
 

@@ -1,12 +1,20 @@
-"""Pinned output bytes of `fairorder sweep` and `fairorder certify`.
+"""Pinned output bytes of the CLI commands.
 
-The expected strings are the output of the engine-only estimator, which
-runs the full engine for every seed; the exact pair kernel must reproduce
-them byte for byte. The configs cover every path the estimator can take:
-the kernel deciding from noise draws (Laplace, bounded Laplace, uniform,
-both directions), a different-tick pair, fcfs and ttl pairs, a zero-noise
-pair whose every seed ties and runs through the engine, and a
-random-delay scenario that never takes the kernel.
+`sweep` and `certify`: the expected strings are the output of the
+engine-only estimator, which runs the full engine for every seed; the
+exact pair kernel must reproduce them byte for byte. The configs cover
+every path the estimator can take: the kernel deciding from noise draws
+(Laplace, bounded Laplace, uniform, both directions), a different-tick
+pair, fcfs and ttl pairs, a zero-noise pair whose every seed ties and
+runs through the engine, and a random-delay scenario that never takes
+the kernel.
+
+`run`, `check` and `quorum`: the expected strings were recorded from the
+engine that visited every tick up to the horizon and built each snapshot
+in place. The three scenarios cover a fair policy with random delays, a
+ttl policy with per-client delay models and a request that is never
+delivered, and a static schedule (zero and constant delays) replicated
+to a quorum with one Byzantine server.
 """
 
 import json
@@ -146,3 +154,470 @@ def test_sweep_bytes_are_pinned(tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(CERTIFY_DOCS))
 def test_certify_bytes_are_pinned(tmp_path, capsys, name):
     assert _run(tmp_path, "certify", CERTIFY_DOCS[name], capsys) == GOLDEN_CERTIFY[name]
+
+
+TRACE_SEED = 11
+
+TRACE_DOCS = {
+    "fair_uniform": {
+        "feature_count": 2, "relevant": [0], "lambda": 2.0, "eta_feature": 1,
+        "clients": [
+            {"id": c, "requests": [
+                {"id": 3 * c + k, "issue_tick": 4 * k + c, "features": [float((5 * c + 3 * k) % 4), -0.0]}
+                for k in range(3)]}
+            for c in range(3)
+        ],
+        "delay": {"kind": "uniform", "lo": 0, "hi": 3},
+        "noise": {"kind": "laplace", "epsilon": 1.0, "sensitivity": 2.0},
+        "policy": {"kind": "fair"},
+        "multi_server": {"n": 4, "f": 1, "lags": [0, 1, 3, 2]},
+    },
+    "ttl_per_client": {
+        "feature_count": 3, "relevant": [0], "lambda": 4.0, "eta_feature": 1,
+        "clients": [
+            {"id": c, "requests": [
+                {"id": 2 * c + k, "issue_tick": 3 * k + c,
+                 "features": [float(c % 2), 0.0, float((7 * c + 5 * k) % 6)]}
+                for k in range(2)]}
+            for c in range(4)
+        ],
+        "delay": {"kind": "uniform", "lo": 0, "hi": 2,
+                  "per_client": {"1": {"kind": "constant", "d": 2},
+                                 "2": {"kind": "capped_heavy_tail", "scale": 1.0, "cap": 4}}},
+        "policy": {"kind": "ttl", "deadline_feature": 2},
+        "deliver_overrides": {"4": None},
+        "multi_server": {"n": 4, "f": 1, "lags": [1, 0, 2, 0]},
+    },
+    "quorum_byzantine": {
+        "feature_count": 2, "relevant": [0], "lambda": 1.0, "eta_feature": 1,
+        "clients": [
+            {"id": c, "requests": [
+                {"id": 2 * c + k, "issue_tick": 2 * k, "features": [float((c + k) % 3), 0.0]}
+                for k in range(2)]}
+            for c in range(3)
+        ],
+        "delay": {"kind": "constant", "d": 1.5, "per_client": {"0": {"kind": "constant", "d": 0}}},
+        "noise": {"kind": "bounded_laplace", "epsilon": 1.0, "sensitivity": 1.0, "bound": 2.0},
+        "policy": {"kind": "fair"},
+        "multi_server": {"n": 4, "f": 1, "lags": [0, 2, 1, 0], "byzantine_servers": [2]},
+    },
+}
+
+GOLDEN_TRACES = {
+    'fair_uniform': {
+        'run': (
+            0,
+            {
+                'trace.txt': (
+                    '# fairorder-trace v1 seed=11 horizon=17\n'
+                    '0,issue,0\n'
+                    '1,issue,3\n'
+                    '2,issue,6\n'
+                    '3,deliver,0\n'
+                    '3,deliver,3\n'
+                    '4,issue,1\n'
+                    '5,issue,4\n'
+                    '5,deliver,1\n'
+                    '5,deliver,6\n'
+                    '6,issue,7\n'
+                    '6,deliver,4\n'
+                    '7,deliver,7\n'
+                    '7,order,3\n'
+                    '7,order,1\n'
+                    '7,order,4\n'
+                    '7,order,0\n'
+                    '7,order,6\n'
+                    '7,order,7\n'
+                    '8,issue,2\n'
+                    '9,issue,5\n'
+                    '9,deliver,2\n'
+                    '10,issue,8\n'
+                    '10,deliver,5\n'
+                    '13,deliver,8\n'
+                    '13,order,5\n'
+                    '13,order,2\n'
+                    '13,order,8\n'
+                    'order:3,1,4,0,6,7,5,2,8\n'
+                ),
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'warning: assumption-violation: delay model can spread eta by 3, beyond lambda 2\n'
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'check': (
+            0,
+            {
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'quorum': (
+            0,
+            {
+                'verdicts.txt': 'prefix_consistency,pass,\n',
+                'view.txt': (
+                    '# fairorder-view v1 n=4 f=1 correct=0,1,2,3\n'
+                    '0,3,deliver,0\n'
+                    '0,3,deliver,3\n'
+                    '0,5,deliver,1\n'
+                    '0,5,deliver,6\n'
+                    '0,6,deliver,4\n'
+                    '0,7,deliver,7\n'
+                    '0,7,order,3\n'
+                    '0,7,order,1\n'
+                    '0,7,order,4\n'
+                    '0,7,order,0\n'
+                    '0,7,order,6\n'
+                    '0,7,order,7\n'
+                    '0,9,deliver,2\n'
+                    '0,10,deliver,5\n'
+                    '0,13,deliver,8\n'
+                    '0,13,order,5\n'
+                    '0,13,order,2\n'
+                    '0,13,order,8\n'
+                    'order:0:3,1,4,0,6,7,5,2,8\n'
+                    '1,4,deliver,0\n'
+                    '1,4,deliver,3\n'
+                    '1,6,deliver,1\n'
+                    '1,6,deliver,6\n'
+                    '1,7,deliver,4\n'
+                    '1,8,deliver,7\n'
+                    '1,8,order,3\n'
+                    '1,8,order,1\n'
+                    '1,8,order,4\n'
+                    '1,8,order,0\n'
+                    '1,8,order,6\n'
+                    '1,8,order,7\n'
+                    '1,10,deliver,2\n'
+                    '1,11,deliver,5\n'
+                    '1,14,deliver,8\n'
+                    '1,14,order,5\n'
+                    '1,14,order,2\n'
+                    '1,14,order,8\n'
+                    'order:1:3,1,4,0,6,7,5,2,8\n'
+                    '2,6,deliver,0\n'
+                    '2,6,deliver,3\n'
+                    '2,8,deliver,1\n'
+                    '2,8,deliver,6\n'
+                    '2,9,deliver,4\n'
+                    '2,10,deliver,7\n'
+                    '2,10,order,3\n'
+                    '2,10,order,1\n'
+                    '2,10,order,4\n'
+                    '2,10,order,0\n'
+                    '2,10,order,6\n'
+                    '2,10,order,7\n'
+                    '2,12,deliver,2\n'
+                    '2,13,deliver,5\n'
+                    '2,16,deliver,8\n'
+                    '2,16,order,5\n'
+                    '2,16,order,2\n'
+                    '2,16,order,8\n'
+                    'order:2:3,1,4,0,6,7,5,2,8\n'
+                    '3,5,deliver,0\n'
+                    '3,5,deliver,3\n'
+                    '3,7,deliver,1\n'
+                    '3,7,deliver,6\n'
+                    '3,8,deliver,4\n'
+                    '3,9,deliver,7\n'
+                    '3,9,order,3\n'
+                    '3,9,order,1\n'
+                    '3,9,order,4\n'
+                    '3,9,order,0\n'
+                    '3,9,order,6\n'
+                    '3,9,order,7\n'
+                    '3,11,deliver,2\n'
+                    '3,12,deliver,5\n'
+                    '3,15,deliver,8\n'
+                    '3,15,order,5\n'
+                    '3,15,order,2\n'
+                    '3,15,order,8\n'
+                    'order:3:3,1,4,0,6,7,5,2,8\n'
+                ),
+            },
+            'prefix_consistency,pass,\n',
+        ),
+    },
+    'quorum_byzantine': {
+        'run': (
+            0,
+            {
+                'trace.txt': (
+                    '# fairorder-trace v1 seed=11 horizon=7\n'
+                    '0,issue,0\n'
+                    '0,issue,2\n'
+                    '0,issue,4\n'
+                    '0,deliver,0\n'
+                    '2,issue,1\n'
+                    '2,issue,3\n'
+                    '2,issue,5\n'
+                    '2,deliver,1\n'
+                    '2,deliver,2\n'
+                    '2,deliver,4\n'
+                    '4,deliver,3\n'
+                    '4,deliver,5\n'
+                    '4,order,1\n'
+                    '4,order,5\n'
+                    '4,order,0\n'
+                    '4,order,2\n'
+                    '4,order,4\n'
+                    '4,order,3\n'
+                    'order:1,5,0,2,4,3\n'
+                ),
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'warning: assumption-violation: delay model can spread eta by 1.5, beyond lambda 1\n'
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'check': (
+            0,
+            {
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'quorum': (
+            0,
+            {
+                'verdicts.txt': 'prefix_consistency,pass,\n',
+                'view.txt': (
+                    '# fairorder-view v1 n=4 f=1 correct=0,1,3\n'
+                    '0,0,deliver,0\n'
+                    '0,2,deliver,1\n'
+                    '0,2,deliver,2\n'
+                    '0,2,deliver,4\n'
+                    '0,4,deliver,3\n'
+                    '0,4,deliver,5\n'
+                    '0,4,order,1\n'
+                    '0,4,order,5\n'
+                    '0,4,order,0\n'
+                    '0,4,order,2\n'
+                    '0,4,order,4\n'
+                    '0,4,order,3\n'
+                    'order:0:1,5,0,2,4,3\n'
+                    '1,2,deliver,0\n'
+                    '1,4,deliver,1\n'
+                    '1,4,deliver,2\n'
+                    '1,4,deliver,4\n'
+                    '1,6,deliver,3\n'
+                    '1,6,deliver,5\n'
+                    '1,6,order,1\n'
+                    '1,6,order,5\n'
+                    '1,6,order,0\n'
+                    '1,6,order,2\n'
+                    '1,6,order,4\n'
+                    '1,6,order,3\n'
+                    'order:1:1,5,0,2,4,3\n'
+                    '2,0,deliver,0\n'
+                    '2,0,deliver,1\n'
+                    '2,0,deliver,2\n'
+                    '2,0,deliver,3\n'
+                    '2,0,deliver,4\n'
+                    '2,0,deliver,5\n'
+                    '2,0,order,3\n'
+                    '2,0,order,4\n'
+                    '2,0,order,2\n'
+                    '2,0,order,0\n'
+                    '2,0,order,5\n'
+                    '2,0,order,1\n'
+                    'order:2:3,4,2,0,5,1\n'
+                    '3,0,deliver,0\n'
+                    '3,2,deliver,1\n'
+                    '3,2,deliver,2\n'
+                    '3,2,deliver,4\n'
+                    '3,4,deliver,3\n'
+                    '3,4,deliver,5\n'
+                    '3,4,order,1\n'
+                    '3,4,order,5\n'
+                    '3,4,order,0\n'
+                    '3,4,order,2\n'
+                    '3,4,order,4\n'
+                    '3,4,order,3\n'
+                    'order:3:1,5,0,2,4,3\n'
+                ),
+            },
+            'prefix_consistency,pass,\n',
+        ),
+    },
+    'ttl_per_client': {
+        'run': (
+            1,
+            {
+                'trace.txt': (
+                    '# fairorder-trace v1 seed=11 horizon=12\n'
+                    '0,issue,0\n'
+                    '1,issue,2\n'
+                    '2,issue,4\n'
+                    '2,deliver,0\n'
+                    '2,order,0\n'
+                    '3,issue,1\n'
+                    '3,issue,6\n'
+                    '3,deliver,2\n'
+                    '3,order,2\n'
+                    '4,issue,3\n'
+                    '4,deliver,1\n'
+                    '5,issue,5\n'
+                    '5,deliver,6\n'
+                    '6,issue,7\n'
+                    '6,deliver,3\n'
+                    '6,order,3\n'
+                    '7,deliver,5\n'
+                    '7,deliver,7\n'
+                    '7,order,5\n'
+                    'order:0,2,3,5\n'
+                ),
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,fail,12;1\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'warning: assumption-violation: adjacent eta gap exceeds lambda (max eta gap over all pairs 5, lambda 4)\n'
+                'order_determinism,pass,\n'
+                'non_blocking,fail,12;1\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'check': (
+            1,
+            {
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,fail,12;1\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'order_determinism,pass,\n'
+                'non_blocking,fail,12;1\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'quorum': (
+            0,
+            {
+                'verdicts.txt': 'prefix_consistency,pass,\n',
+                'view.txt': (
+                    '# fairorder-view v1 n=4 f=1 correct=0,1,2,3\n'
+                    '0,3,deliver,0\n'
+                    '0,3,order,0\n'
+                    '0,4,deliver,2\n'
+                    '0,4,order,2\n'
+                    '0,5,deliver,1\n'
+                    '0,6,deliver,6\n'
+                    '0,7,deliver,3\n'
+                    '0,7,order,3\n'
+                    '0,8,deliver,5\n'
+                    '0,8,deliver,7\n'
+                    '0,8,order,5\n'
+                    'order:0:0,2,3,5\n'
+                    '1,2,deliver,0\n'
+                    '1,2,order,0\n'
+                    '1,3,deliver,2\n'
+                    '1,3,order,2\n'
+                    '1,4,deliver,1\n'
+                    '1,5,deliver,6\n'
+                    '1,6,deliver,3\n'
+                    '1,6,order,3\n'
+                    '1,7,deliver,5\n'
+                    '1,7,deliver,7\n'
+                    '1,7,order,5\n'
+                    'order:1:0,2,3,5\n'
+                    '2,4,deliver,0\n'
+                    '2,4,order,0\n'
+                    '2,5,deliver,2\n'
+                    '2,5,order,2\n'
+                    '2,6,deliver,1\n'
+                    '2,7,deliver,6\n'
+                    '2,8,deliver,3\n'
+                    '2,8,order,3\n'
+                    '2,9,deliver,5\n'
+                    '2,9,deliver,7\n'
+                    '2,9,order,5\n'
+                    'order:2:0,2,3,5\n'
+                    '3,2,deliver,0\n'
+                    '3,2,order,0\n'
+                    '3,3,deliver,2\n'
+                    '3,3,order,2\n'
+                    '3,4,deliver,1\n'
+                    '3,5,deliver,6\n'
+                    '3,6,deliver,3\n'
+                    '3,6,order,3\n'
+                    '3,7,deliver,5\n'
+                    '3,7,deliver,7\n'
+                    '3,7,order,5\n'
+                    'order:3:0,2,3,5\n'
+                ),
+            },
+            'prefix_consistency,pass,\n',
+        ),
+    },
+}
+
+
+def _run_trace_commands(tmp_path, doc, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    seed = str(TRACE_SEED)
+    argvs = {
+        "run": ["run", "--config", str(config), "--seed", seed, "--out", str(tmp_path / "run")],
+        "check": ["check", str(tmp_path / "run" / "trace.txt"), "--out", str(tmp_path / "check")],
+        "quorum": ["quorum", "--config", str(config), "--seed", seed,
+                   "--out", str(tmp_path / "quorum")],
+    }
+    results = {}
+    for name, argv in argvs.items():
+        code = main(argv)
+        files = {p.name: p.read_text() for p in sorted((tmp_path / name).iterdir())}
+        results[name] = (code, files, capsys.readouterr().out)
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DOCS))
+def test_trace_bytes_are_pinned(tmp_path, capsys, name):
+    assert _run_trace_commands(tmp_path, TRACE_DOCS[name], capsys) == GOLDEN_TRACES[name]

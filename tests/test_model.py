@@ -1,6 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import pairwise_noise_bound
 from fairorder.model import (DimensionMismatchError, FeaturePartition, ParameterError,
                              Request, Score, adjacent, check_noise_bound, k_distance,
                              max_eta_gap, score)
@@ -113,6 +116,30 @@ class TestNoiseBound:
         r1, r2 = req(0, [5.0, 1.0]), req(1, [5.0, 3.0])
         assert check_noise_bound([r1, r2], PART, lam)
         assert k_distance(score(r1, PART), score(r2, PART), lam) <= 1.0
+
+    def test_signed_zero_relevant_values_are_adjacent(self):
+        reqs = [req(0, [-0.0, 0.0]), req(1, [0.0, 3.0])]
+        assert not check_noise_bound(reqs, PART, 2.0)
+
+    def test_nan_relevant_value_is_adjacent_to_nothing(self):
+        reqs = [req(0, [math.nan, 0.0]), req(1, [math.nan, 3.0]), req(2, [1.0, 0.0])]
+        assert check_noise_bound(reqs, PART, 2.0)
+
+    def test_dimension_mismatch_raised(self):
+        with pytest.raises(DimensionMismatchError):
+            check_noise_bound([req(0, [1.0, 0.0]), req(1, [1.0])], PART, 1.0)
+
+    @given(
+        relevant=st.sets(st.integers(0, 2), max_size=2),
+        rows=st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan,
+                                                math.inf, -math.inf]),
+                               min_size=3, max_size=3), max_size=8),
+        lam=st.sampled_from([0.5, 1.0, 2.0, 3.5, math.inf]),
+    )
+    def test_grouped_check_equals_pairwise_reference(self, relevant, rows, lam):
+        part = FeaturePartition.from_relevant(relevant, feature_count=3)
+        reqs = [req(i, feats) for i, feats in enumerate(rows)]
+        assert check_noise_bound(reqs, part, lam) == pairwise_noise_bound(reqs, part, lam)
 
     def test_max_eta_gap_diagnostic_covers_all_pairs(self):
         reqs = [req(0, [5.0, 0.0]), req(1, [6.0, 100.0]), req(2, [5.0, 1.0])]

@@ -130,3 +130,46 @@ class TestReplication:
         assert "0,1,deliver,0" in text
         assert "1,2,deliver,0" in text  # lagged by one tick
         assert text.count("order:") == 4
+
+    def test_negative_lag_rejected(self):
+        with pytest.raises(ConfigurationError):
+            replicate_trace(fcfs_trace(), n=4, f=1, lags=(0, -1, 0, 0))
+
+
+class TestSharedTicks:
+    """Ticks that reuse the previous tick's objects are skipped without changing output."""
+
+    @staticmethod
+    def unshared(view):
+        return QuorumView(
+            n=view.n, f=view.f,
+            received=tuple(tuple(frozenset(set(s)) for s in server) for server in view.received),
+            ordered=tuple(tuple(tuple(list(o)) for o in server) for server in view.ordered),
+            correct=view.correct,
+        )
+
+    def test_random_views_serialize_and_check_as_unshared_copies(self):
+        gen = Stream(4242)
+        for kind in ("fcfs", "ttl", "fair") * 5:
+            trace = run(random_scenario(gen, kind), seed=gen.randrange(1000))
+            lags = tuple(gen.randrange(4) for _ in range(4))
+            view = replicate_trace(trace, n=4, f=1, lags=lags,
+                                   byzantine_servers={gen.randrange(4)})
+            copy = self.unshared(view)
+            assert serialize_view(view) == serialize_view(copy)
+            assert check_prefix_consistency(view) == check_prefix_consistency(copy)
+
+    def test_order_growth_under_a_shared_received_set(self):
+        shared = frozenset({1, 2})
+        view = hand_view([[shared] * 3] * 4, [[(), (1,), (1, 2)]] * 4)
+        text = serialize_view(view)
+        assert "0,1,order,1" in text and "3,2,order,2" in text
+        assert text == serialize_view(self.unshared(view))
+
+    def test_violation_after_shared_ticks_is_found(self):
+        prefix = (1,)
+        ordered = [[(), prefix, prefix, (1, 2)], [(), prefix, prefix, (2, 1)],
+                   [()] * 4, [()] * 4]
+        received = [[frozenset({1, 2})] * 4] * 4  # one object: only the orders change
+        verdict = check_prefix_consistency(hand_view(received, ordered))
+        assert not verdict.passed and verdict.witness == (3, 0, 1)

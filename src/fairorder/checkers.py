@@ -123,12 +123,15 @@ def check_consistency(trace: Trace) -> Verdict:
     snaps = trace.snapshots
     for t in range(1, len(snaps)):
         prev, cur = snaps[t - 1], snaps[t]
-        if prev.received != cur.received:
+        if cur is prev or cur.output is prev.output:
+            continue  # nothing was ordered
+        if cur.received is not prev.received and cur.received != prev.received:
             continue
         if not _is_prefix(prev.output, cur.output):
             return Verdict(CONSISTENCY, False, (t, *_first_divergence(prev.output, cur.output)))
-        grown = set(cur.output) - set(prev.output)
-        illegal = grown - prev.received
+        illegal = set(cur.output[len(prev.output):]) - prev.received
+        if illegal:
+            illegal -= set(prev.output)  # an id already ordered did not grow the order
         if illegal:
             return Verdict(CONSISTENCY, False, (t, min(illegal)))
     return Verdict(CONSISTENCY, True)
@@ -145,8 +148,9 @@ def check_monotonic_order(trace: Trace) -> Verdict:
     """Each snapshot's order must be a prefix of the next one."""
     snaps = trace.snapshots
     for t in range(1, len(snaps)):
-        if not _is_prefix(snaps[t - 1].output, snaps[t].output):
-            return Verdict(MONOTONIC_ORDER, False, (t, *_first_divergence(snaps[t - 1].output, snaps[t].output)))
+        prev, cur = snaps[t - 1].output, snaps[t].output
+        if cur is not prev and not _is_prefix(prev, cur):
+            return Verdict(MONOTONIC_ORDER, False, (t, *_first_divergence(prev, cur)))
     return Verdict(MONOTONIC_ORDER, True)
 
 

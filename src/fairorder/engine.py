@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .adversary import DelayKind, apply_delay
 from .model import FeaturePartition, Request, score
@@ -309,46 +310,55 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
     )
 
 
-def static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
-                      seed_hi: int) -> tuple[int, int | None]:
+def _engine_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
+    """(count, first missing seed) from one engine run per seed."""
+    a, b = pair
+    count, missing = 0, None
+    for seed in seeds:
+        order = run_prepared(prep, seed, record=False).final_order
+        if a in order and b in order:
+            count += order.index(a) < order.index(b)
+        elif missing is None:
+            missing = seed
+    return count, missing
+
+
+def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
+               seed_hi: int) -> tuple[int, int | None]:
     """Count the seeds in [seed_lo, seed_hi) whose run orders pair[0] before pair[1].
 
-    Exact shortcut for a static schedule; the result equals running
+    Exact shortcut for the engine: the result equals running
     ``run_prepared(prep, seed, record=False)`` for every seed. Returns
     (count, missing), where ``missing`` is the first seed whose final
-    order lacks either request (count is then 0), or None.
+    order lacks either request, or None.
 
-    On a static schedule the tick at which each request is ordered does
-    not depend on the seed: stability depends only on the in-flight set.
-    One reference run gives those ticks, and if the pair orders at
-    different ticks, or under fcfs/ttl (which draw no randomness), it
-    decides every seed. Within one fair burst the policy emits in
-    adjusted-score order, so two noise draws decide the pair unless the
-    adjusted scores tie; such seeds, which also depend on the pick
-    stream, run through the engine. So does every seed when a perceived
-    score is not finite: infinite noise could then make some adjusted
-    score NaN, which changes how the engine selects within the burst.
+    Two requests ordered at different ticks are ordered by tick. Under
+    the fair policy, two ordered in one burst are ordered by their
+    adjusted scores, which two noise draws decide (``_burst_count``).
+    Every seed runs through the engine when a perceived total may not
+    be finite (infinite noise could then make some adjusted score NaN,
+    which changes how the engine selects within a burst), and when
+    fcfs or ttl meets random delays.
+    """
+    if prep.static_schedule is not None:
+        return _static_pair_count(prep, pair, seed_lo, seed_hi)
+    seeds = range(seed_lo, seed_hi)
+    if not isinstance(prep.policy, FairPolicy) or not _totals_bounded(prep):
+        return _engine_count(prep, pair, seeds)
+    return _random_pair_count(prep, pair, seeds)
+
+
+def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
+                 total_b: float) -> int:
+    """Seeds on which pair[0] precedes pair[1], both ordered in one fair burst.
+
+    The burst is emitted in adjusted-score order, so two noise draws
+    decide a seed unless the adjusted scores tie; a tied seed also
+    depends on the pick stream and runs through the engine.
     """
     a, b = pair
-    ref = run_prepared(prep, seed_lo, record=False)
-    ticks = ref.order_ticks
-    if a not in ticks or b not in ticks:
-        return 0, seed_lo
-
-    def engine_first(order: tuple[int, ...]) -> bool:
-        return order.index(a) < order.index(b)
-
-    policy = prep.policy
-    if ticks[a] != ticks[b] or not isinstance(policy, FairPolicy):
-        return (seed_hi - seed_lo if engine_first(ref.final_order) else 0), None
-    totals = prep.static_schedule.totals
-    seeds = range(seed_lo, seed_hi)
-    if not all(math.isfinite(t) for t in totals.values()):
-        return sum(engine_first(run_prepared(prep, s, record=False).final_order)
-                   for s in seeds), None
-    spec = policy.spec
-    low_first = policy.direction != "highest_first"
-    total_a, total_b = totals[a], totals[b]
+    spec = prep.policy.spec
+    low_first = prep.policy.direction != "highest_first"
     count = 0
     for seed in seeds:
         adj_a = total_a + _noise(spec, seed, a)
@@ -358,8 +368,120 @@ def static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
         elif adj_a > adj_b:
             count += not low_first
         else:
-            count += engine_first(run_prepared(prep, seed, record=False).final_order)
-    return count, None
+            count += _engine_count(prep, pair, (seed,))[0]
+    return count
+
+
+def _static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
+                       seed_hi: int) -> tuple[int, int | None]:
+    """``pair_count`` on a static schedule.
+
+    The tick at which each request is ordered does not depend on the
+    seed: stability depends only on the in-flight set. One reference
+    run gives those ticks, and if the pair orders at different ticks,
+    or under fcfs/ttl (which draw no randomness), it decides every seed.
+    """
+    a, b = pair
+    ref = run_prepared(prep, seed_lo, record=False)
+    ticks = ref.order_ticks
+    if a not in ticks or b not in ticks:
+        return 0, seed_lo
+    if ticks[a] != ticks[b] or not isinstance(prep.policy, FairPolicy):
+        order = ref.final_order
+        return (seed_hi - seed_lo if order.index(a) < order.index(b) else 0), None
+    totals = prep.static_schedule.totals
+    seeds = range(seed_lo, seed_hi)
+    if not all(math.isfinite(t) for t in totals.values()):
+        return _engine_count(prep, pair, seeds)
+    return _burst_count(prep, pair, seeds, totals[a], totals[b]), None
+
+
+def _totals_bounded(prep: Prepared) -> bool:
+    """True when no seed can give a request a non-finite perceived total.
+
+    A delay adds at most its model's ``max_delay()`` to the eta feature,
+    so a request's |features| plus that bound its total; the factor two
+    leaves room for rounding.
+    """
+    scenario = prep.scenario
+    for r in prep.requests:
+        bound = sum(abs(f) for f in r.features)
+        if r.id not in scenario.deliver_overrides:
+            bound += scenario.delay.for_client(r.client_id).max_delay()
+        if not math.isfinite(2.0 * bound):
+            return False
+    return True
+
+
+def _random_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
+    """``pair_count`` for a fair policy with random delays.
+
+    Per seed, every request's delivery tick comes from the delay stream
+    and rounding of ``_schedule``; only the pair's requests are rebuilt
+    with the delay in their eta feature and scored. With gating off a
+    request is ordered at its delivery tick. With gating on it is
+    ordered at the first tick t >= its delivery after which nothing is
+    in flight: the fixpoint of t <- the latest delivery among the
+    requests issued by t. A request issued by then that is never
+    delivered stays in flight for good, and the pair is missing.
+    """
+    a, b = pair
+    scenario = prep.scenario
+    delay, eta = scenario.delay, scenario.eta_feature
+    by_issue = sorted(prep.requests, key=lambda r: r.issue_tick)
+    issue_ticks = [r.issue_tick for r in by_issue]
+    fixed: list[float | None] = []  # seed-independent delivery tick (inf: never), else None
+    totals: dict[int, float] = {}
+    drawn_pair: list[tuple[int, Request]] = []
+    drawn_rest: list[tuple[int, Request]] = []
+    for i, r in enumerate(by_issue):
+        if r.id in scenario.deliver_overrides:
+            tick = scenario.deliver_overrides[r.id]
+        elif delay.for_client(r.client_id).kind is DelayKind.CONSTANT:
+            # Constant delays draw nothing, so any stream gives this tick and request.
+            tick, r = apply_delay(r, delay, Stream(0), eta)
+        else:
+            (drawn_pair if r.id in pair else drawn_rest).append((i, r))
+            fixed.append(None)
+            continue
+        fixed.append(math.inf if tick is None else tick)
+        if r.id in pair:
+            totals[r.id] = score(r, prep.partition).total
+    at = {r.id: i for i, r in enumerate(by_issue)}
+    gating = scenario.stability_gating
+    if not gating:
+        drawn_rest = []  # only the pair's own delivery ticks matter
+
+    def order_tick(t: float, latest_by: list[float]) -> float:
+        # latest_by[k]: the latest delivery among the first k + 1 requests by issue tick,
+        # which is never earlier than t, since it covers the request delivered at t.
+        while True:
+            latest = latest_by[bisect_right(issue_ticks, t) - 1]
+            if latest == t or latest == math.inf:
+                return latest
+            t = latest
+
+    count, missing = 0, None
+    for seed in seeds:
+        ticks = fixed.copy()
+        for i, r in drawn_pair:
+            ticks[i], r = apply_delay(r, delay, Stream(derive(seed, TAG_DELAY, r.id)), eta)
+            totals[r.id] = score(r, prep.partition).total
+        for i, r in drawn_rest:
+            rng = Stream(derive(seed, TAG_DELAY, r.id))
+            ticks[i] = r.issue_tick + math.ceil(delay.sample(r.client_id, rng))
+        ta, tb = ticks[at[a]], ticks[at[b]]
+        if gating and ta != math.inf and tb != math.inf:
+            latest_by = list(accumulate(ticks, max))
+            ta, tb = order_tick(ta, latest_by), order_tick(tb, latest_by)
+        if ta == math.inf or tb == math.inf:
+            if missing is None:
+                missing = seed
+        elif ta != tb:
+            count += ta < tb
+        else:
+            count += _burst_count(prep, pair, (seed,), totals[a], totals[b])
+    return count, missing
 
 
 def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,
@@ -429,17 +551,20 @@ def parse_trace(text: str) -> Trace:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            for part in line.split():
-                if part.startswith("seed="):
-                    seed = int(part[5:])
-                if part.startswith("horizon="):
-                    horizon = int(part[8:])
-            continue
-        if line.startswith("order:"):
-            body = line[len("order:"):]
-            final_order = tuple(int(x) for x in body.split(",")) if body else ()
-            continue
+        try:
+            if line.startswith("#"):
+                for part in line.split():
+                    if part.startswith("seed="):
+                        seed = int(part[5:])
+                    if part.startswith("horizon="):
+                        horizon = int(part[8:])
+                continue
+            if line.startswith("order:"):
+                body = line[len("order:"):]
+                final_order = tuple(int(x) for x in body.split(",")) if body else ()
+                continue
+        except ValueError as exc:
+            raise TraceParseError(f"line {lineno}: {exc}") from exc
         parts = line.split(",")
         if len(parts) != 3:
             raise TraceParseError(f"line {lineno}: expected tick,kind,id")

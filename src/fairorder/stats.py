@@ -1,11 +1,12 @@
 """Monte Carlo estimation and certification of ordering equality.
 
-The estimator replays the engine across a contiguous block of seeds and
-counts how often one request of a pair precedes the other. On a static
-schedule it counts with the engine's exact pair kernel
-(``static_pair_count``) and runs the engine only for seeds the kernel
-cannot decide from two noise draws. Certifiers
-then compare the estimate against a fairness bound:
+The estimator counts, over a contiguous block of seeds, how often one
+request of a pair precedes the other in the engine's final order. It
+counts with the engine's exact pair kernel (``pair_count``): per seed,
+the pair's order ticks decide, or else two noise draws do, and the
+engine runs only for seeds the kernel cannot decide that way (tied
+scores, possibly non-finite totals, random delays under fcfs or ttl).
+Certifiers then compare the estimate against a fairness bound:
 
   multiplicative   Pr[r before r'] <= B * Pr[r' before r],
                    with B = e^eps (adjacent pairs) or e^(k*eps)
@@ -36,7 +37,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .engine import Prepared, prepare, run_prepared, static_pair_count
+from .engine import Prepared, pair_count, prepare
+from .engine import run_prepared  # noqa: F401  (bench/tracing.py wraps stats.run_prepared)
 from .model import ParameterError, check_noise_bound, k_distance, score
 from .scenario import Policy, ScenarioConfig
 
@@ -100,23 +102,6 @@ def reports_csv(reports) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
 
 
-def _count_chunk(prep: Prepared, pair: tuple[int, int], seed_lo: int, seed_hi: int):
-    if prep.static_schedule is not None:
-        return static_pair_count(prep, pair, seed_lo, seed_hi)
-    a, b = pair
-    count = 0
-    missing = None
-    for seed in range(seed_lo, seed_hi):
-        order = run_prepared(prep, seed, record=False).final_order
-        try:
-            if order.index(a) < order.index(b):
-                count += 1
-        except ValueError:
-            if missing is None:
-                missing = seed
-    return count, missing
-
-
 def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
                                pair: tuple[int, int], n_trials: int, base_seed: int,
                                confidence: float = DEFAULT_CONFIDENCE,
@@ -136,11 +121,11 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
 
     chunks = _seed_chunks(base_seed, n_trials, jobs)
     if jobs <= 1 or len(chunks) == 1:
-        results = [_count_chunk(prep, pair, lo, hi) for lo, hi in chunks]
+        results = [pair_count(prep, pair, lo, hi) for lo, hi in chunks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_count_chunk, *zip(*[(prep, pair, lo, hi)
-                                                         for lo, hi in chunks])))
+            results = list(pool.map(pair_count, *zip(*[(prep, pair, lo, hi)
+                                                       for lo, hi in chunks])))
     count = sum(c for c, _ in results)
     for _, missing in results:
         if missing is not None:

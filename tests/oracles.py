@@ -66,3 +66,35 @@ def snapshots_per_tick(events, horizon):
         output = tuple(rid for rid in order_sequence if order_ticks[rid] <= t)
         snapshots.append(Snapshot(received, received - set(output), output))
     return tuple(snapshots)
+
+
+def consistency_and_monotonic_per_tick(snapshots):
+    """(consistency, monotonic) witnesses, or None, from every pair of adjacent ticks.
+
+    Compares each tick's snapshot with the previous one by value, with no
+    shortcut for repeated objects; the grown ids are the set difference of
+    the two outputs.
+    """
+
+    def is_prefix(shorter, longer):
+        return len(shorter) <= len(longer) and longer[:len(shorter)] == shorter
+
+    def divergence(a, b):
+        for x, y in zip(a, b):
+            if x != y:
+                return (x, y)
+        return (a[min(len(a), len(b)) - 1] if a else -1,)
+
+    consistency = monotonic = None
+    for t in range(1, len(snapshots)):
+        prev, cur = snapshots[t - 1], snapshots[t]
+        if monotonic is None and not is_prefix(prev.output, cur.output):
+            monotonic = (t, *divergence(prev.output, cur.output))
+        if consistency is None and prev.received == cur.received:
+            if not is_prefix(prev.output, cur.output):
+                consistency = (t, *divergence(prev.output, cur.output))
+            else:
+                illegal = set(cur.output) - set(prev.output) - prev.received
+                if illegal:
+                    consistency = (t, min(illegal))
+    return consistency, monotonic

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gen import random_scenario
+from oracles import consistency_and_monotonic_per_tick
 from forge import (forge_drop_from_output, forge_order_before_delivery,
                    forge_permuted_prefix, forge_phantom_receipt)
 from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, NON_BLOCKING,
@@ -9,7 +10,8 @@ from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, NON_BLOCKING,
                                 check_all, check_monotonic_order, check_non_blocking,
                                 check_order_determinism, check_policy_compliance,
                                 check_strong_non_blocking, impossibility_harness)
-from fairorder.engine import run
+from fairorder.checkers import check_consistency
+from fairorder.engine import Snapshot, Trace, run
 from fairorder.model import Request
 from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.rng import Stream
@@ -136,6 +138,43 @@ class TestPolicyPredicate:
     def test_unknown_id_is_configuration_error(self, honest_trace):
         with pytest.raises(ConfigurationError):
             check_policy_compliance(honest_trace, PolicyPredicate([(0, 99)]))
+
+
+@st.composite
+def snapshot_runs(draw):
+    """Snapshot sequences that reuse objects across ticks, as derived traces do."""
+    ids = st.integers(0, 4)
+    snap = Snapshot(frozenset(), frozenset(), ())
+    snaps = [snap]
+    for _ in range(draw(st.integers(0, 12))):
+        step = draw(st.sampled_from(["same", "grow", "received", "fresh"]))
+        if step == "same":
+            snaps.append(snap)
+            continue
+        received, output = snap.received, snap.output
+        if step in ("received", "fresh"):
+            received = frozenset(draw(st.lists(ids, max_size=4)))
+        if step in ("grow", "fresh"):
+            tail = tuple(draw(st.lists(ids, max_size=2)))
+            output = (output if draw(st.booleans()) else
+                      tuple(draw(st.lists(ids, max_size=4)))) + tail
+        snap = Snapshot(received, received - set(output), output)
+        snaps.append(snap)
+    return tuple(snaps)
+
+
+class TestSnapshotWalk:
+    @settings(max_examples=300)
+    @given(snapshot_runs())
+    @example((Snapshot(frozenset(), frozenset(), ()),
+              Snapshot(frozenset({1}), frozenset({1}), (2,)),
+              Snapshot(frozenset({1}), frozenset({1}), (2, 2))))  # re-ordered id, not received
+    def test_witnesses_match_the_per_tick_oracle(self, snaps):
+        trace = Trace(events=(), snapshots=snaps, final_order=snaps[-1].output, seed=0,
+                      issue_ticks={}, deliver_ticks={}, order_ticks={})
+        consistency, monotonic = consistency_and_monotonic_per_tick(snaps)
+        assert check_consistency(trace).witness == consistency
+        assert check_monotonic_order(trace).witness == monotonic
 
 
 class TestPrefixTransitivity:

@@ -96,6 +96,19 @@ class TestCheckCommand:
         path.write_text("tick tock\n")
         assert main(["check", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "# fairorder-trace v1 seed=0 horizon=abc\n0,issue,1\norder:\n",
+        "# fairorder-trace v1 seed=x horizon=3\n0,issue,1\norder:\n",
+        "# fairorder-trace v1 seed=0 horizon=3\n0,issue,1\norder:1,x\n",
+        "# fairorder-trace v1 seed=0 horizon=3\n0,issue,1\norder:1,\n",
+    ])
+    def test_malformed_header_or_order_line_exits_two(self, tmp_path, text, capsys):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        assert main(["check", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCertifyCommand:
     def test_adjacent_pair_passes(self, tmp_path, capsys):

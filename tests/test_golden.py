@@ -6,8 +6,9 @@ exact pair kernel must reproduce them byte for byte. The configs cover
 every path the estimator can take: the kernel deciding from noise draws
 (Laplace, bounded Laplace, uniform, both directions), a different-tick
 pair, fcfs and ttl pairs, a zero-noise pair whose every seed ties and
-runs through the engine, and a random-delay scenario that never takes
-the kernel.
+runs through the engine, and random delays (the bench's certify shape
+with gating on and off and in both directions, and per-client constant,
+uniform and capped heavy-tail models with a delivery override).
 
 `run`, `check` and `quorum`: the expected strings were recorded from the
 engine that visited every tick up to the horizon and built each snapshot
@@ -72,6 +73,37 @@ CERTIFY_DOCS = {
                               delay={"kind": "uniform", "lo": 0.0, "hi": 2.0}),
 }
 
+# (issue tick, relevant value) per single-request client; clients 0 and 1 are adjacent.
+DELAY_CLIENTS = [(0, 7.0), (1, 7.0), (0, 3.0), (1, 12.0), (0, 7.0), (1, 18.0), (1, 0.0), (0, 9.0)]
+
+
+def _delay_doc(policy=None, n_trials=2000, **extra):
+    doc = {
+        "feature_count": 2, "relevant": [0], "lambda": 5.0, "eta_feature": 1,
+        "clients": [{"id": cid, "requests": [{"id": cid, "issue_tick": tick,
+                                              "features": [rel, 0.0]}]}
+                    for cid, (tick, rel) in enumerate(DELAY_CLIENTS)],
+        "delay": {"kind": "uniform", "lo": 0, "hi": 3},
+        "adversaries": [{"client_id": 1, "bribe": 2.0}],
+        "noise": {"kind": "bounded_laplace", "epsilon": 1.0, "sensitivity": 5.0, "bound": 15.0},
+        "policy": policy or {"kind": "fair", "direction": "highest_first"},
+        "trials": {"n_trials": n_trials, "base_seed": 3, "confidence": 0.99, "pair": [0, 1]},
+    }
+    doc.update(extra)
+    return doc
+
+
+CERTIFY_DOCS.update({
+    "delay_highest_first": _delay_doc(),
+    "delay_gating_off": _delay_doc(stability_gating=False),
+    "delay_lowest_first": _delay_doc({"kind": "fair", "direction": "lowest_first"}),
+    "delay_mixed_clients": _delay_doc(
+        delay={"kind": "capped_heavy_tail", "scale": 1.0, "cap": 4,
+               "per_client": {"0": {"kind": "constant", "d": 1.5},
+                              "3": {"kind": "uniform", "lo": 0, "hi": 2}}},
+        deliver_overrides={"6": 5}),
+})
+
 # (exit code, report.csv, stdout)
 GOLDEN_SWEEP = (
     0,
@@ -88,6 +120,30 @@ GOLDEN_SWEEP = (
 )
 
 GOLDEN_CERTIFY = {
+    'delay_gating_off': (
+        0,
+        'pair_a,pair_b,n_trials,count_first,p_hat,k,epsilon,bound,radius,verdict\n'
+        '0,1,2000,1514,0.757,0.4,1.0,2.718281828459045,0.03639477080072093,pass\n',
+        'pair=(0, 1) p_hat=0.757000 k=0.4 bound=2.71828 verdict=pass\n',
+    ),
+    'delay_highest_first': (
+        0,
+        'pair_a,pair_b,n_trials,count_first,p_hat,k,epsilon,bound,radius,verdict\n'
+        '0,1,2000,747,0.3735,0.4,1.0,2.718281828459045,0.03639477080072093,pass\n',
+        'pair=(0, 1) p_hat=0.373500 k=0.4 bound=2.71828 verdict=pass\n',
+    ),
+    'delay_lowest_first': (
+        0,
+        'pair_a,pair_b,n_trials,count_first,p_hat,k,epsilon,bound,radius,verdict\n'
+        '0,1,2000,1253,0.6265,0.4,1.0,2.718281828459045,0.03639477080072093,pass\n',
+        'pair=(0, 1) p_hat=0.626500 k=0.4 bound=2.71828 verdict=pass\n',
+    ),
+    'delay_mixed_clients': (
+        0,
+        'pair_a,pair_b,n_trials,count_first,p_hat,k,epsilon,bound,radius,verdict\n'
+        '0,1,2000,798,0.399,0.4,1.0,2.718281828459045,0.03639477080072093,pass\n',
+        'pair=(0, 1) p_hat=0.399000 k=0.4 bound=2.71828 verdict=pass\n',
+    ),
     'bounded_highest_first_bribe': (
         3,
         'pair_a,pair_b,n_trials,count_first,p_hat,k,epsilon,bound,radius,verdict\n'

@@ -1,18 +1,20 @@
 """The exact pair kernel against a per-seed engine loop.
 
-`static_pair_count` decides most seeds of a static schedule from two
-noise draws and runs the engine only for ties. These tests hold it to
-the engine's own answer on every seed of a block, not to a close p_hat.
+`pair_count` decides most seeds from the pair's order ticks and two
+noise draws, and runs the engine only for ties. These tests hold it to
+the engine's own answer on every seed of a block, not to a close p_hat,
+on static schedules and on schedules with random delays.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fairorder import engine
 from fairorder.adversary import ByzantineClientSpec, DelayModel
-from fairorder.engine import TAG_NOISE, prepare, run_prepared, static_pair_count
+from fairorder.engine import TAG_NOISE, pair_count, prepare, run_prepared
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.rng import Stream, derive
@@ -96,7 +98,7 @@ def test_kernel_count_equals_engine_loop(scenario, data, seed_lo, n_seeds, quant
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
     seed_hi = seed_lo + n_seeds
     with mock.patch.object(engine, "sample", rounded_sample if quantized else SAMPLE):
-        assert (static_pair_count(prep, (a, b), seed_lo, seed_hi)
+        assert (pair_count(prep, (a, b), seed_lo, seed_hi)
                 == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
 
@@ -106,7 +108,7 @@ def test_undelivered_request_still_raises_liveness_error():
                               eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
                               stability_gating=False, deliver_overrides={1: None})
     prep = prepare(scenario)
-    assert static_pair_count(prep, (0, 1), 40, 90) == (0, 40) == engine_pair_count(
+    assert pair_count(prep, (0, 1), 40, 90) == (0, 40) == engine_pair_count(
         prep, (0, 1), 40, 90)
     with pytest.raises(LivenessError, match="seed 40"):
         estimate_order_probability(scenario, None, (0, 1), 50, 40)
@@ -119,7 +121,7 @@ def test_kernel_skips_the_engine_unless_scores_tie():
                               eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]))
     prep = prepare(scenario)
     with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
-        count, missing = static_pair_count(prep, (0, 1), 0, 500)
+        count, missing = pair_count(prep, (0, 1), 0, 500)
     assert runs.call_count == 1  # the reference run only
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 500)
 
@@ -148,7 +150,134 @@ def test_non_finite_scores_run_every_seed_through_the_engine():
 
     seed = next(s for s in range(1, 200) if engine_fails(s) and not engine_fails(s - 1)
                 and noise(s, 0) != noise(s, 1))
-    assert static_pair_count(prep, (0, 1), seed - 1, seed) == engine_pair_count(
+    assert pair_count(prep, (0, 1), seed - 1, seed) == engine_pair_count(
         prep, (0, 1), seed - 1, seed)
     with pytest.raises(ValueError):
-        static_pair_count(prep, (0, 1), seed - 1, seed + 1)
+        pair_count(prep, (0, 1), seed - 1, seed + 1)
+
+
+def random_delays():
+    uniform = st.builds(lambda lo, width: DelayModel(kind="uniform", lo=lo, hi=lo + width),
+                        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1.0, 2.5]))
+    heavy = st.builds(lambda scale, cap: DelayModel(kind="capped_heavy_tail", scale=scale,
+                                                    cap=cap),
+                      st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 3.0]))
+    return st.one_of(uniform, heavy)
+
+
+@st.composite
+def random_scenarios(draw):
+    n = draw(st.integers(2, 7))
+    requests = tuple(
+        Request(id=i, client_id=draw(st.integers(0, 3)),
+                features=(float(draw(st.integers(0, 2))), float(draw(st.integers(0, 1)))),
+                issue_tick=draw(st.integers(0, 4)))
+        for i in range(n)
+    )
+    base = draw(random_delays())
+    per_client = draw(st.dictionaries(
+        st.integers(0, 3),
+        st.one_of(random_delays(), st.sampled_from([0.0, 1.0, 2.0]).map(lambda d: DelayModel(d=d))),
+        max_size=3))
+    delay = replace(base, per_client=per_client)
+    overrides = {}
+    for r in requests:
+        if draw(st.integers(0, 5)) == 0:
+            overrides[r.id] = draw(st.one_of(st.none(), st.integers(r.issue_tick, 7)))
+    kind = draw(st.sampled_from(["fair"] * 8 + ["fcfs", "ttl"]))
+    if kind == "fair":
+        policy = FairPolicy(spec=SPECS[draw(st.sampled_from(sorted(SPECS)))],
+                            direction=draw(st.sampled_from(["lowest_first", "highest_first"])))
+    elif kind == "ttl":
+        policy = TtlPolicy(deadline_feature=draw(st.integers(0, 1)))
+    else:
+        policy = FcfsPolicy()
+    bribes = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=4, max_size=4))
+    return ScenarioConfig(
+        feature_count=2, relevant=(0,), lam=1.0, requests=requests, eta_feature=1,
+        delay=delay, policy=policy,
+        adversaries=tuple(ByzantineClientSpec(client_id=c, bribe=b) for c, b in enumerate(bribes)),
+        stability_gating=draw(st.booleans()), deliver_overrides=overrides,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=random_scenarios(), data=st.data(), seed_lo=st.integers(0, 10**9),
+       n_seeds=st.integers(1, 30), quantized=st.booleans())
+def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_lo, n_seeds,
+                                                          quantized):
+    prep = prepare(scenario)
+    assume(prep.static_schedule is None)
+    ids = [r.id for r in scenario.requests]
+    a = data.draw(st.sampled_from(ids))
+    b = data.draw(st.sampled_from([i for i in ids if i != a]))
+    seed_hi = seed_lo + n_seeds
+    with mock.patch.object(engine, "sample", rounded_sample if quantized else SAMPLE):
+        assert (pair_count(prep, (a, b), seed_lo, seed_hi)
+                == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
+
+
+def delay_scenario(**extra):
+    """Four requests issued at ticks 0-1 with uniform 0-3 delays, as in a certify run."""
+    reqs = tuple(Request(id=i, client_id=i, features=(float(i % 2), 0.0), issue_tick=i // 2)
+                 for i in range(4))
+    extra.setdefault("policy", FairPolicy(spec=SPECS["laplace"]))
+    return ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                          eta_feature=1, delay=DelayModel(kind="uniform", lo=0.0, hi=3.0),
+                          **extra)
+
+
+def test_random_delays_skip_the_engine_unless_scores_tie():
+    prep = prepare(delay_scenario())
+    with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+        count, missing = pair_count(prep, (0, 1), 0, 500)
+    assert runs.call_count == 0
+    assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 500)
+
+
+def test_gated_pair_waits_for_later_deliveries():
+    # Gated, a request is ordered only once nothing is in flight; by delivery tick
+    # alone, the pair would often land in different bursts.
+    prep = prepare(delay_scenario())
+    ungated = prepare(delay_scenario(stability_gating=False))
+    assert pair_count(prep, (0, 3), 0, 300) == engine_pair_count(prep, (0, 3), 0, 300)
+    assert pair_count(ungated, (0, 3), 0, 300) == engine_pair_count(ungated, (0, 3), 0, 300)
+    assert pair_count(prep, (0, 3), 0, 300) != pair_count(ungated, (0, 3), 0, 300)
+
+
+def test_undelivered_request_issued_first_blocks_a_gated_pair():
+    scenario = delay_scenario(deliver_overrides={2: None})
+    prep = prepare(scenario)
+    assert pair_count(prep, (0, 1), 40, 90) == (0, 40) == engine_pair_count(prep, (0, 1), 40, 90)
+    with pytest.raises(LivenessError, match="seed 40"):
+        estimate_order_probability(scenario, None, (0, 1), 50, 40)
+    ungated = prepare(delay_scenario(deliver_overrides={2: None}, stability_gating=False))
+    count, missing = pair_count(ungated, (0, 1), 40, 90)
+    assert missing is None and (count, missing) == engine_pair_count(ungated, (0, 1), 40, 90)
+
+
+def test_non_finite_totals_run_every_random_seed_through_the_engine():
+    # As in the static case, request 2's total overflows to inf, and so does the noise
+    # scale; a seed whose noise for request 2 is -inf makes the engine's selection fail.
+    spec = NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10)
+    reqs = tuple(Request(id=i, client_id=i, features=feats, issue_tick=0)
+                 for i, feats in enumerate([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                            (1e308, 1e308, 0.0)]))
+    scenario = ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
+                              eta_feature=2, policy=FairPolicy(spec=spec),
+                              delay=DelayModel(kind="uniform", lo=0.0, hi=1.0))
+    prep = prepare(scenario)
+    assert prep.static_schedule is None
+
+    def engine_fails(seed):
+        try:
+            engine_pair_count(prep, (0, 1), seed, seed + 1)
+        except ValueError:
+            return True
+        return False
+
+    seed = next(s for s in range(1, 200) if engine_fails(s) and not engine_fails(s - 1))
+    assert pair_count(prep, (0, 1), seed - 1, seed) == engine_pair_count(
+        prep, (0, 1), seed - 1, seed)
+    with pytest.raises(ValueError):
+        pair_count(prep, (0, 1), seed - 1, seed + 1)

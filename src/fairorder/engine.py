@@ -20,6 +20,18 @@ With stability gating on (the default), ttl and fair only order a
 request once no in-flight request could still claim an earlier slot;
 gating off models a server that must not wait (used to demonstrate the
 asynchronous impossibility).
+
+Burst selection: each run keeps one ready queue, a heap of the pending
+requests pushed as they are delivered. Its key is the policy's
+selection key (fair: the adjusted score, negated for highest_first;
+ttl: (deadline, id); fcfs: (delivery tick, id)), and the delivery
+sequence breaks equal keys. Stability is monotone in that key, so a
+burst checks ``is_stable`` on the front only and ends at the first
+unstable front: O(log N) per order, O(N log N) for a burst of N. Under
+fair, the front requests whose adjusted scores are exactly equal (-0.0
+ties with 0.0) go to ``fair_policy_step`` in delivery order, which
+draws from the pick stream only when more than one is tied. A burst
+that holds a NaN adjusted score raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import accumulate
 
 from .adversary import DelayKind, apply_delay
@@ -108,7 +121,7 @@ def _noise(spec: NoiseSpec | None, seed: int, rid: int) -> float:
 
 
 class PolicyRuntime:
-    """Per-run policy context: perceived totals, noise, tie-break stream, gating."""
+    """Per-run policy context: totals, noise, tie-break stream, gating, ready queue."""
 
     def __init__(self, policy: Policy, seed: int, totals: dict[int, float],
                  stability_gating: bool = True):
@@ -119,6 +132,10 @@ class PolicyRuntime:
         self.pick_stream = Stream(derive(seed, TAG_PICK))
         self.spec = policy.spec if isinstance(policy, FairPolicy) else None
         self._adjusted: dict[int, float] = {}
+        self._ready: list[tuple] = []  # heap of (key, delivery sequence, request)
+        self._tied: list[Request] = []  # fair: the front's equal-score group, off the heap
+        self._nan: list[Request] = []  # fair: pending requests with a NaN adjusted score
+        self._delivered = 0
 
     def noise_for(self, r: Request) -> float:
         return _noise(self.spec, self.seed, r.id)
@@ -129,6 +146,50 @@ class PolicyRuntime:
         if a is None:
             a = self._adjusted[r.id] = self.totals[r.id] + self.noise_for(r)
         return a
+
+    def push(self, r: Request, deliver_tick: int) -> None:
+        """Queue a delivered request under the policy's selection key."""
+        policy = self.policy
+        if isinstance(policy, FcfsPolicy):
+            key = (deliver_tick, r.id)
+        elif isinstance(policy, TtlPolicy):
+            key = (r.features[policy.deadline_feature], r.id)
+        else:
+            key = self.adjusted(r)
+            if key != key:  # NaN compares with nothing, so it cannot sit in the heap
+                self._nan.append(r)
+                return
+            if policy.direction == "highest_first":
+                key = -key
+        heappush(self._ready, (key, self._delivered, r))
+        self._delivered += 1
+
+    def front(self) -> Request:
+        """The pending request the policy selects next, if it is stable."""
+        if self._tied:
+            return self._tied[0]
+        return self._ready[0][2] if self._ready else self._nan[0]
+
+    def pop(self) -> Request:
+        """Remove and return the next request; under fair, ties draw from the pick stream.
+
+        A fair burst always drains (its stability does not depend on the
+        request), so a tie group taken off the heap is used up before the
+        next delivery is pushed.
+        """
+        if not isinstance(self.policy, FairPolicy):
+            return heappop(self._ready)[2]
+        if self._nan:
+            raise ValueError(f"request {self._nan[0].id} has a NaN adjusted score")
+        tied = self._tied
+        if not tied:
+            key = self._ready[0][0]
+            while self._ready and self._ready[0][0] == key:
+                tied.append(heappop(self._ready)[2])
+        r = fair_policy_step(tied, [self.adjusted(q) for q in tied], self.pick_stream,
+                             direction=self.policy.direction)
+        del tied[next(i for i, q in enumerate(tied) if q is r)]
+        return r
 
 
 def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: bool = True) -> bool:
@@ -167,17 +228,6 @@ def fair_policy_step(pending, adjusted, rng: Stream,
     return high_priority[rng.randrange(len(high_priority))]
 
 
-def _select(stable: list[Request], state: EngineState, rt: PolicyRuntime) -> Request:
-    policy = rt.policy
-    if isinstance(policy, FcfsPolicy):
-        return min(stable, key=lambda r: (state.deliver_ticks[r.id], r.id))
-    if isinstance(policy, TtlPolicy):
-        i = policy.deadline_feature
-        return min(stable, key=lambda r: (r.features[i], r.id))
-    return fair_policy_step(stable, [rt.adjusted(r) for r in stable], rt.pick_stream,
-                            direction=policy.direction)
-
-
 def _apply_issue(state: EngineState, r: Request) -> None:
     state.in_flight[r.id] = r
 
@@ -194,13 +244,12 @@ def _apply_deliver(state: EngineState, rid: int) -> None:
 
 
 def _emit_orders(state: EngineState, rt: PolicyRuntime) -> list[int]:
+    """Order pending requests from the front of the ready queue while it is stable."""
     emitted: list[int] = []
     while state.pending:
-        stable = [r for r in state.pending.values()
-                  if is_stable(r, state, rt.policy, rt.stability_gating)]
-        if not stable:
+        if not is_stable(rt.front(), state, rt.policy, rt.stability_gating):
             break
-        r = _select(stable, state, rt)
+        r = rt.pop()
         del state.pending[r.id]
         state.output.append(r.id)
         emitted.append(r.id)
@@ -292,6 +341,7 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
                 events.append(Event(t, ISSUE, r.id))
         for r in sched.delivers.get(t, ()):
             _apply_deliver(state, r.id)
+            rt.push(r, t)
             if record:
                 events.append(Event(t, DELIVER, r.id))
         for rid in _emit_orders(state, rt):

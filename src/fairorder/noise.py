@@ -64,6 +64,11 @@ class NoiseSpec:
         if self.kind in (NoiseKind.BOUNDED_LAPLACE, NoiseKind.UNIFORM):
             if self.bound is None or self.bound <= 0:
                 raise ConfigurationError(f"{self.kind.value} requires a positive bound")
+        # Every draw at an infinite scale is +-inf, so rejection would never end.
+        if self.kind is NoiseKind.BOUNDED_LAPLACE and not math.isfinite(self.scale):
+            raise ConfigurationError(
+                f"bounded_laplace scale sensitivity / epsilon must be finite, "
+                f"got {self.sensitivity!r} / {self.epsilon!r}")
         if self.delta is not None and not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError("delta must lie in [0, 1]")
 

@@ -4,8 +4,9 @@ import math
 
 from scipy.integrate import quad
 
-from fairorder.engine import DELIVER, ORDER, Snapshot
+from fairorder.engine import DELIVER, ORDER, Snapshot, fair_policy_step, is_stable
 from fairorder.model import adjacent, score
+from fairorder.scenario import FcfsPolicy, TtlPolicy
 
 
 def laplace_pdf(x, mu, b):
@@ -98,3 +99,35 @@ def consistency_and_monotonic_per_tick(snapshots):
                 if illegal:
                     consistency = (t, min(illegal))
     return consistency, monotonic
+
+
+def emit_orders_by_rescan(state, rt):
+    """The burst loop as one rescan of the pending set per order: O(N^2) a burst.
+
+    Each step keeps the pending requests that ``is_stable`` accepts and
+    takes the policy's minimum among them; under fair, ``fair_policy_step``
+    breaks exact ties from the pick stream. A drop-in for the engine's
+    ``_emit_orders``.
+    """
+    emitted = []
+    while state.pending:
+        stable = [r for r in state.pending.values()
+                  if is_stable(r, state, rt.policy, rt.stability_gating)]
+        if not stable:
+            break
+        r = _select_by_rescan(stable, state, rt)
+        del state.pending[r.id]
+        state.output.append(r.id)
+        emitted.append(r.id)
+    return emitted
+
+
+def _select_by_rescan(stable, state, rt):
+    policy = rt.policy
+    if isinstance(policy, FcfsPolicy):
+        return min(stable, key=lambda r: (state.deliver_ticks[r.id], r.id))
+    if isinstance(policy, TtlPolicy):
+        i = policy.deadline_feature
+        return min(stable, key=lambda r: (r.features[i], r.id))
+    return fair_policy_step(stable, [rt.adjusted(r) for r in stable], rt.pick_stream,
+                            direction=policy.direction)

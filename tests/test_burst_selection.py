@@ -1,0 +1,183 @@
+"""Burst selection from the ready queue against a rescan of the pending set.
+
+The engine keeps the pending requests in a heap keyed by the policy's
+selection key and checks stability on its front only. These tests hold
+it to ``oracles.emit_orders_by_rescan``, which rescans the pending set
+for every order: the same events, order ticks and final order, and the
+pick stream left in the same state. They also bound the number of
+stability checks a burst makes, so a return to the rescan shows up
+without a timer.
+"""
+
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fairorder import engine
+from fairorder.adversary import ByzantineClientSpec, DelayModel
+from fairorder.engine import prepare, run_prepared
+from fairorder.model import Request
+from fairorder.noise import NoiseSpec
+from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
+from oracles import emit_orders_by_rescan
+
+SPECS = {
+    "laplace": NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0),
+    "bounded_laplace": NoiseSpec(kind="bounded_laplace", epsilon=0.5, sensitivity=1.0, bound=1.5),
+    "uniform": NoiseSpec(kind="uniform", epsilon=1.0, sensitivity=1.0, bound=1.0),
+    "none": None,
+}
+
+SAMPLE = engine.sample
+
+
+def rounded_sample(spec, rng):
+    """Noise rounded to whole units, so that adjusted scores tie in groups."""
+    return float(round(SAMPLE(spec, rng)))
+
+
+def run_with(emit, prep, seed):
+    """(trace, next pick-stream draw) of one recorded run with ``emit`` as the burst loop."""
+    runtimes = []
+
+    def spy(state, rt):
+        runtimes.append(rt)
+        return emit(state, rt)
+
+    with mock.patch.object(engine, "_emit_orders", spy):
+        trace = run_prepared(prep, seed, record=True)
+    return trace, runtimes[0].pick_stream.next_u64() if runtimes else None
+
+
+def outcome(emit, prep, seed):
+    """What a run shows of its burst loop, or ValueError if it raised one."""
+    try:
+        trace, pick = run_with(emit, prep, seed)
+    except ValueError:
+        return ValueError
+    return trace.events, trace.final_order, trace.order_ticks, pick
+
+
+def delays():
+    constant = st.sampled_from([0.0, 1.0, 2.0]).map(lambda d: DelayModel(d=d))
+    uniform = st.builds(lambda lo, width: DelayModel(kind="uniform", lo=lo, hi=lo + width),
+                        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 1.0, 2.5]))
+    heavy = st.builds(lambda scale, cap: DelayModel(kind="capped_heavy_tail", scale=scale,
+                                                    cap=cap),
+                      st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([1.0, 3.0]))
+    return st.one_of(constant, uniform, heavy)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 14))
+    # Small integer features and whole-unit constant delays make equal perceived
+    # totals common, so zero or rounded noise gives tie groups of 3 and more.
+    requests = tuple(
+        Request(id=i, client_id=draw(st.integers(0, 3)),
+                features=(float(draw(st.integers(0, 2))), float(draw(st.integers(0, 1)))),
+                issue_tick=draw(st.integers(0, 4)))
+        for i in range(n)
+    )
+    per_client = draw(st.dictionaries(st.integers(0, 3), delays(), max_size=2))
+    delay = replace(draw(delays()), per_client=per_client)
+    overrides = {}
+    for r in requests:
+        if draw(st.integers(0, 5)) == 0:
+            overrides[r.id] = draw(st.one_of(st.none(), st.integers(r.issue_tick, 8)))
+    kind = draw(st.sampled_from(["fair"] * 4 + ["fcfs", "ttl"]))
+    if kind == "fair":
+        policy = FairPolicy(spec=SPECS[draw(st.sampled_from(sorted(SPECS)))],
+                            direction=draw(st.sampled_from(["lowest_first", "highest_first"])))
+    elif kind == "ttl":
+        policy = TtlPolicy(deadline_feature=draw(st.integers(0, 1)))
+    else:
+        policy = FcfsPolicy()
+    bribes = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=4))
+    return ScenarioConfig(
+        feature_count=2, relevant=(0,), lam=1.0, requests=requests, eta_feature=1,
+        delay=delay, policy=policy,
+        adversaries=tuple(ByzantineClientSpec(client_id=c, bribe=b) for c, b in enumerate(bribes)),
+        stability_gating=draw(st.booleans()), deliver_overrides=overrides,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(scenario=scenarios(), seed=st.integers(0, 10**9), quantized=st.booleans())
+def test_ready_queue_matches_the_rescan(scenario, seed, quantized):
+    prep = prepare(scenario)
+    with mock.patch.object(engine, "sample", rounded_sample if quantized else SAMPLE):
+        assert (outcome(engine._emit_orders, prep, seed)
+                == outcome(emit_orders_by_rescan, prep, seed))
+
+
+def test_pick_stream_breaks_a_large_tie_group_as_the_rescan_does():
+    # Twelve equal totals, no noise, one burst: every order but the last draws.
+    reqs = tuple(Request(id=i, client_id=i, features=(1.0, 0.0), issue_tick=0)
+                 for i in range(12))
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                              eta_feature=1, policy=FairPolicy(spec=None))
+    prep = prepare(scenario)
+    orders = set()
+    for seed in range(20):
+        got = outcome(engine._emit_orders, prep, seed)
+        assert got == outcome(emit_orders_by_rescan, prep, seed)
+        orders.add(got[1])
+    assert len(orders) == 20
+
+
+@pytest.mark.parametrize("direction", ["lowest_first", "highest_first"])
+@pytest.mark.parametrize("gating", [True, False])
+@pytest.mark.parametrize("delay", [DelayModel(), DelayModel(kind="uniform", lo=0.0, hi=2.0)])
+def test_nan_adjusted_score_raises_on_the_same_seeds(direction, gating, delay):
+    # Request 2's total overflows to inf and so does the noise scale: a seed whose
+    # noise for it is -inf gives it a NaN adjusted score.
+    spec = NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10)
+    reqs = tuple(Request(id=i, client_id=i, features=feats, issue_tick=i % 2)
+                 for i, feats in enumerate([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                            (1e308, 1e308, 0.0), (3.0, 0.0, 0.0)]))
+    scenario = ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
+                              eta_feature=2, policy=FairPolicy(spec=spec, direction=direction),
+                              delay=delay, stability_gating=gating)
+    prep = prepare(scenario)
+    raised = []
+    for seed in range(60):
+        got = outcome(engine._emit_orders, prep, seed)
+        assert got == outcome(emit_orders_by_rescan, prep, seed)
+        if got is ValueError:
+            raised.append(seed)
+    assert 0 < len(raised) < 60
+    with pytest.raises(ValueError, match="request 2 has a NaN adjusted score"):
+        run_prepared(prep, raised[0])
+
+
+def burst_scenario(policy, n=2000):
+    """n requests, four issued per tick; request 0 is held in flight until all others land.
+
+    Request 0 has the smallest deadline, so under ttl as under fair nothing
+    is stable before it arrives, and all n requests are ordered in one burst.
+    """
+    reqs = tuple(Request(id=i, client_id=i % 16, features=(float(i % 20), 0.0),
+                         issue_tick=i // 4)
+                 for i in range(n))
+    return ScenarioConfig(feature_count=2, relevant=(0,), lam=50.0, requests=reqs,
+                          eta_feature=1, delay=DelayModel(d=1.0), policy=policy,
+                          deliver_overrides={0: n}, assume_noise_bound=False)
+
+
+@pytest.mark.parametrize("policy", [
+    FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=50.0)),
+    TtlPolicy(deadline_feature=0),
+], ids=["fair", "ttl"])
+def test_one_burst_checks_stability_a_linear_number_of_times(policy):
+    n = 2000
+    prep = prepare(burst_scenario(policy, n))
+    with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks:
+        trace = run_prepared(prep, 7, record=False)
+    assert set(trace.order_ticks.values()) == {n}
+    assert len(trace.final_order) == n
+    # One failed check per delivery tick before the burst, one per order in it;
+    # a rescan of the pending set makes about n^2 / 2.
+    assert checks.call_count <= 4 * n

@@ -150,6 +150,9 @@ class TestCertifyCommand:
         {"clients": [{"id": c, "requests": [{"id": c, "issue_tick": math.inf,
                                              "features": [0.0, 0.0]}]}
                      for c in (0, 1)]},
+        # finite parameters whose scale overflows: rejection sampling would never end
+        {"noise": {"kind": "bounded_laplace", "epsilon": 1e-300, "sensitivity": 1e10,
+                   "bound": 1.0}},
     ])
     def test_non_finite_parameters_exit_two(self, tmp_path, edit, capsys):
         doc = dict(certify_config(), **edit)

@@ -12,10 +12,13 @@ uniform and capped heavy-tail models with a delivery override).
 
 `run`, `check` and `quorum`: the expected strings were recorded from the
 engine that visited every tick up to the horizon and built each snapshot
-in place. The three scenarios cover a fair policy with random delays, a
-ttl policy with per-client delay models and a request that is never
-delivered, and a static schedule (zero and constant delays) replicated
-to a quorum with one Byzantine server.
+in place. The first three scenarios cover a fair policy with random
+delays, a ttl policy with per-client delay models and a request that is
+never delivered, and a static schedule (zero and constant delays)
+replicated to a quorum with one Byzantine server. The last two were
+recorded from the engine that rescanned the pending set for every
+order: a zero-noise fair burst whose ties the pick stream breaks, and a
+ttl run released in partial bursts while stragglers are in flight.
 """
 
 import json
@@ -256,6 +259,40 @@ TRACE_DOCS = {
         "noise": {"kind": "bounded_laplace", "epsilon": 1.0, "sensitivity": 1.0, "bound": 2.0},
         "policy": {"kind": "fair"},
         "multi_server": {"n": 4, "f": 1, "lags": [0, 2, 1, 0], "byzantine_servers": [2]},
+    },
+    # No noise, relevant values 0-2 and whole-unit constant delays: perceived totals
+    # tie in groups of up to five. Request 17 is held in flight until tick 12, so all
+    # 18 requests are ordered in one burst and the pick stream breaks every tie.
+    "fair_tie_burst": {
+        "feature_count": 2, "relevant": [0], "lambda": 4.0, "eta_feature": 1,
+        "clients": [
+            {"id": c, "requests": [
+                {"id": 3 * c + k, "issue_tick": (c + 2 * k) % 5,
+                 "features": [float((c + k) % 3), 0.0]}
+                for k in range(3)]}
+            for c in range(6)
+        ],
+        "delay": {"kind": "constant", "d": 1, "per_client": {"4": {"kind": "constant", "d": 2}}},
+        "policy": {"kind": "fair"},
+        "deliver_overrides": {"17": 12},
+        "multi_server": {"n": 4, "f": 1, "lags": [0, 1, 2, 3]},
+    },
+    # Deadlines (feature 2) spread over 0-9 with ties, broken by id. Stragglers with
+    # mid-range deadlines arrive late (overrides at ticks 7, 10 and 14), so the pending
+    # set is released in several partial bursts while they are still in flight.
+    "ttl_partial_bursts": {
+        "feature_count": 3, "relevant": [0], "lambda": 4.0, "eta_feature": 1,
+        "clients": [
+            {"id": c, "requests": [
+                {"id": 2 * c + k, "issue_tick": (3 * c + k) % 4,
+                 "features": [float(c % 3), 0.0, float((3 * c + 7 * k) % 10)]}
+                for k in range(2)]}
+            for c in range(9)
+        ],
+        "delay": {"kind": "uniform", "lo": 0, "hi": 2},
+        "policy": {"kind": "ttl", "deadline_feature": 2},
+        "deliver_overrides": {"5": 7, "8": 10, "13": 14},
+        "multi_server": {"n": 4, "f": 1, "lags": [2, 0, 1, 0]},
     },
 }
 
@@ -648,6 +685,511 @@ GOLDEN_TRACES = {
                     '3,7,deliver,7\n'
                     '3,7,order,5\n'
                     'order:3:0,2,3,5\n'
+                ),
+            },
+            'prefix_consistency,pass,\n',
+        ),
+    },
+    'fair_tie_burst': {
+        'run': (
+            0,
+            {
+                'trace.txt': (
+                    '# fairorder-trace v1 seed=11 horizon=15\n'
+                    '0,issue,0\n'
+                    '0,issue,5\n'
+                    '0,issue,10\n'
+                    '0,issue,15\n'
+                    '1,issue,3\n'
+                    '1,issue,8\n'
+                    '1,issue,13\n'
+                    '1,deliver,0\n'
+                    '1,deliver,5\n'
+                    '1,deliver,10\n'
+                    '1,deliver,15\n'
+                    '2,issue,1\n'
+                    '2,issue,6\n'
+                    '2,issue,11\n'
+                    '2,issue,16\n'
+                    '2,deliver,3\n'
+                    '2,deliver,8\n'
+                    '3,issue,4\n'
+                    '3,issue,9\n'
+                    '3,issue,14\n'
+                    '3,deliver,1\n'
+                    '3,deliver,6\n'
+                    '3,deliver,11\n'
+                    '3,deliver,13\n'
+                    '3,deliver,16\n'
+                    '4,issue,2\n'
+                    '4,issue,7\n'
+                    '4,issue,12\n'
+                    '4,issue,17\n'
+                    '4,deliver,4\n'
+                    '4,deliver,9\n'
+                    '5,deliver,2\n'
+                    '5,deliver,7\n'
+                    '5,deliver,14\n'
+                    '6,deliver,12\n'
+                    '12,deliver,17\n'
+                    '12,order,7\n'
+                    '12,order,0\n'
+                    '12,order,17\n'
+                    '12,order,5\n'
+                    '12,order,16\n'
+                    '12,order,9\n'
+                    '12,order,10\n'
+                    '12,order,14\n'
+                    '12,order,8\n'
+                    '12,order,1\n'
+                    '12,order,3\n'
+                    '12,order,15\n'
+                    '12,order,2\n'
+                    '12,order,4\n'
+                    '12,order,11\n'
+                    '12,order,6\n'
+                    '12,order,12\n'
+                    '12,order,13\n'
+                    'order:7,0,17,5,16,9,10,14,8,1,3,15,2,4,11,6,12,13\n'
+                ),
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'check': (
+            0,
+            {
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'quorum': (
+            0,
+            {
+                'verdicts.txt': 'prefix_consistency,pass,\n',
+                'view.txt': (
+                    '# fairorder-view v1 n=4 f=1 correct=0,1,2,3\n'
+                    '0,1,deliver,0\n'
+                    '0,1,deliver,5\n'
+                    '0,1,deliver,10\n'
+                    '0,1,deliver,15\n'
+                    '0,2,deliver,3\n'
+                    '0,2,deliver,8\n'
+                    '0,3,deliver,1\n'
+                    '0,3,deliver,6\n'
+                    '0,3,deliver,11\n'
+                    '0,3,deliver,13\n'
+                    '0,3,deliver,16\n'
+                    '0,4,deliver,4\n'
+                    '0,4,deliver,9\n'
+                    '0,5,deliver,2\n'
+                    '0,5,deliver,7\n'
+                    '0,5,deliver,14\n'
+                    '0,6,deliver,12\n'
+                    '0,12,deliver,17\n'
+                    '0,12,order,7\n'
+                    '0,12,order,0\n'
+                    '0,12,order,17\n'
+                    '0,12,order,5\n'
+                    '0,12,order,16\n'
+                    '0,12,order,9\n'
+                    '0,12,order,10\n'
+                    '0,12,order,14\n'
+                    '0,12,order,8\n'
+                    '0,12,order,1\n'
+                    '0,12,order,3\n'
+                    '0,12,order,15\n'
+                    '0,12,order,2\n'
+                    '0,12,order,4\n'
+                    '0,12,order,11\n'
+                    '0,12,order,6\n'
+                    '0,12,order,12\n'
+                    '0,12,order,13\n'
+                    'order:0:7,0,17,5,16,9,10,14,8,1,3,15,2,4,11,6,12,13\n'
+                    '1,2,deliver,0\n'
+                    '1,2,deliver,5\n'
+                    '1,2,deliver,10\n'
+                    '1,2,deliver,15\n'
+                    '1,3,deliver,3\n'
+                    '1,3,deliver,8\n'
+                    '1,4,deliver,1\n'
+                    '1,4,deliver,6\n'
+                    '1,4,deliver,11\n'
+                    '1,4,deliver,13\n'
+                    '1,4,deliver,16\n'
+                    '1,5,deliver,4\n'
+                    '1,5,deliver,9\n'
+                    '1,6,deliver,2\n'
+                    '1,6,deliver,7\n'
+                    '1,6,deliver,14\n'
+                    '1,7,deliver,12\n'
+                    '1,13,deliver,17\n'
+                    '1,13,order,7\n'
+                    '1,13,order,0\n'
+                    '1,13,order,17\n'
+                    '1,13,order,5\n'
+                    '1,13,order,16\n'
+                    '1,13,order,9\n'
+                    '1,13,order,10\n'
+                    '1,13,order,14\n'
+                    '1,13,order,8\n'
+                    '1,13,order,1\n'
+                    '1,13,order,3\n'
+                    '1,13,order,15\n'
+                    '1,13,order,2\n'
+                    '1,13,order,4\n'
+                    '1,13,order,11\n'
+                    '1,13,order,6\n'
+                    '1,13,order,12\n'
+                    '1,13,order,13\n'
+                    'order:1:7,0,17,5,16,9,10,14,8,1,3,15,2,4,11,6,12,13\n'
+                    '2,3,deliver,0\n'
+                    '2,3,deliver,5\n'
+                    '2,3,deliver,10\n'
+                    '2,3,deliver,15\n'
+                    '2,4,deliver,3\n'
+                    '2,4,deliver,8\n'
+                    '2,5,deliver,1\n'
+                    '2,5,deliver,6\n'
+                    '2,5,deliver,11\n'
+                    '2,5,deliver,13\n'
+                    '2,5,deliver,16\n'
+                    '2,6,deliver,4\n'
+                    '2,6,deliver,9\n'
+                    '2,7,deliver,2\n'
+                    '2,7,deliver,7\n'
+                    '2,7,deliver,14\n'
+                    '2,8,deliver,12\n'
+                    '2,14,deliver,17\n'
+                    '2,14,order,7\n'
+                    '2,14,order,0\n'
+                    '2,14,order,17\n'
+                    '2,14,order,5\n'
+                    '2,14,order,16\n'
+                    '2,14,order,9\n'
+                    '2,14,order,10\n'
+                    '2,14,order,14\n'
+                    '2,14,order,8\n'
+                    '2,14,order,1\n'
+                    '2,14,order,3\n'
+                    '2,14,order,15\n'
+                    '2,14,order,2\n'
+                    '2,14,order,4\n'
+                    '2,14,order,11\n'
+                    '2,14,order,6\n'
+                    '2,14,order,12\n'
+                    '2,14,order,13\n'
+                    'order:2:7,0,17,5,16,9,10,14,8,1,3,15,2,4,11,6,12,13\n'
+                    '3,4,deliver,0\n'
+                    '3,4,deliver,5\n'
+                    '3,4,deliver,10\n'
+                    '3,4,deliver,15\n'
+                    '3,5,deliver,3\n'
+                    '3,5,deliver,8\n'
+                    '3,6,deliver,1\n'
+                    '3,6,deliver,6\n'
+                    '3,6,deliver,11\n'
+                    '3,6,deliver,13\n'
+                    '3,6,deliver,16\n'
+                    '3,7,deliver,4\n'
+                    '3,7,deliver,9\n'
+                    '3,8,deliver,2\n'
+                    '3,8,deliver,7\n'
+                    '3,8,deliver,14\n'
+                    '3,9,deliver,12\n'
+                    '3,15,deliver,17\n'
+                    '3,15,order,7\n'
+                    '3,15,order,0\n'
+                    '3,15,order,17\n'
+                    '3,15,order,5\n'
+                    '3,15,order,16\n'
+                    '3,15,order,9\n'
+                    '3,15,order,10\n'
+                    '3,15,order,14\n'
+                    '3,15,order,8\n'
+                    '3,15,order,1\n'
+                    '3,15,order,3\n'
+                    '3,15,order,15\n'
+                    '3,15,order,2\n'
+                    '3,15,order,4\n'
+                    '3,15,order,11\n'
+                    '3,15,order,6\n'
+                    '3,15,order,12\n'
+                    '3,15,order,13\n'
+                    'order:3:7,0,17,5,16,9,10,14,8,1,3,15,2,4,11,6,12,13\n'
+                ),
+            },
+            'prefix_consistency,pass,\n',
+        ),
+    },
+    'ttl_partial_bursts': {
+        'run': (
+            0,
+            {
+                'trace.txt': (
+                    '# fairorder-trace v1 seed=11 horizon=17\n'
+                    '0,issue,0\n'
+                    '0,issue,3\n'
+                    '0,issue,8\n'
+                    '0,issue,11\n'
+                    '0,issue,16\n'
+                    '1,issue,1\n'
+                    '1,issue,6\n'
+                    '1,issue,9\n'
+                    '1,issue,14\n'
+                    '1,issue,17\n'
+                    '1,deliver,3\n'
+                    '1,deliver,11\n'
+                    '1,deliver,16\n'
+                    '2,issue,4\n'
+                    '2,issue,7\n'
+                    '2,issue,12\n'
+                    '2,issue,15\n'
+                    '2,deliver,0\n'
+                    '2,deliver,1\n'
+                    '2,deliver,9\n'
+                    '2,deliver,14\n'
+                    '2,order,0\n'
+                    '2,order,3\n'
+                    '2,order,14\n'
+                    '3,issue,2\n'
+                    '3,issue,5\n'
+                    '3,issue,10\n'
+                    '3,issue,13\n'
+                    '3,deliver,4\n'
+                    '3,deliver,6\n'
+                    '3,deliver,7\n'
+                    '3,deliver,12\n'
+                    '3,deliver,15\n'
+                    '3,deliver,17\n'
+                    '3,order,17\n'
+                    '4,deliver,2\n'
+                    '4,deliver,10\n'
+                    '7,deliver,5\n'
+                    '10,deliver,8\n'
+                    '10,order,8\n'
+                    '10,order,11\n'
+                    '10,order,2\n'
+                    '10,order,5\n'
+                    '10,order,16\n'
+                    '10,order,10\n'
+                    '14,deliver,13\n'
+                    '14,order,13\n'
+                    '14,order,4\n'
+                    '14,order,7\n'
+                    '14,order,1\n'
+                    '14,order,12\n'
+                    '14,order,15\n'
+                    '14,order,6\n'
+                    '14,order,9\n'
+                    'order:0,3,14,17,8,11,2,5,16,10,13,4,7,1,12,15,6,9\n'
+                ),
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'warning: assumption-violation: adjacent eta gap exceeds lambda (max eta gap over all pairs 9, lambda 4)\n'
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'check': (
+            0,
+            {
+                'verdicts.txt': (
+                    'order_determinism,pass,\n'
+                    'non_blocking,pass,\n'
+                    'consistency,pass,\n'
+                    'monotonic_order,pass,\n'
+                ),
+            },
+            (
+                'order_determinism,pass,\n'
+                'non_blocking,pass,\n'
+                'consistency,pass,\n'
+                'monotonic_order,pass,\n'
+            ),
+        ),
+        'quorum': (
+            0,
+            {
+                'verdicts.txt': 'prefix_consistency,pass,\n',
+                'view.txt': (
+                    '# fairorder-view v1 n=4 f=1 correct=0,1,2,3\n'
+                    '0,3,deliver,3\n'
+                    '0,3,deliver,11\n'
+                    '0,3,deliver,16\n'
+                    '0,4,deliver,0\n'
+                    '0,4,deliver,1\n'
+                    '0,4,deliver,9\n'
+                    '0,4,deliver,14\n'
+                    '0,4,order,0\n'
+                    '0,4,order,3\n'
+                    '0,4,order,14\n'
+                    '0,5,deliver,4\n'
+                    '0,5,deliver,6\n'
+                    '0,5,deliver,7\n'
+                    '0,5,deliver,12\n'
+                    '0,5,deliver,15\n'
+                    '0,5,deliver,17\n'
+                    '0,5,order,17\n'
+                    '0,6,deliver,2\n'
+                    '0,6,deliver,10\n'
+                    '0,9,deliver,5\n'
+                    '0,12,deliver,8\n'
+                    '0,12,order,8\n'
+                    '0,12,order,11\n'
+                    '0,12,order,2\n'
+                    '0,12,order,5\n'
+                    '0,12,order,16\n'
+                    '0,12,order,10\n'
+                    '0,16,deliver,13\n'
+                    '0,16,order,13\n'
+                    '0,16,order,4\n'
+                    '0,16,order,7\n'
+                    '0,16,order,1\n'
+                    '0,16,order,12\n'
+                    '0,16,order,15\n'
+                    '0,16,order,6\n'
+                    '0,16,order,9\n'
+                    'order:0:0,3,14,17,8,11,2,5,16,10,13,4,7,1,12,15,6,9\n'
+                    '1,1,deliver,3\n'
+                    '1,1,deliver,11\n'
+                    '1,1,deliver,16\n'
+                    '1,2,deliver,0\n'
+                    '1,2,deliver,1\n'
+                    '1,2,deliver,9\n'
+                    '1,2,deliver,14\n'
+                    '1,2,order,0\n'
+                    '1,2,order,3\n'
+                    '1,2,order,14\n'
+                    '1,3,deliver,4\n'
+                    '1,3,deliver,6\n'
+                    '1,3,deliver,7\n'
+                    '1,3,deliver,12\n'
+                    '1,3,deliver,15\n'
+                    '1,3,deliver,17\n'
+                    '1,3,order,17\n'
+                    '1,4,deliver,2\n'
+                    '1,4,deliver,10\n'
+                    '1,7,deliver,5\n'
+                    '1,10,deliver,8\n'
+                    '1,10,order,8\n'
+                    '1,10,order,11\n'
+                    '1,10,order,2\n'
+                    '1,10,order,5\n'
+                    '1,10,order,16\n'
+                    '1,10,order,10\n'
+                    '1,14,deliver,13\n'
+                    '1,14,order,13\n'
+                    '1,14,order,4\n'
+                    '1,14,order,7\n'
+                    '1,14,order,1\n'
+                    '1,14,order,12\n'
+                    '1,14,order,15\n'
+                    '1,14,order,6\n'
+                    '1,14,order,9\n'
+                    'order:1:0,3,14,17,8,11,2,5,16,10,13,4,7,1,12,15,6,9\n'
+                    '2,2,deliver,3\n'
+                    '2,2,deliver,11\n'
+                    '2,2,deliver,16\n'
+                    '2,3,deliver,0\n'
+                    '2,3,deliver,1\n'
+                    '2,3,deliver,9\n'
+                    '2,3,deliver,14\n'
+                    '2,3,order,0\n'
+                    '2,3,order,3\n'
+                    '2,3,order,14\n'
+                    '2,4,deliver,4\n'
+                    '2,4,deliver,6\n'
+                    '2,4,deliver,7\n'
+                    '2,4,deliver,12\n'
+                    '2,4,deliver,15\n'
+                    '2,4,deliver,17\n'
+                    '2,4,order,17\n'
+                    '2,5,deliver,2\n'
+                    '2,5,deliver,10\n'
+                    '2,8,deliver,5\n'
+                    '2,11,deliver,8\n'
+                    '2,11,order,8\n'
+                    '2,11,order,11\n'
+                    '2,11,order,2\n'
+                    '2,11,order,5\n'
+                    '2,11,order,16\n'
+                    '2,11,order,10\n'
+                    '2,15,deliver,13\n'
+                    '2,15,order,13\n'
+                    '2,15,order,4\n'
+                    '2,15,order,7\n'
+                    '2,15,order,1\n'
+                    '2,15,order,12\n'
+                    '2,15,order,15\n'
+                    '2,15,order,6\n'
+                    '2,15,order,9\n'
+                    'order:2:0,3,14,17,8,11,2,5,16,10,13,4,7,1,12,15,6,9\n'
+                    '3,1,deliver,3\n'
+                    '3,1,deliver,11\n'
+                    '3,1,deliver,16\n'
+                    '3,2,deliver,0\n'
+                    '3,2,deliver,1\n'
+                    '3,2,deliver,9\n'
+                    '3,2,deliver,14\n'
+                    '3,2,order,0\n'
+                    '3,2,order,3\n'
+                    '3,2,order,14\n'
+                    '3,3,deliver,4\n'
+                    '3,3,deliver,6\n'
+                    '3,3,deliver,7\n'
+                    '3,3,deliver,12\n'
+                    '3,3,deliver,15\n'
+                    '3,3,deliver,17\n'
+                    '3,3,order,17\n'
+                    '3,4,deliver,2\n'
+                    '3,4,deliver,10\n'
+                    '3,7,deliver,5\n'
+                    '3,10,deliver,8\n'
+                    '3,10,order,8\n'
+                    '3,10,order,11\n'
+                    '3,10,order,2\n'
+                    '3,10,order,5\n'
+                    '3,10,order,16\n'
+                    '3,10,order,10\n'
+                    '3,14,deliver,13\n'
+                    '3,14,order,13\n'
+                    '3,14,order,4\n'
+                    '3,14,order,7\n'
+                    '3,14,order,1\n'
+                    '3,14,order,12\n'
+                    '3,14,order,15\n'
+                    '3,14,order,6\n'
+                    '3,14,order,9\n'
+                    'order:3:0,3,14,17,8,11,2,5,16,10,13,4,7,1,12,15,6,9\n'
                 ),
             },
             'prefix_consistency,pass,\n',

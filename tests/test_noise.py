@@ -186,6 +186,14 @@ class TestNoiseSpecValidation:
         with pytest.raises(ConfigurationError, match=field):
             NoiseSpec(**params)
 
+    def test_bounded_laplace_rejects_an_overflowing_scale(self):
+        # Both parameters are finite, but sensitivity / epsilon is inf: every draw
+        # would be +-inf and the rejection loop would never return.
+        with pytest.raises(ConfigurationError, match="scale"):
+            NoiseSpec(kind="bounded_laplace", epsilon=1e-300, sensitivity=1e10, bound=1.0)
+        # Plain Laplace samples once per draw, so an infinite scale cannot hang it.
+        assert NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10).scale == math.inf
+
     def test_scale(self):
         spec = NoiseSpec(kind="laplace", epsilon=2.0, sensitivity=4.0)
         assert spec.scale == 2.0

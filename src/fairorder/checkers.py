@@ -14,7 +14,8 @@ counterexample witness on failure. The four core properties:
 Consistency is checked in this prefix-compatible form rather than as
 literal equality of orders: a server that keeps ordering already
 received requests during delivery-quiet periods must not be flagged,
-or non-blocking would be unsatisfiable.
+or non-blocking would be unsatisfiable. The time-indexed checks walk
+the rows with ``TraceWalk``, so they cost O(events) whatever the horizon.
 
 The module also hosts policy-compliance checking against a partial
 order of required precedences, an optional stronger liveness check,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .engine import Trace, run
+from .engine import Trace, TraceWalk, run
 from .model import Request
 from .noise import ConfigurationError
 from .scenario import Policy, ScenarioConfig
@@ -118,20 +119,28 @@ def _is_prefix(shorter: tuple, longer: tuple) -> bool:
     return len(shorter) <= len(longer) and longer[: len(shorter)] == shorter
 
 
+def _order_steps(trace: Trace):
+    """Yield (walk, tick, divergence) at each tick 1..horizon with an order row, where
+    divergence is None if the output before the tick is a prefix of the output at it."""
+    walk = TraceWalk(trace.events, trace.horizon)
+    for t in walk:
+        if t and t in walk.orders:
+            divergence = None
+            if walk.prev is not None and not _is_prefix(walk.prev, cur := tuple(walk.output)):
+                divergence = _first_divergence(walk.prev, cur)
+            yield walk, t, divergence
+
+
 def check_consistency(trace: Trace) -> Verdict:
     """Quiet periods may only extend the order with already-received requests."""
-    snaps = trace.snapshots
-    for t in range(1, len(snaps)):
-        prev, cur = snaps[t - 1], snaps[t]
-        if cur is prev or cur.output is prev.output:
-            continue  # nothing was ordered
-        if cur.received is not prev.received and cur.received != prev.received:
+    for walk, t, divergence in _order_steps(trace):
+        if walk.received_grew:
             continue
-        if not _is_prefix(prev.output, cur.output):
-            return Verdict(CONSISTENCY, False, (t, *_first_divergence(prev.output, cur.output)))
-        illegal = set(cur.output[len(prev.output):]) - prev.received
-        if illegal:
-            illegal -= set(prev.output)  # an id already ordered did not grow the order
+        if divergence:
+            return Verdict(CONSISTENCY, False, (t, *divergence))
+        illegal = set(walk.output[walk.grown:]) - walk.received
+        if illegal:  # an id already ordered did not grow the order
+            illegal -= set(walk.output[:walk.grown])
         if illegal:
             return Verdict(CONSISTENCY, False, (t, min(illegal)))
     return Verdict(CONSISTENCY, True)
@@ -145,12 +154,10 @@ def _first_divergence(a: tuple, b: tuple) -> tuple:
 
 
 def check_monotonic_order(trace: Trace) -> Verdict:
-    """Each snapshot's order must be a prefix of the next one."""
-    snaps = trace.snapshots
-    for t in range(1, len(snaps)):
-        prev, cur = snaps[t - 1].output, snaps[t].output
-        if cur is not prev and not _is_prefix(prev, cur):
-            return Verdict(MONOTONIC_ORDER, False, (t, *_first_divergence(prev, cur)))
+    """Each tick's order must be a prefix of the next one."""
+    for _, t, divergence in _order_steps(trace):
+        if divergence:
+            return Verdict(MONOTONIC_ORDER, False, (t, *divergence))
     return Verdict(MONOTONIC_ORDER, True)
 
 
@@ -175,11 +182,10 @@ def check_strong_non_blocking(trace: Trace) -> Verdict:
     Optional utilization-style check; gated policies legitimately fail
     it while they wait for stability.
     """
-    for t, snap in enumerate(trace.snapshots):
-        if snap.pending and t < trace.horizon:
-            nxt = trace.snapshots[t + 1]
-            if len(nxt.output) == len(snap.output):
-                return Verdict(STRONG_NON_BLOCKING, False, (t, min(snap.pending)))
+    walk = TraceWalk(trace.events, trace.horizon)
+    for t in walk:  # a row tick's state lasts until the next, so it stalls first there
+        if walk.pending and t < trace.horizon and t + 1 not in walk.orders:
+            return Verdict(STRONG_NON_BLOCKING, False, (t, min(walk.pending)))
     return Verdict(STRONG_NON_BLOCKING, True)
 
 

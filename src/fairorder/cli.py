@@ -61,11 +61,18 @@ def _trial_count(args, default: int) -> int:
     return args.trials
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
+def _write(args, name: str, text: str) -> None:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
+
+
+def _report(args, verdicts) -> int:
+    """Write verdicts.txt and print its lines; pass iff every verdict passed."""
+    lines = "\n".join(v.line() for v in verdicts)
+    _write(args, "verdicts.txt", lines + "\n")
+    print(lines)
+    return EXIT_PASS if all(v.passed for v in verdicts) else EXIT_FAIL
 
 
 def cmd_run(args) -> int:
@@ -74,29 +81,18 @@ def cmd_run(args) -> int:
     for warning in lint_scenario(scenario):
         print(f"warning: {warning}")
     trace = run(scenario, seed=seed)
-    out = Path(args.out)
-    _write(out, "trace.txt", serialize_trace(trace))
-    verdicts = checkers.check_all(trace)
-    _write(out, "verdicts.txt", "\n".join(v.line() for v in verdicts) + "\n")
-    for v in verdicts:
-        print(v.line())
-    return EXIT_PASS if all(v.passed for v in verdicts) else EXIT_FAIL
+    _write(args, "trace.txt", serialize_trace(trace))
+    return _report(args, checkers.check_all(trace))
 
 
 def cmd_check(args) -> int:
     try:
         trace = parse_trace(Path(args.trace).read_text())
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
+    except (OSError, TraceParseError) as exc:
+        reason = "malformed trace" if isinstance(exc, TraceParseError) else "cannot read trace"
+        print(f"error: {reason}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TraceParseError as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    verdicts = checkers.check_all(trace)
-    _write(Path(args.out), "verdicts.txt", "\n".join(v.line() for v in verdicts) + "\n")
-    for v in verdicts:
-        print(v.line())
-    return EXIT_PASS if all(v.passed for v in verdicts) else EXIT_FAIL
+    return _report(args, checkers.check_all(trace))
 
 
 def _certify_report(scenario: ScenarioConfig, report: stats.FairnessReport):
@@ -138,7 +134,7 @@ def cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIVENESS
     report = _certify_report(scenario, report)
-    _write(Path(args.out), "report.csv", stats.reports_csv([report]))
+    _write(args, "report.csv", stats.reports_csv([report]))
     status = report.verdict
     if not report.in_contract:
         print("out-of-contract: noise-bound assumption violated; "
@@ -175,7 +171,7 @@ def cmd_sweep(args) -> int:
             worst = EXIT_FAIL
         elif report.verdict == stats.INCONCLUSIVE and worst == EXIT_PASS:
             worst = EXIT_INCONCLUSIVE
-    _write(Path(args.out), "report.csv", "\n".join(lines) + "\n")
+    _write(args, "report.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return worst
 
@@ -184,14 +180,8 @@ def cmd_randomizer(args) -> int:
     block = randomizer_from_dict(json.loads(Path(args.config).read_text()))
     replicas, spec = block.replicas, block.spec
     instances = _trial_count(args, block.instances)
-    seed = _resolve_seed(args)
-    disagreements = 0
-    values = []
-    for instance in range(instances):
-        outcome = randomizer.run_randomizer(replicas, spec, instance, seed, block.strategy)
-        if not randomizer.check_agreement(outcome, replicas):
-            disagreements += 1
-        values.append(outcome.per_replica[min(replicas.correct_ids)])
+    values, disagreements = randomizer.correct_value_stream(
+        replicas, spec, _resolve_seed(args), instances, block.strategy)
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
     print(f"instances={instances} disagreements={disagreements} "
@@ -205,15 +195,11 @@ def cmd_quorum(args) -> int:
         print("error: config lacks a multi_server block", file=sys.stderr)
         return EXIT_CONFIG
     ms = scenario.multi_server
-    seed = _resolve_seed(args, scenario)
-    trace = run(scenario, seed=seed)
+    trace = run(scenario, seed=_resolve_seed(args, scenario))
     view = quorum.replicate_trace(trace, ms.n, ms.f, ms.lags, ms.byzantine_servers)
     verdict = quorum.check_prefix_consistency(view)
-    out = Path(args.out)
-    _write(out, "view.txt", quorum.serialize_view(view))
-    _write(out, "verdicts.txt", verdict.line() + "\n")
-    print(verdict.line())
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    _write(args, "view.txt", quorum.serialize_view(view))
+    return _report(args, [verdict])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigurationError, ParameterError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:

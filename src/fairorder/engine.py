@@ -2,12 +2,14 @@
 
 A run visits the ticks that carry issue and delivery events and lets
 the active policy move requests from the pending set into the output
-order; a recorded run keeps the event rows, and per-tick snapshots are
-derived from them. Everything is a pure function of (scenario, policy,
-seed): delays and noise samples are derived statelessly from the seed
-and the request id, so replaying a seed reproduces the trace bit for
-bit, and recording a full trace versus only the final order cannot
-change any sampled value.
+order. A recorded trace is its event rows, tick maps, final order and
+horizon, so it costs O(events) whatever the horizon; ``TraceWalk``
+sweeps the rows tick by tick for the checkers and the quorum view.
+Everything is a pure function of (scenario, policy, seed): delays and
+noise samples are derived statelessly from the seed and the request
+id, so replaying a seed reproduces the trace bit for bit, and recording
+a full trace versus only the final order cannot change any sampled
+value.
 
 Policies:
   fcfs  orders each request immediately on delivery (delivery tick,
@@ -21,17 +23,11 @@ request once no in-flight request could still claim an earlier slot;
 gating off models a server that must not wait (used to demonstrate the
 asynchronous impossibility).
 
-Burst selection: each run keeps one ready queue, a heap of the pending
-requests pushed as they are delivered. Its key is the policy's
-selection key (fair: the adjusted score, negated for highest_first;
-ttl: (deadline, id); fcfs: (delivery tick, id)), and the delivery
-sequence breaks equal keys. Stability is monotone in that key, so a
-burst checks ``is_stable`` on the front only and ends at the first
-unstable front: O(log N) per order, O(N log N) for a burst of N. Under
-fair, the front requests whose adjusted scores are exactly equal (-0.0
-ties with 0.0) go to ``fair_policy_step`` in delivery order, which
-draws from the pick stream only when more than one is tied. A burst
-that holds a NaN adjusted score raises ValueError.
+Burst selection: each run keeps one ready queue of the pending requests,
+keyed by the policy's selection key (``PolicyRuntime.push``). Stability
+is monotone in that key, so a burst checks ``is_stable`` on the front
+only: O(N log N) for a burst of N. The README's "How a burst is
+selected" gives the keys and the tie and NaN rules.
 """
 
 from __future__ import annotations
@@ -96,23 +92,23 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete timed record of one run.
+    """Complete timed record of one run: its event rows up to ``horizon``.
 
-    The event rows are the record; ``snapshots`` (indexed by tick) are
-    derived from them by ``snapshots_from_events``.
+    A run recorded without events (``record=False``) has horizon -1.
     """
 
     events: tuple[Event, ...]
-    snapshots: tuple[Snapshot, ...]
     final_order: tuple[int, ...]
     seed: int
     issue_ticks: dict[int, int]
     deliver_ticks: dict[int, int]
     order_ticks: dict[int, int]
+    horizon: int
 
     @property
-    def horizon(self) -> int:
-        return len(self.snapshots) - 1
+    def snapshots(self) -> tuple[Snapshot, ...]:
+        """The per-tick snapshots 0..horizon, built from the rows on each access."""
+        return snapshots_from_events(self.events, self.horizon)
 
 
 def _noise(spec: NoiseSpec | None, seed: int, rid: int) -> float:
@@ -348,16 +344,10 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
             order_ticks[rid] = t
             if record:
                 events.append(Event(t, ORDER, rid))
-    horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain
-    return Trace(
-        events=tuple(events),
-        snapshots=snapshots_from_events(events, horizon) if record else (),
-        final_order=tuple(state.output),
-        seed=seed,
-        issue_ticks=issue_ticks,
-        deliver_ticks=dict(state.deliver_ticks),
-        order_ticks=order_ticks,
-    )
+    horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain if record else -1
+    return Trace(events=tuple(events), final_order=tuple(state.output), seed=seed,
+                 issue_ticks=issue_ticks, deliver_ticks=dict(state.deliver_ticks),
+                 order_ticks=order_ticks, horizon=horizon)
 
 
 def _engine_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
@@ -540,40 +530,65 @@ def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,
     return run_prepared(prepare(scenario, policy), seed, record)
 
 
-def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
-    """The per-tick snapshots 0..horizon implied by a trace's event rows.
+class TraceWalk:
+    """One forward sweep over a trace's deliver and order rows, tick by tick.
 
-    At tick t a request counts as received once it has a deliver row at
-    a tick <= t, and the output lists the order rows at ticks <= t in
-    row order. One sweep visits only the ticks that carry a deliver or
-    order row; every other tick reuses the previous Snapshot object.
+    At tick t a request is received once it has a deliver row at a tick
+    <= t, and the output lists the order rows at ticks <= t in row order
+    (negative ticks count as 0). Iterating yields each tick 0..horizon
+    with such a row, with ``received``, ``pending`` and ``output`` grown
+    in place to that tick. ``received_grew`` tells whether the tick added
+    a received request and ``grown`` is the output's length before it;
+    ``prev`` copies that output only if an order row lands before an
+    earlier row, so that it may not be a prefix of the new output.
     """
-    delivers: dict[int, list[int]] = {}
-    ordered_at: dict[int, list[int]] = {}  # tick -> positions among the order rows
-    order_rids: list[int] = []
-    for ev in events:
-        if ev.kind == DELIVER:
-            delivers.setdefault(max(ev.at_tick, 0), []).append(ev.rid)
-        elif ev.kind == ORDER:
-            ordered_at.setdefault(max(ev.at_tick, 0), []).append(len(order_rids))
-            order_rids.append(ev.rid)
-    received: frozenset[int] = frozenset()
-    rows: list[int] = []  # positions of the order rows seen so far, ascending
-    output: list[int] = []
-    snap = Snapshot(received, received, ())
-    snapshots: list[Snapshot] = []
-    for t in sorted(delivers.keys() | ordered_at):
-        if t > horizon:
-            break
+
+    def __init__(self, events, horizon: int):
+        self.horizon = horizon
+        self.delivers: dict[int, list[int]] = {}
+        self.orders: dict[int, list[int]] = {}  # tick -> positions among the order rows
+        self.order_rids: list[int] = []
+        for ev in events:
+            if ev.kind == DELIVER:
+                self.delivers.setdefault(max(ev.at_tick, 0), []).append(ev.rid)
+            elif ev.kind == ORDER:
+                self.orders.setdefault(max(ev.at_tick, 0), []).append(len(self.order_rids))
+                self.order_rids.append(ev.rid)
+        self.received, self.pending, self.output = set(), set(), []
+        self.received_grew, self.grown, self.prev = False, 0, None
+
+    def __iter__(self):
+        rows, ordered = [], set()  # positions of the order rows applied so far (ascending), ids
+        for t in sorted(t for t in self.delivers.keys() | self.orders if t <= self.horizon):
+            delivered, new_rows = self.delivers.get(t, ()), self.orders.get(t, ())
+            before = len(self.received)
+            self.received.update(delivered)
+            self.received_grew = len(self.received) > before
+            self.pending.update(rid for rid in delivered if rid not in ordered)
+            self.grown = len(self.output)
+            self.prev = tuple(self.output) if new_rows and rows and new_rows[0] < rows[-1] else None
+            for row in new_rows:
+                at = bisect_right(rows, row)
+                rows.insert(at, row)
+                self.output.insert(at, self.order_rids[row])
+            new_ids = [self.order_rids[row] for row in new_rows]
+            ordered.update(new_ids)
+            self.pending.difference_update(new_ids)
+            yield t
+
+
+def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
+    """The per-tick snapshots 0..horizon that ``TraceWalk`` passes through.
+
+    A tick without a row repeats the previous Snapshot object. It costs
+    O(horizon), so only tests and the bench tracer read it.
+    """
+    walk = TraceWalk(events, horizon)
+    snap, snapshots = Snapshot(frozenset(), frozenset(), ()), []
+    for t in walk:
         snapshots.extend([snap] * (t - len(snapshots)))
-        if t in delivers:
-            received = received.union(delivers[t])
-        for row in ordered_at.get(t, ()):
-            at = bisect_right(rows, row)
-            rows.insert(at, row)
-            output.insert(at, order_rids[row])
-        ordered = snap.output if t not in ordered_at else tuple(output)
-        snap = Snapshot(received, received - set(ordered), ordered)
+        output = snap.output if t not in walk.orders else tuple(walk.output)
+        snap = Snapshot(frozenset(walk.received), frozenset(walk.pending), output)
         snapshots.append(snap)
     snapshots.extend([snap] * (horizon + 1 - len(snapshots)))
     return tuple(snapshots)
@@ -589,18 +604,14 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
-    """Rebuild a Trace (snapshots included) from its serialized form."""
+    """Rebuild a Trace from its serialized form; a header horizon must be >= 0."""
     seed = 0
     horizon: int | None = None
     events: list[Event] = []
     final_order: tuple[int, ...] | None = None
-    issue_ticks: dict[int, int] = {}
-    deliver_ticks: dict[int, int] = {}
-    order_ticks: dict[int, int] = {}
+    ticks: dict[str, dict[int, int]] = {ISSUE: {}, DELIVER: {}, ORDER: {}}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
         try:
             if line.startswith("#"):
                 for part in line.split():
@@ -608,45 +619,31 @@ def parse_trace(text: str) -> Trace:
                         seed = int(part[5:])
                     if part.startswith("horizon="):
                         horizon = int(part[8:])
-                continue
-            if line.startswith("order:"):
+                        if horizon < 0:
+                            raise ValueError(f"negative horizon {horizon}")
+            elif line.startswith("order:"):
                 body = line[len("order:"):]
                 final_order = tuple(int(x) for x in body.split(",")) if body else ()
-                continue
+            elif line:
+                parts = line.split(",")
+                if len(parts) != 3:
+                    raise ValueError("expected tick,kind,id")
+                tick, kind, rid = int(parts[0]), parts[1], int(parts[2])
+                if kind not in ticks:
+                    raise ValueError(f"unknown event kind {kind!r}")
+                if kind != ISSUE and rid in ticks[kind]:
+                    raise ValueError(f"request {rid} {kind}ed twice")  # delivered, ordered
+                ticks[kind][rid] = tick
+                events.append(Event(tick, kind, rid))
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceParseError(f"line {lineno}: expected tick,kind,id")
-        try:
-            tick, kind, rid = int(parts[0]), parts[1], int(parts[2])
-        except ValueError as exc:
-            raise TraceParseError(f"line {lineno}: {exc}") from exc
-        if kind not in (ISSUE, DELIVER, ORDER):
-            raise TraceParseError(f"line {lineno}: unknown event kind {kind!r}")
-        events.append(Event(tick, kind, rid))
-        if kind == ISSUE:
-            issue_ticks[rid] = tick
-        elif kind == DELIVER:
-            if rid in deliver_ticks:
-                raise TraceParseError(f"line {lineno}: request {rid} delivered twice")
-            deliver_ticks[rid] = tick
-        else:
-            if rid in order_ticks:
-                raise TraceParseError(f"line {lineno}: request {rid} ordered twice")
-            order_ticks[rid] = tick
     if final_order is None:
         raise TraceParseError("missing final order line")
     if horizon is None:
-        horizon = max([ev.at_tick for ev in events], default=0)
+        # The last row's tick; rows all at ticks below -1 leave no tick to check, as -1 does.
+        horizon = max(max((ev.at_tick for ev in events), default=0), -1)
     # Semantic disagreements with the final-order line are left for the
     # checkers (forged traces must parse so they can be judged).
-    return Trace(
-        events=tuple(events),
-        snapshots=snapshots_from_events(events, horizon),
-        final_order=final_order,
-        seed=seed,
-        issue_ticks=issue_ticks,
-        deliver_ticks=deliver_ticks,
-        order_ticks=order_ticks,
-    )
+    return Trace(events=tuple(events), final_order=final_order, seed=seed,
+                 issue_ticks=ticks[ISSUE], deliver_ticks=ticks[DELIVER],
+                 order_ticks=ticks[ORDER], horizon=horizon)

@@ -1,4 +1,4 @@
-"""Multi-server view model: per-server histories and quorum aggregates.
+"""Multi-server view model: lag-replicated histories and quorum aggregates.
 
 Consensus itself is out of scope (treated as a black box), so views are
 *generated*: a single-server trace is replicated with a per-server
@@ -8,44 +8,48 @@ servers have it (one of them must be correct), and globally ordered
 once n-f servers have ordered it (any two such quorums intersect in a
 correct server). Byzantine servers may report arbitrary histories;
 checks quantify over correct servers only.
+
+A view is the trace plus one lag per server: correct server i holds at
+tick t what the trace holds at tick t - lags[i]. Every query reads the
+trace's row ticks shifted by the lags, so a view costs O(servers x
+events) whatever the lags and the horizon.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 
 from .checkers import Verdict
-from .engine import Snapshot, Trace
+from .engine import ORDER, Trace, TraceWalk
 from .model import ParameterError
 from .noise import ConfigurationError
 
 PREFIX_CONSISTENCY = "prefix_consistency"
-EMPTY = Snapshot(frozenset(), frozenset(), ())  # a server's history before its lag has passed
 
 
 @dataclass(frozen=True)
 class QuorumView:
-    """Per-server receive sets and order prefixes, indexed by tick."""
+    """n servers replaying one trace, server i ``lags[i]`` ticks late; the rest are Byzantine."""
 
     n: int
     f: int
-    received: tuple[tuple[frozenset[int], ...], ...]   # [server][tick]
-    ordered: tuple[tuple[tuple[int, ...], ...], ...]   # [server][tick]
+    trace: Trace
+    lags: tuple[int, ...]
     correct: frozenset[int]
 
     def __post_init__(self):
+        if len(self.lags) != self.n:
+            raise ConfigurationError("need one lag per server")
+        if any(lag < 0 for lag in self.lags):
+            raise ConfigurationError("lags must be non-negative")
         if self.n < 3 * self.f + 1:
             raise ConfigurationError(f"n={self.n} violates n >= 3f+1 for f={self.f}")
-        if len(self.received) != self.n or len(self.ordered) != self.n:
-            raise ConfigurationError("need one history per server")
 
     @property
     def horizon(self) -> int:
-        return len(self.received[0]) - 1
-
-    def _check_tick(self, t: int) -> None:
-        if not 0 <= t <= self.horizon:
-            raise ParameterError(f"tick {t} outside view range 0..{self.horizon}")
+        return self.trace.horizon + max(self.lags, default=0)
 
 
 def replicate_trace(trace: Trace, n: int, f: int, lags,
@@ -56,90 +60,99 @@ def replicate_trace(trace: Trace, n: int, f: int, lags,
     future. Byzantine servers report a scrambled history (everything
     received immediately, order reversed) regardless of their lag.
     """
-    lags = tuple(int(x) for x in lags)
-    if len(lags) != n:
-        raise ConfigurationError("need one lag per server")
-    if any(lag < 0 for lag in lags):
-        raise ConfigurationError("lags must be non-negative")
-    byz = frozenset(byzantine_servers)
-    horizon = trace.horizon + (max(lags) if lags else 0)
-    all_ids = frozenset(trace.deliver_ticks)
-    received: list[tuple[frozenset[int], ...]] = []
-    ordered: list[tuple[tuple[int, ...], ...]] = []
-    for i in range(n):
-        if i in byz:
-            scrambled = tuple(reversed(trace.final_order))
-            received.append(tuple(all_ids for _ in range(horizon + 1)))
-            ordered.append(tuple(scrambled for _ in range(horizon + 1)))
-            continue
-        lagged = [EMPTY] * lags[i] + list(trace.snapshots)
-        lagged += [lagged[-1]] * (horizon + 1 - len(lagged))
-        received.append(tuple(s.received for s in lagged))
-        ordered.append(tuple(s.output for s in lagged))
-    return QuorumView(n=n, f=f, received=tuple(received), ordered=tuple(ordered),
-                      correct=frozenset(range(n)) - byz)
+    return QuorumView(n=n, f=f, trace=trace, lags=tuple(int(x) for x in lags),
+                      correct=frozenset(range(n)) - frozenset(byzantine_servers))
+
+
+def _changes(trace: Trace) -> list[tuple[int, list[int], list[int], bool]]:
+    """Per row tick: (tick, ids first received, ids first ordered, whether it reorders)."""
+    walk = TraceWalk(trace.events, trace.horizon)
+    received, ordered, changes = set(), set(), []
+    for t in walk:
+        new_received = sorted(set(walk.delivers.get(t, ())) - received)
+        tail = walk.output[walk.grown if walk.prev is None else 0:]
+        new_ordered = [rid for rid in dict.fromkeys(tail) if rid not in ordered]
+        received.update(new_received)
+        ordered.update(new_ordered)
+        changes.append((t, new_received, new_ordered, walk.prev is not None))
+    return changes
+
+
+def _output_at(trace: Trace, u: int) -> tuple[int, ...]:
+    walk = TraceWalk(trace.events, u)
+    for _ in walk:
+        pass
+    return tuple(walk.output)
+
+
+def _quorum_set(view: QuorumView, t: int, rows, byzantine_ids, quorum: int) -> frozenset[int]:
+    """Ids held by ``quorum`` servers at tick t: a correct server holds each (tick, id)
+    row once its lag has passed the tick, a Byzantine one each of ``byzantine_ids``."""
+    if not 0 <= t <= view.horizon:
+        raise ParameterError(f"tick {t} outside view range 0..{view.horizon}")
+    lags = sorted(view.lags[i] for i in view.correct)
+    counts: dict[int, int] = {}
+    for tick, rid in rows:
+        counts[rid] = counts.get(rid, 0) + bisect_right(lags, t - tick)
+    for rid in byzantine_ids:
+        counts[rid] = counts.get(rid, 0) + view.n - len(lags)
+    return frozenset(rid for rid, c in counts.items() if c and c >= quorum)
 
 
 def global_received(view: QuorumView, t: int, quorum: int | None = None) -> frozenset[int]:
     """Requests received by at least ``quorum`` servers by tick t (default f+1)."""
-    view._check_tick(t)
-    quorum = view.f + 1 if quorum is None else quorum
-    counts: dict[int, int] = {}
-    for i in range(view.n):
-        for rid in view.received[i][t]:
-            counts[rid] = counts.get(rid, 0) + 1
-    return frozenset(rid for rid, c in counts.items() if c >= quorum)
+    rows = [(c, rid) for c, received, _, _ in _changes(view.trace) for rid in received]
+    return _quorum_set(view, t, rows, view.trace.deliver_ticks,
+                       view.f + 1 if quorum is None else quorum)
 
 
 def global_ordered(view: QuorumView, t: int, quorum: int | None = None) -> frozenset[int]:
     """Requests ordered by at least ``quorum`` servers by tick t (default n-f)."""
-    view._check_tick(t)
-    quorum = view.n - view.f if quorum is None else quorum
-    counts: dict[int, int] = {}
-    for i in range(view.n):
-        for rid in view.ordered[i][t]:
-            counts[rid] = counts.get(rid, 0) + 1
-    return frozenset(rid for rid, c in counts.items() if c >= quorum)
+    rows = [(max(ev.at_tick, 0), ev.rid) for ev in view.trace.events
+            if ev.kind == ORDER and max(ev.at_tick, 0) <= view.trace.horizon]
+    return _quorum_set(view, t, rows, view.trace.final_order,
+                       view.n - view.f if quorum is None else quorum)
 
 
 def check_prefix_consistency(view: QuorumView) -> Verdict:
-    """Correct servers' orders must all be prefixes of a common global order."""
+    """Correct servers' orders must all be prefixes of a common global order.
+
+    Outputs of the trace at ticks u <= v are prefixes of each other unless
+    a tick in (u, v] reorders, so only view ticks whose servers straddle
+    such a tick are compared in full.
+    """
     correct = sorted(view.correct)
-    for t in range(view.horizon + 1):
-        # Orders that are the very objects of the previous tick were checked there.
-        if t and all(view.ordered[i][t] is view.ordered[i][t - 1] for i in correct):
+    changes = _changes(view.trace)
+    reorders = [c for c, _, _, reordered in changes if reordered]
+    for t in sorted({view.lags[i] + c for i in correct for c, *_ in changes}):
+        at = [min(t - view.lags[i], view.trace.horizon) for i in correct]
+        if bisect_right(reorders, min(at)) == bisect_right(reorders, max(at)):
             continue
-        for x in range(len(correct)):
-            for y in range(x + 1, len(correct)):
-                i, j = correct[x], correct[y]
-                a, b = view.ordered[i][t], view.ordered[j][t]
-                shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-                if longer[: len(shorter)] != shorter:
-                    return Verdict(PREFIX_CONSISTENCY, False, (t, i, j))
+        outputs = dict(zip(correct, (_output_at(view.trace, u) for u in at)))
+        for i, j in combinations(correct, 2):
+            shorter, longer = sorted((outputs[i], outputs[j]), key=len)
+            if longer[: len(shorter)] != shorter:
+                return Verdict(PREFIX_CONSISTENCY, False, (t, i, j))
     return Verdict(PREFIX_CONSISTENCY, True)
 
 
 def serialize_view(view: QuorumView) -> str:
     """Trace-like line format with a leading server index column.
 
-    A received set or order that is the very object of the server's
-    previous tick adds no line, so it is not scanned.
+    Each server lists the ids that first reach its received set and its
+    order at each tick, then its final order.
     """
     lines = [f"# fairorder-view v1 n={view.n} f={view.f} "
              f"correct={','.join(str(i) for i in sorted(view.correct))}"]
+    changes, final = _changes(view.trace), _output_at(view.trace, view.trace.horizon)
+    scrambled = tuple(reversed(view.trace.final_order))
     for i in range(view.n):
-        seen: set[int] = set()
-        emitted: set[int] = set()
-        received, ordered = view.received[i], view.ordered[i]
-        for t in range(view.horizon + 1):
-            if not t or received[t] is not received[t - 1]:
-                for rid in sorted(received[t] - seen):
-                    lines.append(f"{i},{t},deliver,{rid}")
-                    seen.add(rid)
-            if not t or ordered[t] is not ordered[t - 1]:
-                for rid in ordered[t]:
-                    if rid not in emitted:
-                        lines.append(f"{i},{t},order,{rid}")
-                        emitted.add(rid)
-        lines.append(f"order:{i}:" + ",".join(str(r) for r in view.ordered[i][view.horizon]))
+        if i in view.correct:
+            shifted = [(view.lags[i] + c, received, ordered) for c, received, ordered, _ in changes]
+        else:
+            shifted = [(0, sorted(view.trace.deliver_ticks), dict.fromkeys(scrambled))]
+        for t, received, ordered in shifted:
+            lines.extend(f"{i},{t},deliver,{rid}" for rid in received)
+            lines.extend(f"{i},{t},order,{rid}" for rid in ordered)
+        lines.append(f"order:{i}:" + ",".join(map(str, final if i in view.correct else scrambled)))
     return "\n".join(lines) + "\n"

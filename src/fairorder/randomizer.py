@@ -95,12 +95,13 @@ def check_agreement(outcome: RandomizerOutcome, replicas: ReplicaSet) -> bool:
     return all(v == values[0] for v in values)
 
 
-def correct_value_stream(replicas: ReplicaSet, spec: NoiseSpec, seed: int,
-                         instances: int,
-                         strategy: ByzantineStrategy = ByzantineStrategy.CONSTANT):
-    """The common value over consecutive instance ids (for distribution checks)."""
-    out = []
+def correct_value_stream(replicas: ReplicaSet, spec: NoiseSpec, seed: int, instances: int,
+                         strategy: ByzantineStrategy = ByzantineStrategy.CONSTANT,
+                         ) -> tuple[list[float], int]:
+    """Run instances 0..instances-1: the common values and the count without agreement."""
+    values, disagreements = [], 0
     for instance in range(instances):
         outcome = run_randomizer(replicas, spec, instance, seed, strategy)
-        out.append(outcome.per_replica[min(replicas.correct_ids)])
-    return out
+        disagreements += not check_agreement(outcome, replicas)
+        values.append(outcome.per_replica[min(replicas.correct_ids)])
+    return values, disagreements

@@ -2,77 +2,74 @@
 
 All helpers take an honest engine trace of the canonical three-request
 fcfs scenario (deliveries at ticks 1, 2, 4) and return a tampered copy.
-The snapshots, tick maps, and final order are kept mutually consistent
-except for the single seeded violation, so the other checkers stay
-green.
+Each is an edit of the event rows plus the tick maps and final order;
+they are kept mutually consistent except for the single seeded
+violation, so the other checkers stay green.
 """
 
 from dataclasses import replace
 
-from fairorder.engine import Snapshot, Trace
+from fairorder.engine import DELIVER, ORDER, Event, Trace, snapshots_from_events
 
 
-def _with_snapshots(trace: Trace, snapshots) -> Trace:
-    return replace(trace, snapshots=tuple(snapshots))
+def _final_output(events, horizon: int) -> tuple[int, ...]:
+    return snapshots_from_events(events, horizon)[-1].output
+
+
+def _order_row(events, rid: int) -> int:
+    return next(i for i, ev in enumerate(events) if ev.kind == ORDER and ev.rid == rid)
 
 
 def forge_order_before_delivery(trace: Trace, rid: int, early_tick: int) -> Trace:
     """Order ``rid`` at ``early_tick``, before its delivery.
 
+    Its order row moves to ``early_tick``, after the rows of that tick.
     Pick a tick where another delivery occurs so the consistency checker
     never compares across the tampered boundary.
     """
-    snapshots = []
-    for t, snap in enumerate(trace.snapshots):
-        if t >= early_tick and rid not in snap.output:
-            snapshots.append(Snapshot(snap.received, snap.pending - {rid},
-                                      snap.output + (rid,)))
-        else:
-            snapshots.append(snap)
-    order_ticks = dict(trace.order_ticks)
-    order_ticks[rid] = early_tick
-    return replace(_with_snapshots(trace, snapshots), order_ticks=order_ticks,
-                   final_order=snapshots[-1].output)
+    events = list(trace.events)
+    del events[_order_row(events, rid)]
+    at = next((i for i, ev in enumerate(events) if ev.at_tick > early_tick), len(events))
+    events.insert(at, Event(early_tick, ORDER, rid))
+    return replace(trace, events=tuple(events),
+                   order_ticks={**trace.order_ticks, rid: early_tick},
+                   final_order=_final_output(events, trace.horizon))
 
 
 def forge_drop_from_output(trace: Trace, rid: int) -> Trace:
     """Silently never order ``rid``: delivered but absent from the output."""
-    snapshots = [
-        Snapshot(s.received, s.pending | ({rid} & s.received),
-                 tuple(x for x in s.output if x != rid))
-        for s in trace.snapshots
-    ]
+    events = list(trace.events)
+    del events[_order_row(events, rid)]
     order_ticks = {k: v for k, v in trace.order_ticks.items() if k != rid}
-    return replace(_with_snapshots(trace, snapshots),
+    return replace(trace, events=tuple(events),
                    final_order=tuple(x for x in trace.final_order if x != rid),
                    order_ticks=order_ticks)
 
 
 def forge_phantom_receipt(trace: Trace, rid: int) -> Trace:
-    """Erase ``rid`` from the receive snapshots while still ordering it.
+    """Drop the deliver row of ``rid`` while still ordering it.
 
-    The snapshots then claim the order grew during a delivery-quiet
-    stretch with a request the server had not received: a pure
-    consistency violation (the event record, which order determinism
-    reads, is untouched).
+    The rows then claim the order grew during a delivery-quiet stretch
+    with a request the server had not received: a pure consistency
+    violation (the deliver tick map, which order determinism and
+    non-blocking read, is untouched).
     """
-    snapshots = [Snapshot(s.received - {rid}, s.pending - {rid}, s.output)
-                 for s in trace.snapshots]
-    return _with_snapshots(trace, snapshots)
+    events = tuple(ev for ev in trace.events if not (ev.kind == DELIVER and ev.rid == rid))
+    return replace(trace, events=events)
 
 
 def forge_permuted_prefix(trace: Trace, at_tick: int) -> Trace:
     """Swap the first two ordered requests from ``at_tick`` on.
 
+    The second request's order row moves to ``at_tick``, ahead of the
+    first request's row, so from then on the output lists it first.
     Choose a tick where a delivery also lands so the consistency
     checker's quiet-period precondition skips the tampered boundary.
     """
-    snapshots = []
-    for t, snap in enumerate(trace.snapshots):
-        if t >= at_tick and len(snap.output) >= 2:
-            swapped = (snap.output[1], snap.output[0]) + snap.output[2:]
-            snapshots.append(Snapshot(snap.received, snap.pending, swapped))
-        else:
-            snapshots.append(snap)
-    return replace(_with_snapshots(trace, snapshots),
-                   final_order=snapshots[-1].output)
+    events = list(trace.events)
+    first, second = [ev.rid for ev in events if ev.kind == ORDER][:2]
+    del events[_order_row(events, second)]
+    events.insert(_order_row(events, first), Event(at_tick, ORDER, second))
+    return replace(trace, events=tuple(events),
+                   order_ticks={**trace.order_ticks, second: at_tick},
+                   final_order=_final_output(events, trace.horizon))

@@ -1,6 +1,11 @@
-"""Random bounded-delay scenario generator for the validity suites."""
+"""Random bounded-delay scenarios and hand-written trace rows for the validity suites."""
+
+from dataclasses import replace
+
+from hypothesis import strategies as st
 
 from fairorder.adversary import DelayModel
+from fairorder.engine import DELIVER, ISSUE, ORDER, Event, parse_trace, run
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.rng import Stream
@@ -54,3 +59,44 @@ def random_scenario(rng: Stream, policy_kind: str = "fcfs") -> ScenarioConfig:
         policy=policy,
         assume_noise_bound=False,
     )
+
+
+@st.composite
+def hand_written_rows(draw, ticks=st.integers(-2, 15)):
+    """Rows in any order, negative ticks included; each id delivered and ordered at most once."""
+    rows = []
+    for rid in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            rows.append(Event(draw(ticks), ISSUE, rid))
+        if draw(st.booleans()):
+            rows.append(Event(draw(ticks), DELIVER, rid))
+        if draw(st.booleans()):
+            rows.append(Event(draw(ticks), ORDER, rid))
+    return draw(st.permutations(rows))
+
+
+def rows_text(rows, header=None, final_order=()) -> str:
+    """A trace file of ``rows``, with a ``horizon=`` header when ``header`` is not None."""
+    lines = [f"{ev.at_tick},{ev.kind},{ev.rid}" for ev in rows]
+    if header is not None:
+        lines.insert(0, f"# fairorder-trace v1 seed=0 horizon={header}")
+    lines.append("order:" + ",".join(str(rid) for rid in final_order))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def hand_written_traces(draw):
+    """Parsed traces of hand-written rows: no header, or one below or past the last row."""
+    rows = draw(hand_written_rows())
+    header = draw(st.one_of(st.none(), st.integers(0, 25)))
+    final = draw(st.lists(st.integers(0, 8), max_size=8))  # any ids, repeats too
+    return parse_trace(rows_text(rows, header, final))
+
+
+@st.composite
+def engine_traces(draw):
+    """Recorded runs of random scenarios under each policy, stability gating on or off."""
+    kind = draw(st.sampled_from(["fcfs", "ttl", "fair"]))
+    scenario = random_scenario(Stream(draw(st.integers(0, 2**32))), kind)
+    scenario = replace(scenario, stability_gating=draw(st.booleans()))
+    return run(scenario, seed=draw(st.integers(0, 10_000)))

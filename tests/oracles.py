@@ -101,6 +101,87 @@ def consistency_and_monotonic_per_tick(snapshots):
     return consistency, monotonic
 
 
+def strong_non_blocking_per_tick(snapshots):
+    """The strong non-blocking witness, or None: every tick with pending requests
+    before the last must order something at the next tick."""
+    for t, snap in enumerate(snapshots[:-1]):
+        if snap.pending and len(snapshots[t + 1].output) == len(snap.output):
+            return (t, min(snap.pending))
+    return None
+
+
+EMPTY = Snapshot(frozenset(), frozenset(), ())  # a server's history before its lag has passed
+
+
+class PerTickView:
+    """A quorum view as a [server][tick] copy of every server's history.
+
+    Built on ``snapshots_per_tick`` unless ``snapshots`` are given; every
+    query visits every server and tick by value, with no shortcut for
+    quiet ticks.
+    """
+
+    def __init__(self, trace, n, f, lags, byzantine_servers=(), snapshots=None):
+        byz = frozenset(byzantine_servers)
+        self.n, self.f = n, f
+        self.correct = frozenset(range(n)) - byz
+        self.horizon = trace.horizon + max(lags)
+        if snapshots is None:
+            snapshots = snapshots_per_tick(trace.events, trace.horizon)
+        self.received, self.ordered = [], []
+        for i in range(n):
+            if i in byz:
+                self.received.append([frozenset(trace.deliver_ticks)] * (self.horizon + 1))
+                self.ordered.append([tuple(reversed(trace.final_order))] * (self.horizon + 1))
+                continue
+            lagged = [EMPTY] * lags[i] + list(snapshots)
+            lagged += [lagged[-1]] * (self.horizon + 1 - len(lagged))
+            self.received.append([s.received for s in lagged])
+            self.ordered.append([s.output for s in lagged])
+
+    def _quorum_set(self, histories, t, quorum):
+        counts = {}
+        for i in range(self.n):
+            for rid in histories[i][t]:
+                counts[rid] = counts.get(rid, 0) + 1
+        return frozenset(rid for rid, c in counts.items() if c >= quorum)
+
+    def global_received(self, t, quorum=None):
+        return self._quorum_set(self.received, t, self.f + 1 if quorum is None else quorum)
+
+    def global_ordered(self, t, quorum=None):
+        return self._quorum_set(self.ordered, t, self.n - self.f if quorum is None else quorum)
+
+    def prefix_witness(self):
+        """(tick, i, j) for the first two correct servers whose orders conflict, or None."""
+        correct = sorted(self.correct)
+        for t in range(self.horizon + 1):
+            for x, i in enumerate(correct):
+                for j in correct[x + 1:]:
+                    a, b = self.ordered[i][t], self.ordered[j][t]
+                    shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+                    if longer[:len(shorter)] != shorter:
+                        return (t, i, j)
+        return None
+
+    def serialize(self):
+        """The view.txt bytes: per server, each tick's newly received and newly ordered ids."""
+        lines = [f"# fairorder-view v1 n={self.n} f={self.f} "
+                 f"correct={','.join(str(i) for i in sorted(self.correct))}"]
+        for i in range(self.n):
+            seen, emitted = set(), set()
+            for t in range(self.horizon + 1):
+                for rid in sorted(self.received[i][t] - seen):
+                    lines.append(f"{i},{t},deliver,{rid}")
+                    seen.add(rid)
+                for rid in self.ordered[i][t]:
+                    if rid not in emitted:
+                        lines.append(f"{i},{t},order,{rid}")
+                        emitted.add(rid)
+            lines.append(f"order:{i}:" + ",".join(str(r) for r in self.ordered[i][self.horizon]))
+        return "\n".join(lines) + "\n"
+
+
 def emit_orders_by_rescan(state, rt):
     """The burst loop as one rescan of the pending set per order: O(N^2) a burst.
 

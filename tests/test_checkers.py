@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gen import random_scenario
-from oracles import consistency_and_monotonic_per_tick
+from gen import engine_traces, hand_written_traces, random_scenario, rows_text
+from oracles import (consistency_and_monotonic_per_tick, snapshots_per_tick,
+                     strong_non_blocking_per_tick)
 from forge import (forge_drop_from_output, forge_order_before_delivery,
                    forge_permuted_prefix, forge_phantom_receipt)
 from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, NON_BLOCKING,
@@ -11,7 +12,7 @@ from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, NON_BLOCKING,
                                 check_order_determinism, check_policy_compliance,
                                 check_strong_non_blocking, impossibility_harness)
 from fairorder.checkers import check_consistency
-from fairorder.engine import Snapshot, Trace, run
+from fairorder.engine import DELIVER, ORDER, Event, Trace, parse_trace, run
 from fairorder.model import Request
 from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.rng import Stream
@@ -140,41 +141,40 @@ class TestPolicyPredicate:
             check_policy_compliance(honest_trace, PolicyPredicate([(0, 99)]))
 
 
-@st.composite
-def snapshot_runs(draw):
-    """Snapshot sequences that reuse objects across ticks, as derived traces do."""
-    ids = st.integers(0, 4)
-    snap = Snapshot(frozenset(), frozenset(), ())
-    snaps = [snap]
-    for _ in range(draw(st.integers(0, 12))):
-        step = draw(st.sampled_from(["same", "grow", "received", "fresh"]))
-        if step == "same":
-            snaps.append(snap)
-            continue
-        received, output = snap.received, snap.output
-        if step in ("received", "fresh"):
-            received = frozenset(draw(st.lists(ids, max_size=4)))
-        if step in ("grow", "fresh"):
-            tail = tuple(draw(st.lists(ids, max_size=2)))
-            output = (output if draw(st.booleans()) else
-                      tuple(draw(st.lists(ids, max_size=4)))) + tail
-        snap = Snapshot(received, received - set(output), output)
-        snaps.append(snap)
-    return tuple(snaps)
+def assert_sweeps_match_the_per_tick_oracles(trace, snapshots=None):
+    if snapshots is None:
+        snapshots = snapshots_per_tick(trace.events, trace.horizon)
+    consistency, monotonic = consistency_and_monotonic_per_tick(snapshots)
+    assert check_consistency(trace).witness == consistency
+    assert check_monotonic_order(trace).witness == monotonic
+    assert check_strong_non_blocking(trace).witness == strong_non_blocking_per_tick(snapshots)
 
 
 class TestSnapshotWalk:
-    @settings(max_examples=300)
-    @given(snapshot_runs())
-    @example((Snapshot(frozenset(), frozenset(), ()),
-              Snapshot(frozenset({1}), frozenset({1}), (2,)),
-              Snapshot(frozenset({1}), frozenset({1}), (2, 2))))  # re-ordered id, not received
-    def test_witnesses_match_the_per_tick_oracle(self, snaps):
-        trace = Trace(events=(), snapshots=snaps, final_order=snaps[-1].output, seed=0,
-                      issue_ticks={}, deliver_ticks={}, order_ticks={})
-        consistency, monotonic = consistency_and_monotonic_per_tick(snaps)
-        assert check_consistency(trace).witness == consistency
-        assert check_monotonic_order(trace).witness == monotonic
+    """The event sweeps give the witnesses of a tick-by-tick pass over rebuilt snapshots."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_written_traces())
+    @example(parse_trace(rows_text([Event(1, DELIVER, 1), Event(1, ORDER, 2)], header=2)))
+    @example(parse_trace(rows_text([Event(0, DELIVER, 1), Event(2, ORDER, 1),
+                                    Event(1, ORDER, 0)], header=3)))  # row inserted before
+    def test_witnesses_match_the_per_tick_oracle(self, trace):
+        assert_sweeps_match_the_per_tick_oracles(trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(engine_traces())
+    def test_engine_traces_match_the_per_tick_oracle(self, trace):
+        assert_sweeps_match_the_per_tick_oracles(trace)
+
+    def test_re_ordered_id_that_was_not_received(self):
+        # Parsing rejects a second order row for one id, so this trace is built directly;
+        # snapshots_per_tick assumes one order row per id, so the oracle reads its snapshots.
+        rows = (Event(1, DELIVER, 1), Event(1, ORDER, 2), Event(2, ORDER, 2))
+        trace = Trace(events=rows, final_order=(2, 2), seed=0, issue_ticks={},
+                      deliver_ticks={1: 1}, order_ticks={2: 2}, horizon=2)
+        assert [s.output for s in trace.snapshots] == [(), (2,), (2, 2)]
+        assert_sweeps_match_the_per_tick_oracles(trace, trace.snapshots)
+        assert check_consistency(trace).passed
 
 
 class TestPrefixTransitivity:

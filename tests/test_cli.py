@@ -109,6 +109,14 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_negative_header_horizon_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "trace.txt"
+        path.write_text("# fairorder-trace v1 seed=0 horizon=-5\n0,deliver,0\norder:\n")
+        assert main(["check", str(path), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: malformed trace: line 1: negative horizon -5\n"
+        assert captured.out == "" and not (tmp_path / "verdicts.txt").exists()
+
 
 class TestCertifyCommand:
     def test_adjacent_pair_passes(self, tmp_path, capsys):

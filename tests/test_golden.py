@@ -1219,3 +1219,37 @@ def _run_trace_commands(tmp_path, doc, capsys):
 @pytest.mark.parametrize("name", sorted(TRACE_DOCS))
 def test_trace_bytes_are_pinned(tmp_path, capsys, name):
     assert _run_trace_commands(tmp_path, TRACE_DOCS[name], capsys) == GOLDEN_TRACES[name]
+
+
+RANDOMIZER_SEED = 23
+
+RANDOMIZER_DOCS = {
+    "bounded_extreme": {"randomizer": {
+        "n": 7, "f": 2, "byzantine": [1, 5], "strategy": "extreme", "instances": 500,
+        "kind": "bounded_laplace", "epsilon": 0.5, "sensitivity": 2.0, "bound": 6.0}},
+    # sensitivity / epsilon overflows to an infinite Laplace scale: the statistics are nan.
+    "infinite_scale": {"randomizer": {
+        "n": 4, "f": 1, "instances": 40, "epsilon": 1e-300, "sensitivity": 1e300}},
+}
+
+GOLDEN_RANDOMIZER = {
+    "bounded_extreme": (
+        0,
+        "instances=500 disagreements=0 mean=0.058231 variance=7.594137 (target 32.000000)\n",
+    ),
+    "infinite_scale": (
+        0,
+        "instances=40 disagreements=0 mean=nan variance=nan (target inf)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOMIZER_DOCS))
+def test_randomizer_stdout_is_pinned(tmp_path, capsys, name):
+    config = tmp_path / "randomizer.json"
+    config.write_text(json.dumps(RANDOMIZER_DOCS[name]))
+    code = main(["randomizer", "--config", str(config), "--seed", str(RANDOMIZER_SEED),
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == GOLDEN_RANDOMIZER[name]
+    assert captured.err == ""

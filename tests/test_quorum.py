@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gen import random_scenario
-from fairorder.engine import run
+from forge import forge_permuted_prefix
+from gen import engine_traces, hand_written_traces, random_scenario, rows_text
+from oracles import PerTickView
+from fairorder.engine import DELIVER, ORDER, Event, Trace, parse_trace, run
 from fairorder.model import ParameterError, Request
 from fairorder.noise import ConfigurationError
 from fairorder.quorum import (QuorumView, check_prefix_consistency, global_ordered,
@@ -20,50 +23,46 @@ def fcfs_trace(n_requests=3):
     return run(scenario, seed=0)
 
 
-def hand_view(received_by_server, ordered_by_server, n=4, f=1, correct=None):
-    horizon = max(len(x) for x in received_by_server) - 1
-    return QuorumView(
-        n=n, f=f,
-        received=tuple(tuple(frozenset(s) for s in server) for server in received_by_server),
-        ordered=tuple(tuple(tuple(s) for s in server) for server in ordered_by_server),
-        correct=frozenset(correct if correct is not None else range(n)),
-    )
+def hand_view(rows, lags, horizon=None, n=4, f=1, correct=None):
+    """A view of the trace written as ``rows`` (tick, kind, id), replayed with ``lags``."""
+    trace = parse_trace(rows_text([Event(*row) for row in rows], horizon))
+    return QuorumView(n=n, f=f, trace=trace, lags=tuple(lags),
+                      correct=frozenset(correct if correct is not None else range(n)))
 
 
 class TestGlobalSets:
     def view(self):
-        # 4 servers, one tick; request 1 at two servers, request 2 at one
-        received = [[{1, 2}], [{1}], [set()], [set()]]
-        ordered = [[(1,)], [(1,)], [(1,)], [()]]
-        return hand_view(received, ordered)
+        # At tick 1: server 0 has received 1 and 2, servers 1 and 2 only 1, server 3
+        # nothing; servers 0-2 have ordered 1.
+        rows = [(0, DELIVER, 1), (0, ORDER, 1), (1, DELIVER, 2)]
+        return hand_view(rows, lags=(0, 1, 1, 2), horizon=1)
 
     def test_received_quorum_is_f_plus_one(self):
-        assert global_received(self.view(), 0) == {1}
+        assert global_received(self.view(), 1) == {1}
 
     def test_single_holder_excluded(self):
-        assert 2 not in global_received(self.view(), 0)
+        assert 2 not in global_received(self.view(), 1)
 
     def test_empty_views_empty_set(self):
-        view = hand_view([[set()]] * 4, [[()]] * 4)
+        view = hand_view([], lags=(0, 0, 0, 0))
         assert global_received(view, 0) == frozenset()
 
     def test_ordered_quorum_is_n_minus_f(self):
-        assert global_ordered(self.view(), 0) == {1}
+        assert global_ordered(self.view(), 1) == {1}
 
     def test_two_of_four_not_ordered(self):
-        received = [[{1}], [{1}], [{1}], [{1}]]
-        ordered = [[(1,)], [(1,)], [()], [()]]
-        assert global_ordered(hand_view(received, ordered), 0) == frozenset()
+        # At tick 2 every server has received 1, and only servers 0 and 1 have ordered it.
+        view = hand_view([(0, DELIVER, 1), (2, ORDER, 1)], lags=(0, 0, 2, 2))
+        assert global_ordered(view, 2) == frozenset()
 
     def test_all_servers_ordered(self):
-        received = [[{1}]] * 4
-        ordered = [[(1,)]] * 4
-        assert global_ordered(hand_view(received, ordered), 0) == {1}
+        view = hand_view([(0, DELIVER, 1), (0, ORDER, 1)], lags=(0, 0, 0, 0))
+        assert global_ordered(view, 0) == {1}
 
     def test_alternate_quorum_thresholds(self):
         view = self.view()
-        assert global_received(view, 0, quorum=1) == {1, 2}
-        assert global_ordered(view, 0, quorum=4) == frozenset()
+        assert global_received(view, 1, quorum=1) == {1, 2}
+        assert global_ordered(view, 1, quorum=4) == frozenset()
 
     def test_out_of_range_tick(self):
         with pytest.raises(ParameterError):
@@ -102,27 +101,20 @@ class TestReplication:
         assert check_prefix_consistency(infected).passed
 
     def test_forged_swap_between_correct_servers_caught(self):
-        view = replicate_trace(fcfs_trace(), n=4, f=1, lags=(0, 0, 0, 0))
-        final = view.ordered[1][-1]
-        swapped = (final[1], final[0]) + final[2:]
-        forged = QuorumView(
-            n=view.n, f=view.f, received=view.received,
-            ordered=view.ordered[:1] + (tuple(swapped for _ in view.ordered[1]),) + view.ordered[2:],
-            correct=view.correct,
-        )
-        verdict = check_prefix_consistency(forged)
+        # Server 0 sees the swapped prefix one tick before server 1 still shows (0,).
+        forged = forge_permuted_prefix(fcfs_trace(), at_tick=2)
+        verdict = check_prefix_consistency(replicate_trace(forged, n=4, f=1, lags=(0, 1, 0, 0)))
         assert not verdict.passed
         assert verdict.witness is not None
 
     def test_single_correct_server_vacuous(self):
-        received = [[{1}], [{1}], [{1}], [{1}]]
-        ordered = [[(1,)], [()], [()], [()]]
-        view = hand_view(received, ordered, correct={0})
+        forged = forge_permuted_prefix(fcfs_trace(), at_tick=2)
+        view = QuorumView(n=4, f=1, trace=forged, lags=(0, 1, 2, 3), correct=frozenset({0}))
         assert check_prefix_consistency(view).passed
 
     def test_quorum_sanity_validated(self):
         with pytest.raises(ConfigurationError):
-            hand_view([[set()]] * 3, [[()]] * 3, n=3, f=1)
+            hand_view([], lags=(0, 0, 0), n=3, f=1)
 
     def test_serialization_has_server_column(self):
         view = replicate_trace(fcfs_trace(1), n=4, f=1, lags=(0, 1, 0, 0))
@@ -136,40 +128,55 @@ class TestReplication:
             replicate_trace(fcfs_trace(), n=4, f=1, lags=(0, -1, 0, 0))
 
 
-class TestSharedTicks:
-    """Ticks that reuse the previous tick's objects are skipped without changing output."""
+class TestPerTickOracle:
+    """Views agree with a [server][tick] copy of the per-tick snapshots."""
 
     @staticmethod
-    def unshared(view):
-        return QuorumView(
-            n=view.n, f=view.f,
-            received=tuple(tuple(frozenset(set(s)) for s in server) for server in view.received),
-            ordered=tuple(tuple(tuple(list(o)) for o in server) for server in view.ordered),
-            correct=view.correct,
-        )
+    def assert_matches_the_oracle(view, oracle):
+        assert serialize_view(view) == oracle.serialize()
+        assert check_prefix_consistency(view).witness == oracle.prefix_witness()
+        assert view.horizon == oracle.horizon
+        for t in range(view.horizon + 1):
+            assert global_received(view, t) == oracle.global_received(t)
+            assert global_ordered(view, t) == oracle.global_ordered(t)
+            for quorum in (1, view.n):
+                assert global_received(view, t, quorum) == oracle.global_received(t, quorum)
+                assert global_ordered(view, t, quorum) == oracle.global_ordered(t, quorum)
 
-    def test_random_views_serialize_and_check_as_unshared_copies(self):
-        gen = Stream(4242)
-        for kind in ("fcfs", "ttl", "fair") * 5:
-            trace = run(random_scenario(gen, kind), seed=gen.randrange(1000))
-            lags = tuple(gen.randrange(4) for _ in range(4))
-            view = replicate_trace(trace, n=4, f=1, lags=lags,
-                                   byzantine_servers={gen.randrange(4)})
-            copy = self.unshared(view)
-            assert serialize_view(view) == serialize_view(copy)
-            assert check_prefix_consistency(view) == check_prefix_consistency(copy)
+    @settings(max_examples=150, deadline=None)
+    @given(trace=st.one_of(hand_written_traces(), engine_traces()), data=st.data())
+    def test_random_views_match_the_per_tick_oracle(self, trace, data):
+        n = data.draw(st.sampled_from([4, 5, 7]))
+        f = (n - 1) // 3
+        lags = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        byzantine = data.draw(st.sets(st.integers(0, n - 1), max_size=f + 1))
+        assume(trace.horizon >= 0)  # the per-tick copy needs a tick 0 in the trace
+        view = replicate_trace(trace, n, f, lags, byzantine)
+        self.assert_matches_the_oracle(view, PerTickView(trace, n, f, lags, byzantine))
 
-    def test_order_growth_under_a_shared_received_set(self):
-        shared = frozenset({1, 2})
-        view = hand_view([[shared] * 3] * 4, [[(), (1,), (1, 2)]] * 4)
+    def test_order_growth_under_one_received_set(self):
+        rows = [(0, DELIVER, 1), (0, DELIVER, 2), (1, ORDER, 1), (2, ORDER, 2)]
+        view = hand_view(rows, lags=(0, 0, 0, 0))
         text = serialize_view(view)
         assert "0,1,order,1" in text and "3,2,order,2" in text
-        assert text == serialize_view(self.unshared(view))
+        self.assert_matches_the_oracle(view, PerTickView(view.trace, 4, 1, view.lags))
 
-    def test_violation_after_shared_ticks_is_found(self):
-        prefix = (1,)
-        ordered = [[(), prefix, prefix, (1, 2)], [(), prefix, prefix, (2, 1)],
-                   [()] * 4, [()] * 4]
-        received = [[frozenset({1, 2})] * 4] * 4  # one object: only the orders change
-        verdict = check_prefix_consistency(hand_view(received, ordered))
+    def test_repeated_rows_count_once(self):
+        # Parsing rejects a second deliver or order row for one id, so this trace is built
+        # directly; snapshots_per_tick assumes one row per id, so the oracle reads its snapshots.
+        rows = (Event(0, DELIVER, 1), Event(2, DELIVER, 1), Event(1, ORDER, 1), Event(3, ORDER, 1))
+        trace = Trace(events=rows, final_order=(1, 1), seed=0, issue_ticks={},
+                      deliver_ticks={1: 2}, order_ticks={1: 3}, horizon=4)
+        view = replicate_trace(trace, n=4, f=1, lags=(0, 1, 2, 3), byzantine_servers={3})
+        assert serialize_view(view).count(",deliver,1") == 4
+        self.assert_matches_the_oracle(
+            view, PerTickView(trace, 4, 1, view.lags, {3}, snapshots=trace.snapshots))
+
+    def test_violation_after_quiet_ticks_is_found(self):
+        # The trace orders 1 at tick 1, then puts 2 ahead of it at tick 3: server 0
+        # shows (2, 1) at tick 3 while server 1, a tick behind, still shows (1,).
+        rows = [(0, DELIVER, 1), (0, DELIVER, 2), (3, ORDER, 2), (1, ORDER, 1)]
+        view = hand_view(rows, lags=(0, 1, 0, 0))
+        verdict = check_prefix_consistency(view)
         assert not verdict.passed and verdict.witness == (3, 0, 1)
+        self.assert_matches_the_oracle(view, PerTickView(view.trace, 4, 1, view.lags))

@@ -76,7 +76,7 @@ class TestDeterminismAndIsolation:
 class TestRandomness:
     def test_laplace_moments_over_instances(self):
         replicas = ReplicaSet(n=4, f=1, byzantine_ids={1})
-        values = correct_value_stream(replicas, SPEC, seed=2718, instances=100_000)
+        values, _ = correct_value_stream(replicas, SPEC, seed=2718, instances=100_000)
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / len(values)
         assert abs(mean) < 0.02

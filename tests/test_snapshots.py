@@ -1,15 +1,17 @@
 """Snapshots derived from event rows against a per-tick rebuild.
 
-`snapshots_from_events` visits only the ticks that carry a deliver or
-order row and shares one Snapshot object across the quiet ticks after
-them. `oracles.snapshots_per_tick` rebuilds every tick from scratch.
+`snapshots_from_events` follows the engine's `TraceWalk`, which visits
+only the ticks that carry a deliver or order row, and shares one
+Snapshot object across the quiet ticks after them.
+`oracles.snapshots_per_tick` rebuilds every tick from scratch.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import random_scenario
+from gen import hand_written_rows, random_scenario, rows_text
 from oracles import snapshots_per_tick
-from fairorder.engine import (DELIVER, ISSUE, ORDER, Event, parse_trace, run,
+from fairorder.engine import (DELIVER, ORDER, TraceParseError, parse_trace, run,
                               serialize_trace, snapshots_from_events)
 from fairorder.rng import Stream
 
@@ -32,28 +34,10 @@ def test_engine_traces_match_per_tick_rebuild(policy_kind, gen_seed, seed):
     assert parsed.snapshots == trace.snapshots
 
 
-@st.composite
-def hand_written_rows(draw):
-    """Rows in any order, negative ticks included; each id delivered and ordered at most once."""
-    ticks = st.integers(-2, 15)
-    rows = []
-    for rid in range(draw(st.integers(0, 8))):
-        if draw(st.booleans()):
-            rows.append(Event(draw(ticks), ISSUE, rid))
-        if draw(st.booleans()):
-            rows.append(Event(draw(ticks), DELIVER, rid))
-        if draw(st.booleans()):
-            rows.append(Event(draw(ticks), ORDER, rid))
-    return draw(st.permutations(rows))
-
-
 @settings(max_examples=300, deadline=None)
-@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(-3, 25)))
+@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)))
 def test_hand_written_rows_match_per_tick_rebuild(rows, header):
-    lines = [f"{ev.at_tick},{ev.kind},{ev.rid}" for ev in rows]
-    if header is not None:
-        lines.insert(0, f"# fairorder-trace v1 seed=0 horizon={header}")
-    trace = parse_trace("\n".join(lines + ["order:"]) + "\n")
+    trace = parse_trace(rows_text(rows, header))
     horizon = header if header is not None else max((ev.at_tick for ev in rows), default=0)
     expected = snapshots_per_tick(rows, horizon)
     assert trace.snapshots == expected
@@ -65,5 +49,13 @@ def test_header_horizon_past_the_last_event():
     text = "# fairorder-trace v1 seed=0 horizon=9\n0,issue,0\n2,deliver,0\n3,order,0\norder:0\n"
     trace = parse_trace(text)
     assert trace.horizon == 9
-    assert trace.snapshots == snapshots_per_tick(trace.events, 9)
-    assert all(snap is trace.snapshots[3] for snap in trace.snapshots[3:])
+    snapshots = trace.snapshots  # built on each access
+    assert snapshots == snapshots_per_tick(trace.events, 9)
+    assert all(snap is snapshots[3] for snap in snapshots[3:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=hand_written_rows(), header=st.integers(-30, -1))
+def test_negative_header_horizon_is_rejected(rows, header):
+    with pytest.raises(TraceParseError, match="negative horizon"):
+        parse_trace(rows_text(rows, header))

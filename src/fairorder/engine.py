@@ -35,13 +35,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 from .adversary import DelayKind, apply_delay
 from .model import FeaturePartition, Request, score
-from .noise import NoiseSpec, sample
-from .rng import Stream, derive, tag
+from .noise import NoiseSpec, sample_state
+from .noise import sample  # noqa: F401  (bench/tracing.py wraps engine.sample)
+from .rng import Stream, child, derive, tag
 from .scenario import FairPolicy, FcfsPolicy, Policy, ScenarioConfig, TtlPolicy
 
 TAG_DELAY = tag("delay")
@@ -81,6 +82,9 @@ class EngineState:
     pending: dict[int, Request] = field(default_factory=dict)
     output: list[int] = field(default_factory=list)
     deliver_ticks: dict[int, int] = field(default_factory=dict)
+    # (deadline feature, min-heap of the in-flight (deadline, id) keys): built by the
+    # first gated ttl stability check; a delivered request leaves it lazily
+    ttl_keys: tuple[int, list[tuple[float, int]]] | None = None
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,13 @@ class Trace:
         return snapshots_from_events(self.events, self.horizon)
 
 
-def _noise(spec: NoiseSpec | None, seed: int, rid: int) -> float:
-    """A request's noise sample: a pure function of (seed, request id)."""
-    return 0.0 if spec is None else sample(spec, Stream(derive(seed, TAG_NOISE, rid)))
+def _noise(spec: NoiseSpec | None, prefix: int, rid: int) -> float:
+    """A request's noise sample, from its seed's ``prefix = derive(seed, TAG_NOISE)``.
+
+    A pure function of (seed, request id): ``child(prefix, rid)`` is
+    ``derive(seed, TAG_NOISE, rid)``.
+    """
+    return 0.0 if spec is None else sample_state(spec, child(prefix, rid))
 
 
 class PolicyRuntime:
@@ -127,6 +135,7 @@ class PolicyRuntime:
         self.stability_gating = stability_gating
         self.pick_stream = Stream(derive(seed, TAG_PICK))
         self.spec = policy.spec if isinstance(policy, FairPolicy) else None
+        self.noise_prefix = derive(seed, TAG_NOISE)
         self._adjusted: dict[int, float] = {}
         self._ready: list[tuple] = []  # heap of (key, delivery sequence, request)
         self._tied: list[Request] = []  # fair: the front's equal-score group, off the heap
@@ -134,7 +143,7 @@ class PolicyRuntime:
         self._delivered = 0
 
     def noise_for(self, r: Request) -> float:
-        return _noise(self.spec, self.seed, r.id)
+        return _noise(self.spec, self.noise_prefix, r.id)
 
     def adjusted(self, r: Request) -> float:
         """Perceived score plus noise, computed once per request."""
@@ -193,7 +202,8 @@ def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: 
 
     Under fcfs a delivered request is immediately stable (later arrivals
     order later by definition). Under ttl, stability requires every
-    in-flight request to carry a strictly later (deadline, id) key.
+    in-flight request to carry a strictly later (deadline, id) key: the
+    least of them, read off ``state.ttl_keys`` in O(log M) amortized.
     Under fair, noise is unbounded in general, so any in-flight request
     could end up ahead: stability requires an empty in-flight window.
     With gating disabled everything is immediately stable.
@@ -202,8 +212,13 @@ def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: 
         return True
     if isinstance(policy, TtlPolicy):
         i = policy.deadline_feature
-        key = (r.features[i], r.id)
-        return all((f.features[i], f.id) > key for f in state.in_flight.values())
+        if state.ttl_keys is None or state.ttl_keys[0] != i:
+            state.ttl_keys = (i, [(f.features[i], f.id) for f in state.in_flight.values()])
+            heapify(state.ttl_keys[1])
+        keys = state.ttl_keys[1]
+        while keys and keys[0][1] not in state.in_flight:
+            heappop(keys)
+        return not keys or keys[0] > (r.features[i], r.id)
     return not state.in_flight
 
 
@@ -226,6 +241,9 @@ def fair_policy_step(pending, adjusted, rng: Stream,
 
 def _apply_issue(state: EngineState, r: Request) -> None:
     state.in_flight[r.id] = r
+    if state.ttl_keys is not None:
+        i, keys = state.ttl_keys
+        heappush(keys, (r.features[i], r.id))
 
 
 def _apply_deliver(state: EngineState, rid: int) -> None:
@@ -271,11 +289,12 @@ def _schedule(scenario: ScenarioConfig, partition: FeaturePartition,
     issues: dict[int, list[Request]] = {}
     delivers: dict[int, list[Request]] = {}
     totals: dict[int, float] = {}
+    prefix = derive(seed, TAG_DELAY)
     for r in requests:
         if r.id in scenario.deliver_overrides:
             tick = scenario.deliver_overrides[r.id]
         else:
-            rng = Stream(derive(seed, TAG_DELAY, r.id))
+            rng = Stream(child(prefix, r.id))
             tick, r = apply_delay(r, scenario.delay, rng, scenario.eta_feature)
         totals[r.id] = score(r, partition).total
         issues.setdefault(r.issue_tick, []).append(r)
@@ -401,8 +420,9 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
     low_first = prep.policy.direction != "highest_first"
     count = 0
     for seed in seeds:
-        adj_a = total_a + _noise(spec, seed, a)
-        adj_b = total_b + _noise(spec, seed, b)
+        prefix = derive(seed, TAG_NOISE)
+        adj_a = total_a + _noise(spec, prefix, a)
+        adj_b = total_b + _noise(spec, prefix, b)
         if adj_a < adj_b:
             count += low_first
         elif adj_a > adj_b:
@@ -504,11 +524,12 @@ def _random_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[in
     count, missing = 0, None
     for seed in seeds:
         ticks = fixed.copy()
+        prefix = derive(seed, TAG_DELAY)
         for i, r in drawn_pair:
-            ticks[i], r = apply_delay(r, delay, Stream(derive(seed, TAG_DELAY, r.id)), eta)
+            ticks[i], r = apply_delay(r, delay, Stream(child(prefix, r.id)), eta)
             totals[r.id] = score(r, prep.partition).total
         for i, r in drawn_rest:
-            rng = Stream(derive(seed, TAG_DELAY, r.id))
+            rng = Stream(child(prefix, r.id))
             ticks[i] = r.issue_tick + math.ceil(delay.sample(r.client_id, rng))
         ta, tb = ticks[at[a]], ticks[at[b]]
         if gating and ta != math.inf and tb != math.inf:
@@ -640,8 +661,8 @@ def parse_trace(text: str) -> Trace:
     if final_order is None:
         raise TraceParseError("missing final order line")
     if horizon is None:
-        # The last row's tick; rows all at ticks below -1 leave no tick to check, as -1 does.
-        horizon = max(max((ev.at_tick for ev in events), default=0), -1)
+        # The last row's tick; rows at negative ticks count as tick 0, so they end there.
+        horizon = max((ev.at_tick for ev in events if ev.at_tick > 0), default=0)
     # Semantic disagreements with the final-order line are left for the
     # checkers (forged traces must parse so they can be judged).
     return Trace(events=tuple(events), final_order=final_order, seed=seed,

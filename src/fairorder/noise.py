@@ -4,7 +4,10 @@ Three samplers are supported: Laplace (scale = sensitivity/epsilon),
 bounded Laplace (rejection until the draw fits the truncation window),
 and symmetric uniform. Laplace sampling uses the inverse CDF on a
 single uniform draw so that a stream position maps to exactly one
-output value and runs replay bit-identically.
+output value and runs replay bit-identically. ``sample`` draws from a
+Stream; ``sample_state`` takes a derived state and returns what
+``sample`` returns on a fresh Stream of it. Both map a uniform through
+the one per-kind inverse CDF, ``_inverse_cdf``.
 
 The analytic side gives Pr[X < Y] for two equal-scale Laplace
 variables, the same probability expressed at a normalized score gap,
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import ParameterError, is_finite
-from .rng import Stream
+from .rng import Stream, first_random
 
 DEFAULT_EPSILON = 2.0  # common production choice when a scenario leaves it unset
 
@@ -28,6 +31,11 @@ class NoiseKind(str, Enum):
     LAPLACE = "laplace"
     BOUNDED_LAPLACE = "bounded_laplace"
     UNIFORM = "uniform"
+
+
+# An Enum member looked up on its class costs far more than a global; the samplers test these.
+_LAPLACE, _BOUNDED_LAPLACE, _UNIFORM = (NoiseKind.LAPLACE, NoiseKind.BOUNDED_LAPLACE,
+                                        NoiseKind.UNIFORM)
 
 
 class ConfigurationError(ValueError):
@@ -80,24 +88,35 @@ class NoiseSpec:
 
 def sample(spec: NoiseSpec, rng: Stream) -> float:
     """Draw one value from the configured mechanism, advancing ``rng``."""
-    if spec.kind is NoiseKind.LAPLACE:
-        return _laplace_inverse_cdf(spec.scale, rng.random())
-    if spec.kind is NoiseKind.BOUNDED_LAPLACE:
-        while True:
-            y = _laplace_inverse_cdf(spec.scale, rng.random())
-            if abs(y) <= spec.bound:
-                return y
-    if spec.kind is NoiseKind.UNIFORM:
-        return spec.bound * (2.0 * rng.random() - 1.0)
-    raise ConfigurationError(f"unknown noise kind {spec.kind!r}")
+    while True:
+        y = _inverse_cdf(spec, rng.random())
+        if y is not None:
+            return y
 
 
-def _laplace_inverse_cdf(b: float, u: float) -> float:
-    # u in (0,1); sign-split around the median
-    v = u - 0.5
-    if v >= 0.0:
-        return -b * math.log(1.0 - 2.0 * v)
-    return b * math.log(1.0 + 2.0 * v)
+def sample_state(spec: NoiseSpec, state: int) -> float:
+    """``sample(spec, Stream(state))``, computing the first draw without a Stream.
+
+    Only a bounded-Laplace first draw that is rejected builds the Stream:
+    ``sample`` then rejects that draw again and keeps drawing after it.
+    """
+    y = _inverse_cdf(spec, first_random(state))
+    return sample(spec, Stream(state)) if y is None else y
+
+
+def _inverse_cdf(spec: NoiseSpec, u: float) -> float | None:
+    """The mechanism's value at the uniform ``u`` in (0, 1); None if bounded Laplace rejects it."""
+    kind = spec.kind
+    if kind is _UNIFORM:
+        return spec.bound * (2.0 * u - 1.0)
+    # Laplace inverse CDF, sign-split around the median.
+    b, v = spec.scale, u - 0.5
+    y = -b * math.log(1.0 - 2.0 * v) if v >= 0.0 else b * math.log(1.0 + 2.0 * v)
+    if kind is _LAPLACE:
+        return y
+    if kind is _BOUNDED_LAPLACE:
+        return y if abs(y) <= spec.bound else None
+    raise ConfigurationError(f"unknown noise kind {kind!r}")
 
 
 def laplace_order_probability(mu_x: float, mu_y: float, b: float) -> float:

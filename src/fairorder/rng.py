@@ -10,6 +10,14 @@ of (seed, 7) regardless of when it is drawn.
 The generator is SplitMix64: a 64-bit Weyl sequence pushed through an
 avalanching finalizer. It is small, portable, and fast enough to build
 a fresh stream per request per trial.
+
+Derivation is a chain of ``child`` steps, one per part, so
+``derive(seed, tag, rid) == child(derive(seed, tag), rid)``. A caller
+that needs every request of one seed computes the ``(seed, tag)``
+prefix once and takes one ``child`` per request. Each child state is
+the same integer either way, so no draw made from it can change.
+``first_random(state)`` is the first draw of ``Stream(state)``, for a
+caller that usually needs only that one.
 """
 
 from __future__ import annotations
@@ -31,6 +39,11 @@ def tag(name: str) -> int:
     return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
 
 
+def child(parent: int, part: int) -> int:
+    """One derivation step: ``child(derive(seed, *parts), p) == derive(seed, *parts, p)``."""
+    return _finalize((parent + _GAMMA) & _MASK ^ (part & _MASK))
+
+
 def derive(seed: int, *parts: int) -> int:
     """Derive a child seed from a parent seed and integer parts.
 
@@ -38,8 +51,18 @@ def derive(seed: int, *parts: int) -> int:
     """
     z = _finalize((seed & _MASK) ^ _GAMMA)
     for p in parts:
-        z = _finalize((z + _GAMMA) & _MASK ^ (p & _MASK))
+        z = child(z, p)
     return z
+
+
+def _unit(x: int) -> float:
+    """A 64-bit draw as a uniform in the open interval (0, 1)."""
+    return ((x >> 12) + 0.5) * 2.0**-52
+
+
+def first_random(state: int) -> float:
+    """``Stream(state).random()`` without building the Stream."""
+    return _unit(_finalize((state + _GAMMA) & _MASK))
 
 
 class Stream:
@@ -56,7 +79,7 @@ class Stream:
 
     def random(self) -> float:
         """Uniform in the open interval (0, 1)."""
-        return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
+        return _unit(self.next_u64())
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

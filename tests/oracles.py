@@ -203,6 +203,12 @@ def emit_orders_by_rescan(state, rt):
     return emitted
 
 
+def ttl_stable_by_scan(r, state, policy):
+    """Gated ttl stability as defined: every in-flight request has a later (deadline, id)."""
+    i = policy.deadline_feature
+    return all((f.features[i], f.id) > (r.features[i], r.id) for f in state.in_flight.values())
+
+
 def _select_by_rescan(stable, state, rt):
     policy = rt.policy
     if isinstance(policy, FcfsPolicy):

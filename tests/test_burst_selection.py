@@ -5,8 +5,8 @@ selection key and checks stability on its front only. These tests hold
 it to ``oracles.emit_orders_by_rescan``, which rescans the pending set
 for every order: the same events, order ticks and final order, and the
 pick stream left in the same state. They also bound the number of
-stability checks a burst makes, so a return to the rescan shows up
-without a timer.
+stability checks a burst makes, and the in-flight entries those checks
+read, so a return to either rescan shows up without a timer.
 """
 
 from dataclasses import replace
@@ -21,7 +21,7 @@ from fairorder.engine import prepare, run_prepared
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
-from oracles import emit_orders_by_rescan
+from oracles import emit_orders_by_rescan, ttl_stable_by_scan
 
 SPECS = {
     "laplace": NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0),
@@ -30,12 +30,12 @@ SPECS = {
     "none": None,
 }
 
-SAMPLE = engine.sample
+SAMPLE_STATE = engine.sample_state
 
 
-def rounded_sample(spec, rng):
+def rounded_sample(spec, state):
     """Noise rounded to whole units, so that adjusted scores tie in groups."""
-    return float(round(SAMPLE(spec, rng)))
+    return float(round(SAMPLE_STATE(spec, state)))
 
 
 def run_with(emit, prep, seed):
@@ -108,9 +108,31 @@ def scenarios(draw):
 @given(scenario=scenarios(), seed=st.integers(0, 10**9), quantized=st.booleans())
 def test_ready_queue_matches_the_rescan(scenario, seed, quantized):
     prep = prepare(scenario)
-    with mock.patch.object(engine, "sample", rounded_sample if quantized else SAMPLE):
+    with mock.patch.object(engine, "sample_state", rounded_sample if quantized else SAMPLE_STATE):
         assert (outcome(engine._emit_orders, prep, seed)
                 == outcome(emit_orders_by_rescan, prep, seed))
+
+
+IS_STABLE = engine.is_stable
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios(), deadline_feature=st.integers(0, 1), seed=st.integers(0, 10**9))
+def test_ttl_stability_matches_a_scan_of_the_in_flight_requests(scenario, deadline_feature,
+                                                                 seed):
+    # The rescan oracle calls the engine's is_stable too, so hold it to the definition here.
+    scenario = replace(scenario, policy=TtlPolicy(deadline_feature=deadline_feature),
+                       stability_gating=True)
+    checked = []
+
+    def is_stable(r, state, policy, stability_gating=True):
+        got = IS_STABLE(r, state, policy, stability_gating)
+        checked.append(got == ttl_stable_by_scan(r, state, policy))
+        return got
+
+    with mock.patch.object(engine, "is_stable", is_stable):
+        run_prepared(prepare(scenario), seed)
+    assert all(checked)
 
 
 def test_pick_stream_breaks_a_large_tie_group_as_the_rescan_does():
@@ -153,31 +175,84 @@ def test_nan_adjusted_score_raises_on_the_same_seeds(direction, gating, delay):
         run_prepared(prep, raised[0])
 
 
-def burst_scenario(policy, n=2000):
+def burst_scenario(policy, n=2000, stragglers=0):
     """n requests, four issued per tick; request 0 is held in flight until all others land.
 
     Request 0 has the smallest deadline, so under ttl as under fair nothing
     is stable before it arrives, and all n requests are ordered in one burst.
+    The stragglers, issued at tick 0 with later deadlines than all n, stay
+    in flight through that burst and land one tick after it.
     """
     reqs = tuple(Request(id=i, client_id=i % 16, features=(float(i % 20), 0.0),
                          issue_tick=i // 4)
                  for i in range(n))
+    reqs += tuple(Request(id=i, client_id=i % 16, features=(100.0, 0.0), issue_tick=0)
+                  for i in range(n, n + stragglers))
+    overrides = {0: n} | {i: n + 1 for i in range(n, n + stragglers)}
     return ScenarioConfig(feature_count=2, relevant=(0,), lam=50.0, requests=reqs,
                           eta_feature=1, delay=DelayModel(d=1.0), policy=policy,
-                          deliver_overrides={0: n}, assume_noise_bound=False)
+                          deliver_overrides=overrides, assume_noise_bound=False)
 
 
-@pytest.mark.parametrize("policy", [
-    FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=50.0)),
-    TtlPolicy(deadline_feature=0),
-], ids=["fair", "ttl"])
-def test_one_burst_checks_stability_a_linear_number_of_times(policy):
+class CountingDict(dict):
+    """A dict that counts the entries read from it, by lookup or by iteration."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def _read(self, items):
+        for item in items:
+            self.reads += 1
+            yield item
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self.reads += 1
+        return super().pop(key, *default)
+
+    def __iter__(self):
+        return self._read(super().__iter__())
+
+    def keys(self):
+        return self._read(super().keys())
+
+    def values(self):
+        return self._read(super().values())
+
+    def items(self):
+        return self._read(super().items())
+
+
+@pytest.mark.parametrize("policy,stragglers", [
+    (FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=50.0)), 0),
+    (TtlPolicy(deadline_feature=0), 0),
+    (TtlPolicy(deadline_feature=0), 1000),
+], ids=["fair", "ttl", "ttl_stragglers"])
+def test_one_burst_checks_stability_a_linear_number_of_times(policy, stragglers):
     n = 2000
-    prep = prepare(burst_scenario(policy, n))
-    with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks:
+    prep = prepare(burst_scenario(policy, n, stragglers))
+    in_flight = CountingDict()
+    make_state = engine.EngineState
+    with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks, \
+            mock.patch.object(engine, "EngineState", lambda: make_state(in_flight=in_flight)):
         trace = run_prepared(prep, 7, record=False)
-    assert set(trace.order_ticks.values()) == {n}
-    assert len(trace.final_order) == n
+    assert {trace.order_ticks[i] for i in range(n)} == {n}
+    assert len(trace.final_order) == n + stragglers
     # One failed check per delivery tick before the burst, one per order in it;
     # a rescan of the pending set makes about n^2 / 2.
     assert checks.call_count <= 4 * n
+    # Under ttl, a check that compares the front with every in-flight request
+    # reads about n * stragglers entries over the burst.
+    assert in_flight.reads <= 4 * (n + stragglers)

@@ -1,0 +1,75 @@
+"""The per-seed prefix and the Stream-free first draw against the plain derivation.
+
+`pair_count` and the engine derive each request's noise as
+``sample_state(spec, child(derive(seed, TAG_NOISE), rid))`` instead of
+``sample(spec, Stream(derive(seed, TAG_NOISE, rid)))``. These tests hold
+the two forms equal bit for bit, so no count, trace or report can move.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from fairorder import noise
+from fairorder.noise import NoiseSpec, sample, sample_state
+from fairorder.rng import Stream, child, derive, first_random
+
+# Full 64-bit values, negative ones and ones past 64 bits, which derivation masks.
+INTS = st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**70, -1),
+                 st.integers(2**64, 2**80), st.integers(-3, 3))
+
+SPECS = {
+    "laplace": NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0),
+    # Scale 2 against a bound of 1.5: about half of all first draws are rejected.
+    "bounded_laplace": NoiseSpec(kind="bounded_laplace", epsilon=0.5, sensitivity=1.0,
+                                 bound=1.5),
+    "uniform": NoiseSpec(kind="uniform", epsilon=1.0, sensitivity=1.0, bound=1.0),
+}
+
+
+class CountingStream(Stream):
+    """A Stream that counts its 64-bit draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+@given(seed=INTS, parts=st.lists(INTS, max_size=4), part=INTS)
+def test_child_of_a_derived_prefix_is_the_longer_derivation(seed, parts, part):
+    assert child(derive(seed, *parts), part) == derive(seed, *parts, part)
+
+
+@given(state=INTS)
+def test_first_random_is_the_first_draw_of_the_stream(state):
+    assert first_random(state).hex() == Stream(state).random().hex()
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(sorted(SPECS)), state=INTS)
+def test_sample_state_equals_sample_on_a_fresh_stream(kind, state):
+    spec = SPECS[kind]
+    assert sample_state(spec, state).hex() == sample(spec, Stream(state)).hex()
+
+
+def draws_of(spec, state):
+    rng = CountingStream(state)
+    sample(spec, rng)
+    return rng.draws
+
+
+def test_bounded_laplace_rejection_continues_on_the_same_stream():
+    spec = SPECS["bounded_laplace"]
+    rejected = next(s for s in range(10_000) if draws_of(spec, s) >= 3)
+    accepted = next(s for s in range(10_000) if draws_of(spec, s) == 1)
+    with mock.patch.object(noise, "Stream", wraps=Stream) as streams:
+        assert sample_state(spec, rejected).hex() == sample(spec, Stream(rejected)).hex()
+        assert streams.call_count == 1  # built once, after the first draw was rejected
+        assert sample_state(spec, accepted).hex() == sample(spec, Stream(accepted)).hex()
+        assert streams.call_count == 1  # an accepted first draw builds none

@@ -217,6 +217,46 @@ def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_l
                 == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
 
+SAMPLE_STATE = engine.sample_state
+
+
+def rounded_sample_state(spec, state):
+    """Noise rounded to whole units, at the call both the kernel and the engine make."""
+    return float(round(SAMPLE_STATE(spec, state)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=st.one_of(static_scenarios(), random_scenarios()), data=st.data(),
+       seed_lo=st.integers(0, 10**9), n_seeds=st.integers(1, 30))
+def test_kernel_count_equals_engine_loop_on_rounded_noise(scenario, data, seed_lo, n_seeds):
+    prep = prepare(scenario)
+    ids = [r.id for r in scenario.requests]
+    a = data.draw(st.sampled_from(ids))
+    b = data.draw(st.sampled_from([i for i in ids if i != a]))
+    seed_hi = seed_lo + n_seeds
+    with mock.patch.object(engine, "sample_state", rounded_sample_state):
+        assert (pair_count(prep, (a, b), seed_lo, seed_hi)
+                == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
+
+
+@pytest.mark.parametrize("delay", [DelayModel(), DelayModel(kind="uniform", lo=1.0, hi=1.0)],
+                         ids=["static", "random"])
+def test_rounded_noise_sends_tied_seeds_to_the_engine(delay):
+    # Equal totals and noise rounded to whole units tie on about a third of the seeds.
+    # A uniform delay of width 0 draws from its stream, so it takes the random-delay kernel.
+    reqs = tuple(Request(id=i, client_id=i, features=(0.0, 0.0), issue_tick=0) for i in range(2))
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                              eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
+                              delay=delay)
+    prep = prepare(scenario)
+    assert (prep.static_schedule is None) == (delay.kind != "constant")
+    with mock.patch.object(engine, "sample_state", rounded_sample_state):
+        with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+            count, missing = pair_count(prep, (0, 1), 0, 300)
+        assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 300)
+    assert runs.call_count > 50
+
+
 def delay_scenario(**extra):
     """Four requests issued at ticks 0-1 with uniform 0-3 delays, as in a certify run."""
     reqs = tuple(Request(id=i, client_id=i, features=(float(i % 2), 0.0), issue_tick=i // 2)

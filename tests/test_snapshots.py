@@ -38,7 +38,7 @@ def test_engine_traces_match_per_tick_rebuild(policy_kind, gen_seed, seed):
 @given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)))
 def test_hand_written_rows_match_per_tick_rebuild(rows, header):
     trace = parse_trace(rows_text(rows, header))
-    horizon = header if header is not None else max((ev.at_tick for ev in rows), default=0)
+    horizon = header if header is not None else max([0, *(ev.at_tick for ev in rows)])
     expected = snapshots_per_tick(rows, horizon)
     assert trace.snapshots == expected
     assert snapshots_from_events(rows, horizon) == expected
@@ -52,6 +52,23 @@ def test_header_horizon_past_the_last_event():
     snapshots = trace.snapshots  # built on each access
     assert snapshots == snapshots_per_tick(trace.events, 9)
     assert all(snap is snapshots[3] for snap in snapshots[3:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)))
+def test_a_serialized_trace_parses_back_to_itself(rows, header):
+    trace = parse_trace(rows_text(rows, header, final_order=(3, 1)))
+    assert trace.horizon >= 0
+    assert parse_trace(serialize_trace(trace)) == trace
+
+
+def test_rows_at_negative_ticks_only_end_at_tick_0():
+    trace = parse_trace("-2,deliver,0\norder:\n")
+    assert trace.horizon == 0
+    again = parse_trace(serialize_trace(trace))
+    assert again == trace
+    assert again.snapshots == snapshots_per_tick(trace.events, 0)
+    assert again.snapshots[0].received == {0}
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,18 +16,18 @@ invocations produce byte-identical output files. Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import checkers, quorum, randomizer, stats
-from .engine import parse_trace, run, serialize_trace, TraceParseError
+from .engine import parse_trace, run, serialize_trace
 from .model import ParameterError
 from .noise import ConfigurationError, order_probability_at_gap, uniform_delta
 from .rng import derive, tag
 from .scenario import (FairPolicy, ScenarioConfig, lint_scenario, load_scenario,
-                       randomizer_from_dict, sweep_from_dict, two_request_gap_scenario)
+                       randomizer_from_dict, read_input, sweep_from_dict,
+                       two_request_gap_scenario)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -75,6 +75,14 @@ def _report(args, verdicts) -> int:
     return EXIT_PASS if all(v.passed for v in verdicts) else EXIT_FAIL
 
 
+def _verdict_exit(verdicts) -> int:
+    """Exit code of certifier verdicts: fail if any failed, else inconclusive if any was."""
+    verdicts = set(verdicts)
+    if stats.FAIL in verdicts:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if stats.INCONCLUSIVE in verdicts else EXIT_PASS
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.config)
     seed = _resolve_seed(args, scenario)
@@ -86,13 +94,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        trace = parse_trace(Path(args.trace).read_text())
-    except (OSError, TraceParseError) as exc:
-        reason = "malformed trace" if isinstance(exc, TraceParseError) else "cannot read trace"
-        print(f"error: {reason}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _report(args, checkers.check_all(trace))
+    return _report(args, checkers.check_all(read_input(args.trace, "trace", parse_trace)))
 
 
 def _certify_report(scenario: ScenarioConfig, report: stats.FairnessReport):
@@ -141,19 +143,15 @@ def cmd_certify(args) -> int:
               f"verdict '{status}' is not a fairness claim")
     print(f"pair={report.pair} p_hat={report.p_hat:.6f} k={report.k:g} "
           f"bound={report.bound:g} verdict={status}")
-    if status == stats.PASS:
-        return EXIT_PASS
-    if status == stats.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    return _verdict_exit([status])
 
 
 def cmd_sweep(args) -> int:
-    grid = sweep_from_dict(json.loads(Path(args.config).read_text()))
+    grid = sweep_from_dict(read_input(args.config))
     n_trials = _trial_count(args, grid.n_trials)
     base_seed = _resolve_seed(args, default=grid.base_seed)
     lines = ["epsilon,n,analytic_p,p_hat,ratio,bound,verdict"]
-    worst = EXIT_PASS
+    verdicts = []
     sweep_tag = tag("sweep")
     cells = [(e, n) for e in grid.epsilons for n in grid.gaps]
     for cell, (epsilon, n) in enumerate(cells):
@@ -167,17 +165,14 @@ def cmd_sweep(args) -> int:
             f"{epsilon},{n},{analytic},{report.p_hat},{report.ratio_hat},"
             f"{report.bound},{report.verdict}"
         )
-        if report.verdict == stats.FAIL:
-            worst = EXIT_FAIL
-        elif report.verdict == stats.INCONCLUSIVE and worst == EXIT_PASS:
-            worst = EXIT_INCONCLUSIVE
+        verdicts.append(report.verdict)
     _write(args, "report.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
-    return worst
+    return _verdict_exit(verdicts)
 
 
 def cmd_randomizer(args) -> int:
-    block = randomizer_from_dict(json.loads(Path(args.config).read_text()))
+    block = randomizer_from_dict(read_input(args.config))
     replicas, spec = block.replicas, block.spec
     instances = _trial_count(args, block.instances)
     values, disagreements = randomizer.correct_value_stream(
@@ -216,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"base seed (fallback: ${SEED_ENV}, then config)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--trials", type=int, default=None, help="override trial count")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for trials (at most the CPU count)")
 
     common(sub.add_parser("run", help="simulate and validate one trace"))
     common(sub.add_parser("certify", help="Monte Carlo fairness certification"))
@@ -243,11 +239,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, ParameterError, FileNotFoundError) as exc:
+    except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -98,7 +98,8 @@ class Snapshot:
 class Trace:
     """Complete timed record of one run: its event rows up to ``horizon``.
 
-    A run recorded without events (``record=False``) has horizon -1.
+    A run recorded without events (``record=False``) has horizon -1 and
+    cannot be serialized.
     """
 
     events: tuple[Event, ...]
@@ -391,20 +392,22 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     (count, missing), where ``missing`` is the first seed whose final
     order lacks either request, or None.
 
-    Two requests ordered at different ticks are ordered by tick. Under
-    the fair policy, two ordered in one burst are ordered by their
-    adjusted scores, which two noise draws decide (``_burst_count``).
-    Every seed runs through the engine when a perceived total may not
-    be finite (infinite noise could then make some adjusted score NaN,
-    which changes how the engine selects within a burst), and when
-    fcfs or ttl meets random delays.
+    fcfs and ttl draw nothing, so on a static schedule one engine run
+    decides every seed. The fair policy goes to ``_fair_pair_count``:
+    two requests ordered at different ticks are ordered by tick, and two
+    ordered in one burst by their adjusted scores, which two noise draws
+    decide (``_burst_count``). Every seed runs through the engine when a
+    perceived total may not be finite (infinite noise could then make
+    some adjusted score NaN, which changes how the engine selects within
+    a burst), and when fcfs or ttl meets random delays.
     """
-    if prep.static_schedule is not None:
-        return _static_pair_count(prep, pair, seed_lo, seed_hi)
+    if not isinstance(prep.policy, FairPolicy) and prep.static_schedule is not None:
+        count, missing = _engine_count(prep, pair, (seed_lo,))
+        return count * (seed_hi - seed_lo), missing
     seeds = range(seed_lo, seed_hi)
     if not isinstance(prep.policy, FairPolicy) or not _totals_bounded(prep):
         return _engine_count(prep, pair, seeds)
-    return _random_pair_count(prep, pair, seeds)
+    return _fair_pair_count(prep, pair, seeds)
 
 
 def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
@@ -432,30 +435,6 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
     return count
 
 
-def _static_pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
-                       seed_hi: int) -> tuple[int, int | None]:
-    """``pair_count`` on a static schedule.
-
-    The tick at which each request is ordered does not depend on the
-    seed: stability depends only on the in-flight set. One reference
-    run gives those ticks, and if the pair orders at different ticks,
-    or under fcfs/ttl (which draw no randomness), it decides every seed.
-    """
-    a, b = pair
-    ref = run_prepared(prep, seed_lo, record=False)
-    ticks = ref.order_ticks
-    if a not in ticks or b not in ticks:
-        return 0, seed_lo
-    if ticks[a] != ticks[b] or not isinstance(prep.policy, FairPolicy):
-        order = ref.final_order
-        return (seed_hi - seed_lo if order.index(a) < order.index(b) else 0), None
-    totals = prep.static_schedule.totals
-    seeds = range(seed_lo, seed_hi)
-    if not all(math.isfinite(t) for t in totals.values()):
-        return _engine_count(prep, pair, seeds)
-    return _burst_count(prep, pair, seeds, totals[a], totals[b]), None
-
-
 def _totals_bounded(prep: Prepared) -> bool:
     """True when no seed can give a request a non-finite perceived total.
 
@@ -473,8 +452,8 @@ def _totals_bounded(prep: Prepared) -> bool:
     return True
 
 
-def _random_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
-    """``pair_count`` for a fair policy with random delays.
+def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
+    """``pair_count`` for the fair policy, on a static schedule or with random delays.
 
     Per seed, every request's delivery tick comes from the delay stream
     and rounding of ``_schedule``; only the pair's requests are rebuilt
@@ -483,7 +462,9 @@ def _random_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[in
     ordered at the first tick t >= its delivery after which nothing is
     in flight: the fixpoint of t <- the latest delivery among the
     requests issued by t. A request issued by then that is never
-    delivered stays in flight for good, and the pair is missing.
+    delivered stays in flight for good, and the pair is missing. When
+    no request that matters draws a delay, the ticks are the same on
+    every seed and are worked out once for the whole range.
     """
     a, b = pair
     scenario = prep.scenario
@@ -521,6 +502,20 @@ def _random_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[in
                 return latest
             t = latest
 
+    def decide(ticks: list, seeds) -> tuple[int, int | None]:
+        # (count, missing) over non-empty seeds that all give these delivery ticks
+        ta, tb = ticks[at[a]], ticks[at[b]]
+        if gating and ta != math.inf and tb != math.inf:
+            latest_by = list(accumulate(ticks, max))
+            ta, tb = order_tick(ta, latest_by), order_tick(tb, latest_by)
+        if ta == math.inf or tb == math.inf:
+            return 0, seeds[0]
+        if ta != tb:
+            return len(seeds) * (ta < tb), None
+        return _burst_count(prep, pair, seeds, totals[a], totals[b]), None
+
+    if not drawn_pair and not drawn_rest:
+        return decide(fixed, seeds) if seeds else (0, None)
     count, missing = 0, None
     for seed in seeds:
         ticks = fixed.copy()
@@ -531,17 +526,10 @@ def _random_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[in
         for i, r in drawn_rest:
             rng = Stream(child(prefix, r.id))
             ticks[i] = r.issue_tick + math.ceil(delay.sample(r.client_id, rng))
-        ta, tb = ticks[at[a]], ticks[at[b]]
-        if gating and ta != math.inf and tb != math.inf:
-            latest_by = list(accumulate(ticks, max))
-            ta, tb = order_tick(ta, latest_by), order_tick(tb, latest_by)
-        if ta == math.inf or tb == math.inf:
-            if missing is None:
-                missing = seed
-        elif ta != tb:
-            count += ta < tb
-        else:
-            count += _burst_count(prep, pair, (seed,), totals[a], totals[b])
+        seed_count, seed_missing = decide(ticks, (seed,))
+        count += seed_count
+        if missing is None:
+            missing = seed_missing
     return count, missing
 
 
@@ -617,6 +605,8 @@ def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
 
 def serialize_trace(trace: Trace) -> str:
     """Line format: "tick,event_kind,request_id" rows, then the final order."""
+    if trace.horizon < 0:
+        raise ValueError("cannot serialize a trace run with record=False: it has no event rows")
     lines = [f"# fairorder-trace v1 seed={trace.seed} horizon={trace.horizon}"]
     for ev in trace.events:
         lines.append(f"{ev.at_tick},{ev.kind},{ev.rid}")

@@ -420,11 +420,20 @@ def randomizer_from_dict(doc) -> RandomizerBlock:
         )
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def read_input(path: str | Path, what: str = "config", parse=json.loads):
+    """``parse`` of the UTF-8 text in ``path``; ``what`` names the file in errors.
+
+    A file that cannot be read (missing, a directory), is not UTF-8, or
+    that ``parse`` rejects (invalid or too deeply nested JSON, a
+    malformed trace) raises one ConfigurationError.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigurationError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"scenario is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+        raise ConfigurationError(f"cannot read {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, TraceParseError
+        raise ConfigurationError(f"malformed {what}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    return scenario_from_dict(read_input(path, "scenario"))

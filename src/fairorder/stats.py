@@ -34,6 +34,7 @@ threshold.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -108,9 +109,10 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
                                jobs: int = 1) -> FairnessReport:
     """Estimate Pr[pair[0] precedes pair[1]] over seeds base_seed..base_seed+n-1.
 
-    Deterministic for fixed inputs; trials may be split across worker
-    processes since counts merge by addition. Raises LivenessError if
-    either request is missing from any run's final order.
+    Deterministic for fixed inputs; trials may be split across at most
+    ``os.cpu_count()`` worker processes since counts merge by addition.
+    Raises LivenessError if either request is missing from any run's
+    final order.
     """
     if n_trials <= 0:
         raise ParameterError("n_trials must be positive")
@@ -119,6 +121,8 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
     if pair[0] not in by_id or pair[1] not in by_id:
         raise ParameterError(f"pair {pair} not found in scenario requests")
 
+    # The pool starts all its workers at once, so more than the cores only costs processes.
+    jobs = min(jobs, os.cpu_count() or 1)
     chunks = _seed_chunks(base_seed, n_trials, jobs)
     if jobs <= 1 or len(chunks) == 1:
         results = [pair_count(prep, pair, lo, hi) for lo, hi in chunks]

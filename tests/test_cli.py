@@ -274,3 +274,26 @@ class TestQuorumCommand:
     def test_missing_block_exits_two(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)
         assert main(["quorum", "--config", config, "--out", str(tmp_path)]) == 2
+
+
+UNREADABLE = {
+    "directory": None,
+    "not_utf8": b"\xff\xfe{}\n",
+    "nested_json": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", ["run", "certify", "sweep", "randomizer", "quorum", "check"])
+def test_unreadable_input_exits_two_with_one_line(tmp_path, command, kind, capsys):
+    path = tmp_path / "input"
+    if UNREADABLE[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE[kind])
+    out = str(tmp_path / "out")
+    argv = [command, str(path)] if command == "check" else [command, "--config", str(path)]
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -16,7 +16,7 @@ from fairorder import engine
 from fairorder.adversary import ByzantineClientSpec, DelayModel
 from fairorder.engine import TAG_NOISE, pair_count, prepare, run_prepared
 from fairorder.model import Request
-from fairorder.noise import NoiseSpec
+from fairorder.noise import NoiseSpec, sample
 from fairorder.rng import Stream, derive
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
 from fairorder.stats import LivenessError, estimate_order_probability
@@ -79,27 +79,18 @@ def static_scenarios(draw):
     )
 
 
-SAMPLE = engine.sample
-
-
-def rounded_sample(spec, rng):
-    """Noise rounded to whole units, so that many seeds tie and fall back."""
-    return float(round(SAMPLE(spec, rng)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(scenario=static_scenarios(), data=st.data(), seed_lo=st.integers(0, 10**9),
-       n_seeds=st.integers(1, 40), quantized=st.booleans())
-def test_kernel_count_equals_engine_loop(scenario, data, seed_lo, n_seeds, quantized):
+       n_seeds=st.integers(1, 40))
+def test_kernel_count_equals_engine_loop(scenario, data, seed_lo, n_seeds):
     prep = prepare(scenario)
     assert prep.static_schedule is not None
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
     seed_hi = seed_lo + n_seeds
-    with mock.patch.object(engine, "sample", rounded_sample if quantized else SAMPLE):
-        assert (pair_count(prep, (a, b), seed_lo, seed_hi)
-                == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
+    assert (pair_count(prep, (a, b), seed_lo, seed_hi)
+            == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
 
 def test_undelivered_request_still_raises_liveness_error():
@@ -122,8 +113,25 @@ def test_kernel_skips_the_engine_unless_scores_tie():
     prep = prepare(scenario)
     with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
         count, missing = pair_count(prep, (0, 1), 0, 500)
-    assert runs.call_count == 1  # the reference run only
+    assert runs.call_count == 0
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 500)
+
+
+@pytest.mark.parametrize("policy", [FcfsPolicy(), TtlPolicy(deadline_feature=0)],
+                         ids=["fcfs", "ttl"])
+def test_static_fcfs_and_ttl_run_the_engine_once(policy):
+    # They draw nothing, so the run at the block's first seed decides every seed.
+    reqs = tuple(Request(id=i, client_id=i, features=(float(2 - i), 0.0), issue_tick=i % 2)
+                 for i in range(3))
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                              eta_feature=1, policy=policy)
+    prep = prepare(scenario)
+    assert prep.static_schedule is not None
+    for pair in [(0, 1), (1, 0), (0, 2), (2, 1)]:
+        with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+            count, missing = pair_count(prep, pair, 30, 230)
+        assert runs.call_count == 1
+        assert (count, missing) == engine_pair_count(prep, pair, 30, 230)
 
 
 def test_non_finite_scores_run_every_seed_through_the_engine():
@@ -146,7 +154,7 @@ def test_non_finite_scores_run_every_seed_through_the_engine():
         return False
 
     def noise(seed, rid):
-        return SAMPLE(spec, Stream(derive(seed, TAG_NOISE, rid)))
+        return sample(spec, Stream(derive(seed, TAG_NOISE, rid)))
 
     seed = next(s for s in range(1, 200) if engine_fails(s) and not engine_fails(s - 1)
                 and noise(s, 0) != noise(s, 1))
@@ -203,18 +211,16 @@ def random_scenarios(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(scenario=random_scenarios(), data=st.data(), seed_lo=st.integers(0, 10**9),
-       n_seeds=st.integers(1, 30), quantized=st.booleans())
-def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_lo, n_seeds,
-                                                          quantized):
+       n_seeds=st.integers(1, 30))
+def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_lo, n_seeds):
     prep = prepare(scenario)
     assume(prep.static_schedule is None)
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
     seed_hi = seed_lo + n_seeds
-    with mock.patch.object(engine, "sample", rounded_sample if quantized else SAMPLE):
-        assert (pair_count(prep, (a, b), seed_lo, seed_hi)
-                == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
+    assert (pair_count(prep, (a, b), seed_lo, seed_hi)
+            == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
 
 SAMPLE_STATE = engine.sample_state
@@ -243,7 +249,7 @@ def test_kernel_count_equals_engine_loop_on_rounded_noise(scenario, data, seed_l
                          ids=["static", "random"])
 def test_rounded_noise_sends_tied_seeds_to_the_engine(delay):
     # Equal totals and noise rounded to whole units tie on about a third of the seeds.
-    # A uniform delay of width 0 draws from its stream, so it takes the random-delay kernel.
+    # A uniform delay of width 0 draws from its stream, so the kernel draws it per seed.
     reqs = tuple(Request(id=i, client_id=i, features=(0.0, 0.0), issue_tick=0) for i in range(2))
     scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
                               eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),

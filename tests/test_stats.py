@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
+from fairorder import stats
 from fairorder.model import ParameterError, Request
 from fairorder.noise import order_probability_at_gap
 from fairorder.scenario import (FairPolicy, ScenarioConfig, two_request_gap_scenario)
@@ -53,6 +55,30 @@ class TestEstimator:
         serial = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=1)
         parallel = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=2)
         assert serial == parallel
+
+    def test_jobs_are_capped_at_the_cpu_count(self):
+        # The pool forks all max_workers up front, so --jobs 100000 would fork that many.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
+        serial = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=1)
+        with mock.patch.object(stats, "ProcessPoolExecutor", SerialPool), \
+                mock.patch.object(stats.os, "cpu_count", return_value=3):
+            capped = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=100_000)
+        assert pools == [3] and capped == serial
 
     def test_agrees_with_closed_form(self):
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)

@@ -63,8 +63,11 @@ def _trial_count(args, default: int) -> int:
 
 def _write(args, name: str, text: str) -> None:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out / name}: {exc}") from exc
 
 
 def _report(args, verdicts) -> int:
@@ -238,6 +241,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = Path(args.out)
+        if out.exists() and not out.is_dir():
+            raise ConfigurationError(f"--out {args.out} is not a directory")
         return _COMMANDS[args.command](args)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -285,19 +285,68 @@ class Schedule:
     totals: dict[int, float]
 
 
-def _schedule(scenario: ScenarioConfig, partition: FeaturePartition,
-              requests: tuple[Request, ...], seed: int) -> Schedule:
+@dataclass(frozen=True)
+class Prepared:
+    """A scenario compiled for repeated seeded runs.
+
+    ``fixed`` maps each request whose delivery draws nothing, an explicit
+    override or a constant delay, to its delivery tick (None: never) and
+    to the request with that delay folded into its eta feature. Those
+    are the same on every seed; only the other requests draw a delay per
+    run. ``totals_bounded`` is False when some perceived score total may
+    not be finite on some seed.
+    """
+
+    scenario: ScenarioConfig
+    policy: Policy
+    partition: FeaturePartition
+    requests: tuple[Request, ...]
+    drain: int
+    fixed: dict[int, tuple[int | None, Request]]
+    totals_bounded: bool
+
+    @property
+    def static(self) -> bool:
+        """True when no delivery draws: every seed gives the same schedule."""
+        return len(self.fixed) == len(self.requests)
+
+
+def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
+    """Apply adversaries and decide, once, which deliveries draw nothing.
+
+    A request's total is bounded by its |features| plus its delay
+    model's ``max_delay()`` (an override adds no delay); the factor two
+    leaves room for rounding.
+    """
+    policy = policy if policy is not None else scenario.policy
+    delay, eta = scenario.delay, scenario.eta_feature
+    reqs = scenario.build_requests()
+    max_delay = {cid: m.max_delay() for cid, m in delay.per_client.items()}
+    root_max_delay = delay.max_delay()
+    fixed: dict[int, tuple[int | None, Request]] = {}
+    bounded = True
+    for r in reqs:
+        bound = sum(map(abs, r.features))
+        if r.id in scenario.deliver_overrides:
+            fixed[r.id] = (scenario.deliver_overrides[r.id], r)
+        else:
+            bound += max_delay.get(r.client_id, root_max_delay)
+            if delay.for_client(r.client_id).kind is DelayKind.CONSTANT:
+                # A constant delay draws nothing from its stream, so any stream gives this.
+                fixed[r.id] = apply_delay(r, delay, Stream(0), eta)
+        bounded = bounded and math.isfinite(2.0 * bound)
+    return Prepared(scenario, policy, scenario.partition, reqs, scenario.drain(), fixed, bounded)
+
+
+def _schedule(prep: Prepared, seed: int) -> Schedule:
+    delay, eta = prep.scenario.delay, prep.scenario.eta_feature
     issues: dict[int, list[Request]] = {}
     delivers: dict[int, list[Request]] = {}
     totals: dict[int, float] = {}
     prefix = derive(seed, TAG_DELAY)
-    for r in requests:
-        if r.id in scenario.deliver_overrides:
-            tick = scenario.deliver_overrides[r.id]
-        else:
-            rng = Stream(child(prefix, r.id))
-            tick, r = apply_delay(r, scenario.delay, rng, scenario.eta_feature)
-        totals[r.id] = score(r, partition).total
+    for r in prep.requests:
+        tick, r = prep.fixed.get(r.id) or apply_delay(r, delay, Stream(child(prefix, r.id)), eta)
+        totals[r.id] = score(r, prep.partition).total
         issues.setdefault(r.issue_tick, []).append(r)
         if tick is not None:
             delivers.setdefault(tick, []).append(r)
@@ -306,41 +355,8 @@ def _schedule(scenario: ScenarioConfig, partition: FeaturePartition,
     return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), totals)
 
 
-@dataclass(frozen=True)
-class Prepared:
-    """A scenario compiled for repeated seeded runs.
-
-    When delays are deterministic (constant models or explicit
-    overrides) the whole schedule and the perceived score totals are
-    fixed across seeds and precomputed here; only noise samples and
-    tie-breaks then consume randomness per trial.
-    """
-
-    scenario: ScenarioConfig
-    policy: Policy
-    partition: FeaturePartition
-    requests: tuple[Request, ...]
-    drain: int
-    static_schedule: Schedule | None
-
-
-def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
-    """Apply adversaries and precompute whatever does not depend on the seed."""
-    policy = policy if policy is not None else scenario.policy
-    partition = scenario.partition
-    reqs = scenario.build_requests()
-    static = None
-    if all(scenario.delay.for_client(r.client_id).kind is DelayKind.CONSTANT
-           for r in reqs if r.id not in scenario.deliver_overrides):
-        # Constant delays draw nothing from their stream, so any seed gives this schedule.
-        static = _schedule(scenario, partition, reqs, 0)
-    return Prepared(scenario, policy, partition, reqs, scenario.drain(), static)
-
-
 def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
-    sched = prep.static_schedule
-    if sched is None:
-        sched = _schedule(prep.scenario, prep.partition, prep.requests, seed)
+    sched = _schedule(prep, seed)
     rt = PolicyRuntime(prep.policy, seed, sched.totals, prep.scenario.stability_gating)
     state = EngineState()
     events: list[Event] = []
@@ -401,11 +417,11 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     some adjusted score NaN, which changes how the engine selects within
     a burst), and when fcfs or ttl meets random delays.
     """
-    if not isinstance(prep.policy, FairPolicy) and prep.static_schedule is not None:
+    if not isinstance(prep.policy, FairPolicy) and prep.static:
         count, missing = _engine_count(prep, pair, (seed_lo,))
         return count * (seed_hi - seed_lo), missing
     seeds = range(seed_lo, seed_hi)
-    if not isinstance(prep.policy, FairPolicy) or not _totals_bounded(prep):
+    if not isinstance(prep.policy, FairPolicy) or not prep.totals_bounded:
         return _engine_count(prep, pair, seeds)
     return _fair_pair_count(prep, pair, seeds)
 
@@ -435,30 +451,14 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
     return count
 
 
-def _totals_bounded(prep: Prepared) -> bool:
-    """True when no seed can give a request a non-finite perceived total.
-
-    A delay adds at most its model's ``max_delay()`` to the eta feature,
-    so a request's |features| plus that bound its total; the factor two
-    leaves room for rounding.
-    """
-    scenario = prep.scenario
-    for r in prep.requests:
-        bound = sum(abs(f) for f in r.features)
-        if r.id not in scenario.deliver_overrides:
-            bound += scenario.delay.for_client(r.client_id).max_delay()
-        if not math.isfinite(2.0 * bound):
-            return False
-    return True
-
-
 def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
     """``pair_count`` for the fair policy, on a static schedule or with random delays.
 
-    Per seed, every request's delivery tick comes from the delay stream
-    and rounding of ``_schedule``; only the pair's requests are rebuilt
-    with the delay in their eta feature and scored. With gating off a
-    request is ordered at its delivery tick. With gating on it is
+    A fixed delivery's tick and request come from ``prep.fixed``. Per
+    seed, every other request's delivery tick comes from the delay
+    stream and rounding of ``_schedule``; only the pair's requests are
+    rebuilt with the delay in their eta feature and scored. With gating
+    off a request is ordered at its delivery tick. With gating on it is
     ordered at the first tick t >= its delivery after which nothing is
     in flight: the fixpoint of t <- the latest delivery among the
     requests issued by t. A request issued by then that is never
@@ -476,15 +476,11 @@ def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int,
     drawn_pair: list[tuple[int, Request]] = []
     drawn_rest: list[tuple[int, Request]] = []
     for i, r in enumerate(by_issue):
-        if r.id in scenario.deliver_overrides:
-            tick = scenario.deliver_overrides[r.id]
-        elif delay.for_client(r.client_id).kind is DelayKind.CONSTANT:
-            # Constant delays draw nothing, so any stream gives this tick and request.
-            tick, r = apply_delay(r, delay, Stream(0), eta)
-        else:
+        if r.id not in prep.fixed:
             (drawn_pair if r.id in pair else drawn_rest).append((i, r))
             fixed.append(None)
             continue
+        tick, r = prep.fixed[r.id]
         fixed.append(math.inf if tick is None else tick)
         if r.id in pair:
             totals[r.id] = score(r, prep.partition).total

@@ -86,15 +86,17 @@ def _output_at(trace: Trace, u: int) -> tuple[int, ...]:
 
 
 def _quorum_set(view: QuorumView, t: int, rows, byzantine_ids, quorum: int) -> frozenset[int]:
-    """Ids held by ``quorum`` servers at tick t: a correct server holds each (tick, id)
-    row once its lag has passed the tick, a Byzantine one each of ``byzantine_ids``."""
+    """Ids held by ``quorum`` servers at tick t, each server counted once per id: a
+    correct server holds an id once its lag has passed the id's first (tick, id) row,
+    a Byzantine one each of ``byzantine_ids``."""
     if not 0 <= t <= view.horizon:
         raise ParameterError(f"tick {t} outside view range 0..{view.horizon}")
     lags = sorted(view.lags[i] for i in view.correct)
-    counts: dict[int, int] = {}
+    first: dict[int, int] = {}
     for tick, rid in rows:
-        counts[rid] = counts.get(rid, 0) + bisect_right(lags, t - tick)
-    for rid in byzantine_ids:
+        first[rid] = min(tick, first.get(rid, tick))
+    counts = {rid: bisect_right(lags, t - tick) for rid, tick in first.items()}
+    for rid in set(byzantine_ids):
         counts[rid] = counts.get(rid, 0) + view.n - len(lags)
     return frozenset(rid for rid, c in counts.items() if c and c >= quorum)
 

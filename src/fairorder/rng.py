@@ -81,9 +81,6 @@ class Stream:
         """Uniform in the open interval (0, 1)."""
         return _unit(self.next_u64())
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free."""
         if n <= 0:
@@ -93,6 +90,3 @@ class Stream:
             r = self.next_u64()
             if r < limit:
                 return r % n
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

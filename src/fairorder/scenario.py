@@ -158,11 +158,22 @@ class ScenarioConfig:
                 raise ConfigurationError("need one lag per server")
             if any(lag < 0 for lag in ms.lags):
                 raise ConfigurationError("lags must be non-negative")
+            byzantine = set(ms.byzantine_servers)
+            if any(not 0 <= i < ms.n for i in byzantine):
+                raise ConfigurationError(f"byzantine server ids must lie in 0..{ms.n - 1}")
+            if len(byzantine) > ms.f:
+                raise ConfigurationError(
+                    f"{len(byzantine)} byzantine servers exceed the fault budget f={ms.f}")
         if self.trials is not None:
             if self.trials.n_trials <= 0:
                 raise ConfigurationError("n_trials must be positive")
             if self.trials.force_k is not None and not is_finite(self.trials.force_k):
                 raise ConfigurationError("force_k must be a finite number")
+            pair = self.trials.pair
+            if pair is not None and (len(pair) != 2 or pair[0] == pair[1]):
+                raise ConfigurationError(f"trials pair must be two distinct ids, got {list(pair)}")
+        if self.drain_ticks is not None and self.drain_ticks < 0:
+            raise ConfigurationError(f"drain_ticks must be non-negative, got {self.drain_ticks}")
         unknown = {o for o in self.deliver_overrides} - set(ids)
         if unknown:
             raise ConfigurationError(f"deliver_overrides reference unknown ids {sorted(unknown)}")
@@ -305,12 +316,13 @@ def _noise_from_json(obj) -> NoiseSpec:
 
 @contextmanager
 def _malformed(what: str):
-    """Report a missing key or a value of the wrong type as one ConfigurationError."""
+    """Report a missing key or a value of the wrong type (an array where an object
+    belongs, too) as one ConfigurationError."""
     try:
         yield
     except ConfigurationError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ConfigurationError(f"malformed {what}: {exc}") from exc
 
 
@@ -372,7 +384,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             ),
             noise=noise,
             policy=_policy_from_json(policy_doc),
-            drain_ticks=doc.get("drain_ticks"),
+            drain_ticks=None if doc.get("drain_ticks") is None else int(doc["drain_ticks"]),
             stability_gating=bool(doc.get("stability_gating", True)),
             assume_noise_bound=bool(doc.get("assume_noise_bound", True)),
             deliver_overrides=overrides,

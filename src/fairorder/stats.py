@@ -15,8 +15,7 @@ Certifiers then compare the estimate against a fairness bound:
 Both are evaluated in probability space: the bound holds for the true p
 iff max(p, 1-p) <= thr where thr = (B + delta) / (1 + B). The verdict
 is three-valued. With q = max(p_hat, 1 - p_hat), R the Hoeffding
-confidence radius of the estimate, and W a widened margin (3R by
-default):
+confidence radius of the estimate, and W = 3R a widened margin:
 
   pass          q <= thr + R
   inconclusive  thr + R < q <= thr + W, or the sample is degenerate
@@ -167,20 +166,20 @@ def _pre_mechanism_requests(prep: Prepared):
     """Requests as the server perceives them before the DP mechanism.
 
     Includes adversary bribes/misreports, and constant delivery delays
-    when the schedule is static; trial-varying random delays cannot be
+    when every delivery is fixed; trial-varying random delays cannot be
     attributed to a single pre-mechanism score and are left out.
     """
-    if prep.static_schedule is not None:
-        return {r.id: r for group in prep.static_schedule.issues.values() for r in group}
+    if prep.static:
+        return {rid: r for rid, (_, r) in prep.fixed.items()}
     return {r.id: r for r in prep.requests}
 
 
-def _verdict(q: float, thr: float, radius: float, widen: float) -> str:
+def _verdict(q: float, thr: float, radius: float) -> str:
     if radius >= 0.5:
         return INCONCLUSIVE
     if q <= thr + radius:
         return PASS
-    if q <= thr + widen * radius:
+    if q <= thr + DEFAULT_WIDEN * radius:
         return INCONCLUSIVE
     return FAIL
 
@@ -190,19 +189,18 @@ def _exp_bound(x: float) -> float:
 
 
 def _certified(report: FairnessReport, epsilon: float, bound: float,
-               delta: float | None, widen: float) -> FairnessReport:
+               delta: float | None) -> FairnessReport:
     if math.isinf(bound):
         thr = 1.0  # vacuous bound: every probability satisfies it
     else:
         thr = (bound + (delta or 0.0)) / (1.0 + bound)
     q = max(report.p_hat, 1.0 - report.p_hat)
-    verdict = _verdict(q, thr, report.confidence_radius, widen)
+    verdict = _verdict(q, thr, report.confidence_radius)
     return replace(report, epsilon=epsilon, bound=bound, additive_delta=delta,
                    verdict=verdict)
 
 
-def certify_ordering_equality(report: FairnessReport, epsilon: float,
-                              widen: float = DEFAULT_WIDEN) -> FairnessReport:
+def certify_ordering_equality(report: FairnessReport, epsilon: float) -> FairnessReport:
     """Certify the adjacent-pair bound Pr[a<b] <= e^eps * Pr[b<a].
 
     Only valid for adjacent pairs (identical relevant values); callers
@@ -215,12 +213,11 @@ def certify_ordering_equality(report: FairnessReport, epsilon: float,
             f"pair {report.pair} is not adjacent (relevant gap k={report.k_relev:g}); "
             "use certify_k_ordering_equality"
         )
-    return _certified(report, epsilon, _exp_bound(epsilon), None, widen)
+    return _certified(report, epsilon, _exp_bound(epsilon), None)
 
 
 def certify_k_ordering_equality(report: FairnessReport, epsilon: float,
-                                k: float | None = None,
-                                widen: float = DEFAULT_WIDEN) -> FairnessReport:
+                                k: float | None = None) -> FairnessReport:
     """Certify the graceful-degradation bound with B = e^(k*eps).
 
     ``k`` defaults to the report's normalized pre-mechanism score gap.
@@ -230,14 +227,13 @@ def certify_k_ordering_equality(report: FairnessReport, epsilon: float,
     k = report.k if k is None else k
     if k < 0:
         raise ParameterError("k must be non-negative")
-    return _certified(report, epsilon, _exp_bound(k * epsilon), None, widen)
+    return _certified(report, epsilon, _exp_bound(k * epsilon), None)
 
 
-def certify_additive(report: FairnessReport, epsilon: float, delta: float,
-                     widen: float = DEFAULT_WIDEN) -> FairnessReport:
+def certify_additive(report: FairnessReport, epsilon: float, delta: float) -> FairnessReport:
     """Certify Pr[a<b] <= e^eps * Pr[b<a] + delta (both directions)."""
     if epsilon < 0:
         raise ParameterError("epsilon must be non-negative")
     if not 0.0 <= delta <= 1.0:
         raise ParameterError("delta must lie in [0, 1]")
-    return _certified(report, epsilon, _exp_bound(epsilon), delta, widen)
+    return _certified(report, epsilon, _exp_bound(epsilon), delta)

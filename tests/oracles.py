@@ -101,6 +101,23 @@ def consistency_and_monotonic_per_tick(snapshots):
     return consistency, monotonic
 
 
+def precedence_closure_by_fixpoint(pairs):
+    """The transitive closure of (before, after) pairs by repeated pairwise joins.
+
+    O(pairs^2) per pass. A pair (a, a) in the result means a lies on a cycle.
+    """
+    closure = {(int(a), int(b)) for a, b in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closure):
+            for c, d in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    return closure
+
+
 def strong_non_blocking_per_tick(snapshots):
     """The strong non-blocking witness, or None: every tick with pending requests
     before the last must order something at the next tick."""
@@ -142,7 +159,7 @@ class PerTickView:
     def _quorum_set(self, histories, t, quorum):
         counts = {}
         for i in range(self.n):
-            for rid in histories[i][t]:
+            for rid in set(histories[i][t]):
                 counts[rid] = counts.get(rid, 0) + 1
         return frozenset(rid for rid, c in counts.items() if c >= quorum)
 

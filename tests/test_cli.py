@@ -297,3 +297,80 @@ def test_unreadable_input_exits_two_with_one_line(tmp_path, command, kind, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+MALFORMED_BLOCKS = {
+    "delay_array": {"delay": [1, 2]},
+    "per_client_array": {"delay": {"kind": "constant", "d": 0, "per_client": [0]}},
+    "overrides_array": {"deliver_overrides": [[1, 3]]},
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_BLOCKS))
+@pytest.mark.parametrize("command", ["run", "certify", "quorum"])
+def test_array_where_an_object_belongs_exits_two(tmp_path, command, edit, capsys):
+    doc = dict(certify_config(n_trials=10), **MALFORMED_BLOCKS[edit])
+    doc["multi_server"] = {"n": 4, "f": 1, "lags": [0, 1, 2, 0]}
+    config = write_config(tmp_path, doc)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys)
+
+
+INVALID_FIELDS = {
+    "drain_text": ("run", {"drain_ticks": "abc"}),
+    "drain_negative": ("run", {"drain_ticks": -5}),
+    "pair_of_one": ("certify", {"trials": {"n_trials": 10, "pair": [0]}}),
+    "pair_of_three": ("certify", {"trials": {"n_trials": 10, "pair": [0, 1, 2]}}),
+    "pair_repeats_an_id": ("certify", {"trials": {"n_trials": 10, "pair": [0, 0]}}),
+    "byzantine_id_past_n": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
+                                                        "byzantine_servers": [9]}}),
+    "byzantine_past_f": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
+                                                     "byzantine_servers": [0, 1, 2]}}),
+    "byzantine_one_past_f": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
+                                                         "byzantine_servers": [0, 1]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_FIELDS))
+def test_invalid_scenario_field_exits_two(tmp_path, case, capsys):
+    command, edit = INVALID_FIELDS[case]
+    config = write_config(tmp_path, dict(certify_config(n_trials=10), **edit))
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_fractional_drain_ticks_give_an_integer_horizon(tmp_path):
+    config = write_config(tmp_path, dict(BASE_CONFIG, drain_ticks=2.5))
+    assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "trace.txt").read_text().splitlines()[0]
+    assert header.endswith(" horizon=3")  # last event at tick 1, plus int(2.5)
+    assert main(["check", str(tmp_path / "trace.txt"), "--out", str(tmp_path / "c")]) == 0
+
+
+def test_out_naming_a_file_exits_two_before_any_trial(tmp_path, monkeypatch, capsys):
+    from fairorder import stats
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(stats, "estimate_order_probability", no_trials)
+    config = write_config(tmp_path, {"sweep": {"epsilons": [1.0], "gaps": [0.0]}})
+    (tmp_path / "outfile").write_text("keep\n")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "outfile")]) == 2
+    assert capsys.readouterr().err == f"error: --out {tmp_path / 'outfile'} is not a directory\n"
+    assert (tmp_path / "outfile").read_text() == "keep\n"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # The --out path does not exist, so it passes the early check, but a file blocks it.
+    config = write_config(tmp_path, BASE_CONFIG)
+    (tmp_path / "outfile").write_text("")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "outfile" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1

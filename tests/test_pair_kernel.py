@@ -84,7 +84,7 @@ def static_scenarios(draw):
        n_seeds=st.integers(1, 40))
 def test_kernel_count_equals_engine_loop(scenario, data, seed_lo, n_seeds):
     prep = prepare(scenario)
-    assert prep.static_schedule is not None
+    assert prep.static
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
@@ -126,7 +126,7 @@ def test_static_fcfs_and_ttl_run_the_engine_once(policy):
     scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
                               eta_feature=1, policy=policy)
     prep = prepare(scenario)
-    assert prep.static_schedule is not None
+    assert prep.static
     for pair in [(0, 1), (1, 0), (0, 2), (2, 1)]:
         with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
             count, missing = pair_count(prep, pair, 30, 230)
@@ -162,6 +162,19 @@ def test_non_finite_scores_run_every_seed_through_the_engine():
         prep, (0, 1), seed - 1, seed)
     with pytest.raises(ValueError):
         pair_count(prep, (0, 1), seed - 1, seed + 1)
+
+
+def test_totals_are_unbounded_when_a_delay_can_overflow_them():
+    # 5e307 doubled is finite; with a delay of up to 5e307 added it is not. An
+    # override replaces the delay, so it adds nothing to the bound.
+    reqs = tuple(Request(id=i, client_id=i, features=(0.0, 5e307), issue_tick=0)
+                 for i in range(2))
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                              eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
+                              delay=DelayModel(kind="uniform", lo=0.0, hi=5e307))
+    assert not prepare(scenario).totals_bounded
+    assert prepare(replace(scenario, deliver_overrides={0: 1, 1: 1})).totals_bounded
+    assert prepare(replace(scenario, delay=DelayModel())).totals_bounded
 
 
 def random_delays():
@@ -214,7 +227,7 @@ def random_scenarios(draw):
        n_seeds=st.integers(1, 30))
 def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_lo, n_seeds):
     prep = prepare(scenario)
-    assume(prep.static_schedule is None)
+    assume(not prep.static)
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
@@ -255,7 +268,7 @@ def test_rounded_noise_sends_tied_seeds_to_the_engine(delay):
                               eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
                               delay=delay)
     prep = prepare(scenario)
-    assert (prep.static_schedule is None) == (delay.kind != "constant")
+    assert prep.static == (delay.kind == "constant")
     with mock.patch.object(engine, "sample_state", rounded_sample_state):
         with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
             count, missing = pair_count(prep, (0, 1), 0, 300)
@@ -313,7 +326,7 @@ def test_non_finite_totals_run_every_random_seed_through_the_engine():
                               eta_feature=2, policy=FairPolicy(spec=spec),
                               delay=DelayModel(kind="uniform", lo=0.0, hi=1.0))
     prep = prepare(scenario)
-    assert prep.static_schedule is None
+    assert not prep.static
 
     def engine_fails(seed):
         try:

@@ -169,6 +169,11 @@ class TestPerTickOracle:
                       deliver_ticks={1: 2}, order_ticks={1: 3}, horizon=4)
         view = replicate_trace(trace, n=4, f=1, lags=(0, 1, 2, 3), byzantine_servers={3})
         assert serialize_view(view).count(",deliver,1") == 4
+        # At tick 1 only server 0 (lag 0, order row at tick 1) and the Byzantine server 3
+        # hold request 1; one server holding it twice still counts once.
+        assert global_ordered(view, 1) == frozenset()
+        assert global_ordered(view, 1, quorum=2) == frozenset({1})
+        assert global_ordered(view, 2) == frozenset({1})
         self.assert_matches_the_oracle(
             view, PerTickView(trace, 4, 1, view.lags, {3}, snapshots=trace.snapshots))
 

@@ -7,7 +7,7 @@ from fairorder import stats
 from fairorder.model import ParameterError, Request
 from fairorder.noise import order_probability_at_gap
 from fairorder.scenario import (FairPolicy, ScenarioConfig, two_request_gap_scenario)
-from fairorder.adversary import ByzantineClientSpec
+from fairorder.adversary import ByzantineClientSpec, DelayModel
 from fairorder.noise import NoiseSpec
 from fairorder.stats import (CSV_HEADER, FAIL, INCONCLUSIVE, PASS, FairnessReport,
                              LivenessError, MisuseError, certify_additive,
@@ -103,6 +103,20 @@ class TestEstimator:
         # score gap = 2*lam + 1.5 = 7.5; k = 7.5/3; relev-only diagnostic = 2
         assert report.k == pytest.approx(2.5)
         assert report.k_relev == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("second", [DelayModel(d=3.0), DelayModel(kind="uniform", hi=3.0)],
+                             ids=["constant", "random"])
+    def test_k_includes_constant_delays_only(self, second):
+        # Client 1's constant delay of 3 is in its pre-mechanism eta feature; a random
+        # one has no single value and is left out.
+        scenario = ScenarioConfig(
+            feature_count=2, relevant=(0,), lam=1.0,
+            requests=(Request(0, 0, (0.0, 0.0), 0), Request(1, 1, (0.0, 0.0), 0)),
+            eta_feature=1, delay=DelayModel(per_client={1: second}),
+            policy=FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)),
+        )
+        report = estimate_order_probability(scenario, None, (0, 1), 10, 0)
+        assert report.k == (3.0 if second.kind == "constant" else 0.0)
 
     def test_single_trial_is_degenerate(self):
         scenario = two_request_gap_scenario(gap=0.0, epsilon=1.0)

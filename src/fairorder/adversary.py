@@ -90,6 +90,8 @@ class ByzantineClientSpec:
     def __post_init__(self):
         if not is_finite(self.bribe) or self.bribe < 0:
             raise ParameterError("bribe must be a finite non-negative number")
+        if not is_finite(self.time_misreport):  # it lands in a float feature
+            raise ParameterError("time_misreport must be an integer within the float range")
 
 
 def _with_eta_bump(r: Request, eta_feature: int, amount: float) -> Request:

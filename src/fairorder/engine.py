@@ -27,7 +27,8 @@ Burst selection: each run keeps one ready queue of the pending requests,
 keyed by the policy's selection key (``PolicyRuntime.push``). Stability
 is monotone in that key, so a burst checks ``is_stable`` on the front
 only: O(N log N) for a burst of N. The README's "How a burst is
-selected" gives the keys and the tie and NaN rules.
+selected" gives the keys and the tie rule. Scenario loading keeps every
+perceived total finite, so no adjusted score is NaN.
 """
 
 from __future__ import annotations
@@ -74,11 +75,10 @@ class Event:
 
 @dataclass
 class EngineState:
-    """Server-side state: in-flight requests, received set, pending set, output."""
+    """Server-side state: in-flight requests, pending set, output, delivery ticks."""
 
     tick: int = 0
     in_flight: dict[int, Request] = field(default_factory=dict)  # issued, not delivered
-    server_received: dict[int, Request] = field(default_factory=dict)
     pending: dict[int, Request] = field(default_factory=dict)
     output: list[int] = field(default_factory=list)
     deliver_ticks: dict[int, int] = field(default_factory=dict)
@@ -131,7 +131,6 @@ class PolicyRuntime:
     def __init__(self, policy: Policy, seed: int, totals: dict[int, float],
                  stability_gating: bool = True):
         self.policy = policy
-        self.seed = seed
         self.totals = totals
         self.stability_gating = stability_gating
         self.pick_stream = Stream(derive(seed, TAG_PICK))
@@ -140,7 +139,6 @@ class PolicyRuntime:
         self._adjusted: dict[int, float] = {}
         self._ready: list[tuple] = []  # heap of (key, delivery sequence, request)
         self._tied: list[Request] = []  # fair: the front's equal-score group, off the heap
-        self._nan: list[Request] = []  # fair: pending requests with a NaN adjusted score
         self._delivered = 0
 
     def noise_for(self, r: Request) -> float:
@@ -162,9 +160,6 @@ class PolicyRuntime:
             key = (r.features[policy.deadline_feature], r.id)
         else:
             key = self.adjusted(r)
-            if key != key:  # NaN compares with nothing, so it cannot sit in the heap
-                self._nan.append(r)
-                return
             if policy.direction == "highest_first":
                 key = -key
         heappush(self._ready, (key, self._delivered, r))
@@ -172,9 +167,7 @@ class PolicyRuntime:
 
     def front(self) -> Request:
         """The pending request the policy selects next, if it is stable."""
-        if self._tied:
-            return self._tied[0]
-        return self._ready[0][2] if self._ready else self._nan[0]
+        return self._tied[0] if self._tied else self._ready[0][2]
 
     def pop(self) -> Request:
         """Remove and return the next request; under fair, ties draw from the pick stream.
@@ -185,8 +178,6 @@ class PolicyRuntime:
         """
         if not isinstance(self.policy, FairPolicy):
             return heappop(self._ready)[2]
-        if self._nan:
-            raise ValueError(f"request {self._nan[0].id} has a NaN adjusted score")
         tied = self._tied
         if not tied:
             key = self._ready[0][0]
@@ -248,12 +239,11 @@ def _apply_issue(state: EngineState, r: Request) -> None:
 
 
 def _apply_deliver(state: EngineState, rid: int) -> None:
-    if rid in state.server_received:
+    if rid in state.deliver_ticks:
         raise ProtocolError(f"request {rid} delivered twice")
     r = state.in_flight.pop(rid, None)
     if r is None:
         raise ProtocolError(f"deliver of unknown request {rid}")
-    state.server_received[rid] = r
     state.pending[rid] = r
     state.deliver_ticks[rid] = state.tick
 
@@ -293,8 +283,8 @@ class Prepared:
     override or a constant delay, to its delivery tick (None: never) and
     to the request with that delay folded into its eta feature. Those
     are the same on every seed; only the other requests draw a delay per
-    run. ``totals_bounded`` is False when some perceived score total may
-    not be finite on some seed.
+    run. Every perceived total is finite: loading rejects a scenario
+    whose totals could overflow.
     """
 
     scenario: ScenarioConfig
@@ -303,7 +293,6 @@ class Prepared:
     requests: tuple[Request, ...]
     drain: int
     fixed: dict[int, tuple[int | None, Request]]
-    totals_bounded: bool
 
     @property
     def static(self) -> bool:
@@ -312,30 +301,18 @@ class Prepared:
 
 
 def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
-    """Apply adversaries and decide, once, which deliveries draw nothing.
-
-    A request's total is bounded by its |features| plus its delay
-    model's ``max_delay()`` (an override adds no delay); the factor two
-    leaves room for rounding.
-    """
+    """Apply adversaries and decide, once, which deliveries draw nothing."""
     policy = policy if policy is not None else scenario.policy
     delay, eta = scenario.delay, scenario.eta_feature
     reqs = scenario.build_requests()
-    max_delay = {cid: m.max_delay() for cid, m in delay.per_client.items()}
-    root_max_delay = delay.max_delay()
     fixed: dict[int, tuple[int | None, Request]] = {}
-    bounded = True
     for r in reqs:
-        bound = sum(map(abs, r.features))
         if r.id in scenario.deliver_overrides:
             fixed[r.id] = (scenario.deliver_overrides[r.id], r)
-        else:
-            bound += max_delay.get(r.client_id, root_max_delay)
-            if delay.for_client(r.client_id).kind is DelayKind.CONSTANT:
-                # A constant delay draws nothing from its stream, so any stream gives this.
-                fixed[r.id] = apply_delay(r, delay, Stream(0), eta)
-        bounded = bounded and math.isfinite(2.0 * bound)
-    return Prepared(scenario, policy, scenario.partition, reqs, scenario.drain(), fixed, bounded)
+        elif delay.for_client(r.client_id).kind is DelayKind.CONSTANT:
+            # A constant delay draws nothing from its stream, so any stream gives this.
+            fixed[r.id] = apply_delay(r, delay, Stream(0), eta)
+    return Prepared(scenario, policy, scenario.partition, reqs, scenario.drain(), fixed)
 
 
 def _schedule(prep: Prepared, seed: int) -> Schedule:
@@ -408,22 +385,21 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     (count, missing), where ``missing`` is the first seed whose final
     order lacks either request, or None.
 
-    fcfs and ttl draw nothing, so on a static schedule one engine run
-    decides every seed. The fair policy goes to ``_fair_pair_count``:
-    two requests ordered at different ticks are ordered by tick, and two
-    ordered in one burst by their adjusted scores, which two noise draws
-    decide (``_burst_count``). Every seed runs through the engine when a
-    perceived total may not be finite (infinite noise could then make
-    some adjusted score NaN, which changes how the engine selects within
-    a burst), and when fcfs or ttl meets random delays.
+    The fair policy goes to ``_fair_pair_count``: two requests ordered
+    at different ticks are ordered by tick, and two ordered in one burst
+    by their adjusted scores, which two noise draws decide
+    (``_burst_count``). fcfs and ttl draw nothing, so on a static
+    schedule one engine run decides every seed; with random delays
+    every seed runs through the engine. Every total is finite, so an
+    adjusted score is finite or +-inf, never NaN, and the fair kernel
+    serves every fair scenario.
     """
-    if not isinstance(prep.policy, FairPolicy) and prep.static:
-        count, missing = _engine_count(prep, pair, (seed_lo,))
-        return count * (seed_hi - seed_lo), missing
-    seeds = range(seed_lo, seed_hi)
-    if not isinstance(prep.policy, FairPolicy) or not prep.totals_bounded:
-        return _engine_count(prep, pair, seeds)
-    return _fair_pair_count(prep, pair, seeds)
+    if isinstance(prep.policy, FairPolicy):
+        return _fair_pair_count(prep, pair, range(seed_lo, seed_hi))
+    if not prep.static:
+        return _engine_count(prep, pair, range(seed_lo, seed_hi))
+    count, missing = _engine_count(prep, pair, (seed_lo,))
+    return count * (seed_hi - seed_lo), missing
 
 
 def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,

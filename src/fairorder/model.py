@@ -25,10 +25,10 @@ class ParameterError(ValueError):
 
 
 def is_finite(value) -> bool:
-    """True iff ``value`` is a real number other than NaN or an infinity."""
+    """True iff ``value`` is a real number whose float is neither NaN nor an infinity."""
     try:
         return math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
 
 

@@ -25,27 +25,36 @@ from .checkers import Verdict
 from .engine import ORDER, Trace, TraceWalk
 from .model import ParameterError
 from .noise import ConfigurationError
+from .randomizer import ReplicaSet
 
 PREFIX_CONSISTENCY = "prefix_consistency"
 
 
 @dataclass(frozen=True)
 class QuorumView:
-    """n servers replaying one trace, server i ``lags[i]`` ticks late; the rest are Byzantine."""
+    """The servers of ``replicas`` replaying one trace, correct server i ``lags[i]`` ticks late."""
 
-    n: int
-    f: int
+    replicas: ReplicaSet
     trace: Trace
     lags: tuple[int, ...]
-    correct: frozenset[int]
 
     def __post_init__(self):
         if len(self.lags) != self.n:
             raise ConfigurationError("need one lag per server")
         if any(lag < 0 for lag in self.lags):
             raise ConfigurationError("lags must be non-negative")
-        if self.n < 3 * self.f + 1:
-            raise ConfigurationError(f"n={self.n} violates n >= 3f+1 for f={self.f}")
+
+    @property
+    def n(self) -> int:
+        return self.replicas.n
+
+    @property
+    def f(self) -> int:
+        return self.replicas.f
+
+    @property
+    def correct(self) -> frozenset[int]:
+        return self.replicas.correct_ids
 
     @property
     def horizon(self) -> int:
@@ -58,10 +67,10 @@ def replicate_trace(trace: Trace, n: int, f: int, lags,
 
     Server i observes the base trace shifted lags[i] ticks into the
     future. Byzantine servers report a scrambled history (everything
-    received immediately, order reversed) regardless of their lag.
+    received immediately, order reversed) regardless of their lag. An
+    illegal replica set (see ``ReplicaSet``) raises ConfigurationError.
     """
-    return QuorumView(n=n, f=f, trace=trace, lags=tuple(int(x) for x in lags),
-                      correct=frozenset(range(n)) - frozenset(byzantine_servers))
+    return QuorumView(ReplicaSet(n, f, byzantine_servers), trace, tuple(int(x) for x in lags))
 
 
 def _changes(trace: Trace) -> list[tuple[int, list[int], list[int], bool]]:

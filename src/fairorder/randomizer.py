@@ -35,20 +35,25 @@ class ByzantineStrategy(str, Enum):
 
 @dataclass(frozen=True)
 class ReplicaSet:
+    """n replicas tolerating f faults; the one legality rule for the randomizer, the quorum
+    view and the loader: f >= 0, n >= 3f + 1, at most f ``byzantine_ids``, all in 0..n-1."""
+
     n: int
     f: int
     byzantine_ids: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "byzantine_ids", frozenset(self.byzantine_ids))
-        if self.n <= 0 or self.f < 0:
-            raise ConfigurationError("need n > 0 and f >= 0")
+        if self.f < 0:
+            raise ConfigurationError(f"the fault budget f must be non-negative, got {self.f}")
         if self.n < 3 * self.f + 1:
             raise ConfigurationError(f"n={self.n} violates n >= 3f+1 for f={self.f}")
+        outside = sorted(i for i in self.byzantine_ids if not 0 <= i < self.n)
+        if outside:
+            raise ConfigurationError(f"byzantine ids {outside} lie outside 0..{self.n - 1}")
         if len(self.byzantine_ids) > self.f:
-            raise ConfigurationError("more Byzantine replicas than the fault budget f")
-        if any(i < 0 or i >= self.n for i in self.byzantine_ids):
-            raise ConfigurationError("byzantine replica index out of range")
+            raise ConfigurationError(
+                f"{len(self.byzantine_ids)} byzantine ids exceed the fault budget f={self.f}")
 
     @property
     def correct_ids(self) -> frozenset[int]:

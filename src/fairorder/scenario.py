@@ -152,18 +152,11 @@ class ScenarioConfig:
             raise ConfigurationError("ttl deadline feature out of range")
         if self.multi_server is not None:
             ms = self.multi_server
-            if ms.n < 3 * ms.f + 1:
-                raise ConfigurationError("multi-server block requires n >= 3f + 1")
+            ReplicaSet(ms.n, ms.f, ms.byzantine_servers)  # validates n, f and the Byzantine ids
             if len(ms.lags) != ms.n:
                 raise ConfigurationError("need one lag per server")
             if any(lag < 0 for lag in ms.lags):
                 raise ConfigurationError("lags must be non-negative")
-            byzantine = set(ms.byzantine_servers)
-            if any(not 0 <= i < ms.n for i in byzantine):
-                raise ConfigurationError(f"byzantine server ids must lie in 0..{ms.n - 1}")
-            if len(byzantine) > ms.f:
-                raise ConfigurationError(
-                    f"{len(byzantine)} byzantine servers exceed the fault budget f={ms.f}")
         if self.trials is not None:
             if self.trials.n_trials <= 0:
                 raise ConfigurationError("n_trials must be positive")
@@ -184,6 +177,20 @@ class ScenarioConfig:
                     f"request {rid} cannot be delivered at tick {tick} before its issue "
                     f"tick {issue_by_id[rid]}"
                 )
+        # A perceived total is at most the |features| after bribes and misreports plus
+        # the largest delay (an override adds none); twice that must be finite. Then no
+        # adjusted score is NaN: noise is finite or +-inf, and finite plus +-inf is +-inf.
+        max_delay = {cid: m.max_delay() for cid, m in self.delay.per_client.items()}
+        root_max_delay = self.delay.max_delay()
+        for r in self.build_requests():
+            bound = sum(map(abs, r.features))
+            if r.id not in self.deliver_overrides:
+                bound += max_delay.get(r.client_id, root_max_delay)
+            if not math.isfinite(2.0 * bound):
+                raise ConfigurationError(
+                    f"request {r.id}'s perceived score can overflow: its |features| after "
+                    f"bribes and misreports plus its largest delay is {bound:g}, over half "
+                    "the float range")
 
     @property
     def partition(self) -> FeaturePartition:

@@ -5,7 +5,7 @@ request of a pair precedes the other in the engine's final order. It
 counts with the engine's exact pair kernel (``pair_count``): per seed,
 the pair's order ticks decide, or else two noise draws do, and the
 engine runs only for seeds the kernel cannot decide that way (tied
-scores, possibly non-finite totals, random delays under fcfs or ttl).
+scores, random delays under fcfs or ttl).
 Certifiers then compare the estimate against a fairness bound:
 
   multiplicative   Pr[r before r'] <= B * Pr[r' before r],

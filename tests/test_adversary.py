@@ -1,7 +1,8 @@
+import pytest
 
 from fairorder.adversary import (ByzantineClientSpec, DelayModel, apply_bribe,
                                  apply_delay, misreport_time)
-from fairorder.model import FeaturePartition, Request, check_noise_bound, score
+from fairorder.model import FeaturePartition, ParameterError, Request, check_noise_bound, score
 from fairorder.rng import Stream
 from fairorder.scenario import ScenarioConfig, lint_scenario
 
@@ -103,6 +104,12 @@ class TestMisreports:
                            ByzantineClientSpec(0, time_misreport=-4), 1)
         b = req(1, relev=1.0, client=1, tick=10)
         assert check_noise_bound([a, b], PART, lam)
+
+    def test_misreport_past_the_float_range_rejected(self):
+        for shift in (10**400, -10**400):
+            with pytest.raises(ParameterError, match="time_misreport"):
+                ByzantineClientSpec(0, time_misreport=shift)
+        assert ByzantineClientSpec(0, time_misreport=10**308).time_misreport == 10**308
 
 
 class TestGroundTruthImmutability:

@@ -19,7 +19,7 @@ from fairorder import engine
 from fairorder.adversary import ByzantineClientSpec, DelayModel
 from fairorder.engine import prepare, run_prepared
 from fairorder.model import Request
-from fairorder.noise import NoiseSpec
+from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
 from oracles import emit_orders_by_rescan, ttl_stable_by_scan
 
@@ -52,11 +52,8 @@ def run_with(emit, prep, seed):
 
 
 def outcome(emit, prep, seed):
-    """What a run shows of its burst loop, or ValueError if it raised one."""
-    try:
-        trace, pick = run_with(emit, prep, seed)
-    except ValueError:
-        return ValueError
+    """What a run shows of its burst loop."""
+    trace, pick = run_with(emit, prep, seed)
     return trace.events, trace.final_order, trace.order_ticks, pick
 
 
@@ -154,25 +151,26 @@ def test_pick_stream_breaks_a_large_tie_group_as_the_rescan_does():
 @pytest.mark.parametrize("gating", [True, False])
 @pytest.mark.parametrize("delay", [DelayModel(), DelayModel(kind="uniform", lo=0.0, hi=2.0)])
 def test_nan_adjusted_score_raises_on_the_same_seeds(direction, gating, delay):
-    # Request 2's total overflows to inf and so does the noise scale: a seed whose
-    # noise for it is -inf gives it a NaN adjusted score.
+    # The noise scale overflows to inf, so every noise draw is +-inf. Were request 2's
+    # total inf as well, a seed whose noise for it is -inf would give it a NaN adjusted
+    # score: loading rejects that scenario. With its total large but finite, its adjusted
+    # score is +-inf, and the ready queue orders the infinities as the rescan does.
     spec = NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10)
-    reqs = tuple(Request(id=i, client_id=i, features=feats, issue_tick=i % 2)
-                 for i, feats in enumerate([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                            (1e308, 1e308, 0.0), (3.0, 0.0, 0.0)]))
-    scenario = ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
+
+    def scenario(big):
+        reqs = tuple(Request(id=i, client_id=i, features=feats, issue_tick=i % 2)
+                     for i, feats in enumerate([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                                (big, big, 0.0), (3.0, 0.0, 0.0)]))
+        return ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
                               eta_feature=2, policy=FairPolicy(spec=spec, direction=direction),
                               delay=delay, stability_gating=gating)
-    prep = prepare(scenario)
-    raised = []
+
+    with pytest.raises(ConfigurationError, match="request 2's perceived score can overflow"):
+        scenario(1e308)
+    prep = prepare(scenario(1e307))
     for seed in range(60):
-        got = outcome(engine._emit_orders, prep, seed)
-        assert got == outcome(emit_orders_by_rescan, prep, seed)
-        if got is ValueError:
-            raised.append(seed)
-    assert 0 < len(raised) < 60
-    with pytest.raises(ValueError, match="request 2 has a NaN adjusted score"):
-        run_prepared(prep, raised[0])
+        assert outcome(engine._emit_orders, prep, seed) == outcome(emit_orders_by_rescan, prep,
+                                                                   seed)
 
 
 def burst_scenario(policy, n=2000, stragglers=0):

@@ -161,6 +161,19 @@ class TestCertifyCommand:
         # finite parameters whose scale overflows: rejection sampling would never end
         {"noise": {"kind": "bounded_laplace", "epsilon": 1e-300, "sensitivity": 1e10,
                    "bound": 1.0}},
+        # finite features whose total overflows, under noise at an infinite scale
+        {"feature_count": 3, "relevant": [0, 1], "eta_feature": 2,
+         "clients": [{"id": c, "requests": [{"id": c, "issue_tick": 0, "features": feats}]}
+                     for c, feats in enumerate([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                                [1e308, 1e308, 0.0]])],
+         "noise": {"kind": "laplace", "epsilon": 1e-300, "sensitivity": 1e10}},
+        # an integer misreport past the float range
+        {"adversaries": [{"client_id": 0, "time_misreport": 10**400}]},
+        # a bribe that overflows the eta feature it lands in
+        {"clients": [{"id": c, "requests": [{"id": c, "issue_tick": 0,
+                                             "features": [0.0, 1.7e308]}]}
+                     for c in (0, 1)],
+         "adversaries": [{"client_id": 0, "bribe": 1.7e308}]},
     ])
     def test_non_finite_parameters_exit_two(self, tmp_path, edit, capsys):
         doc = dict(certify_config(), **edit)
@@ -333,6 +346,7 @@ INVALID_FIELDS = {
                                                      "byzantine_servers": [0, 1, 2]}}),
     "byzantine_one_past_f": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
                                                          "byzantine_servers": [0, 1]}}),
+    "negative_f": ("quorum", {"multi_server": {"n": 4, "f": -1, "lags": [0, 0, 0, 0]}}),
 }
 
 

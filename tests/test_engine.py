@@ -34,13 +34,13 @@ class TestStep:
     def test_issue_adds_to_client_queue(self):
         _apply_issue(self.state, self.r)
         assert self.r.id in self.state.in_flight
-        assert self.r.id not in self.state.server_received
+        assert self.r.id not in self.state.deliver_ticks
 
     def test_deliver_moves_to_server(self):
         _apply_issue(self.state, self.r)
         self.state.tick = 1
         _apply_deliver(self.state, 0)
-        assert self.r.id in self.state.server_received
+        assert self.r.id in self.state.deliver_ticks
         assert self.r.id in self.state.pending
         assert self.state.deliver_ticks == {0: 1}
         assert not self.state.in_flight

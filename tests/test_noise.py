@@ -1,14 +1,46 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import order_probability_oracle
 from fairorder.noise import (ConfigurationError, NoiseKind, NoiseSpec, dp_ratio_bound,
                              laplace_order_probability, order_probability_at_gap,
-                             sample, uniform_delta)
+                             sample, sample_state, uniform_delta)
 from fairorder.model import ParameterError
-from fairorder.rng import Stream, derive, tag
+from fairorder.rng import Stream, derive, first_random, tag
+
+MASK = 2**64 - 1
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def state_with_first_uniform(k: int, low: int) -> int:
+    """A state whose first draw is the k-th of the 2**52 uniforms (k + 0.5) * 2**-52 a
+    Stream can return; ``low`` picks one of the 4096 states that give it."""
+    z = _unxorshift((k << 12) | low, 31)
+    z = _unxorshift(z * pow(0x94D049BB133111EB, -1, 2**64) & MASK, 27)
+    z = _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK
+
+
+NAN_FREE_SPECS = {
+    "laplace": NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0),
+    # sensitivity / epsilon overflows to inf: every draw is +-inf
+    "laplace_infinite_scale": NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10),
+    # sensitivity / epsilon underflows to 0: every draw is +-0
+    "laplace_zero_scale": NoiseSpec(kind="laplace", epsilon=1e10, sensitivity=1e-320),
+    "bounded_laplace": NoiseSpec(kind="bounded_laplace", epsilon=0.5, sensitivity=1.0,
+                                 bound=1.5),
+    "uniform": NoiseSpec(kind="uniform", epsilon=1.0, sensitivity=1.0, bound=1.0),
+    "uniform_widest": NoiseSpec(kind="uniform", epsilon=1.0, sensitivity=1.0, bound=1.7e308),
+}
 
 
 class TestLaplaceOrderProbability:
@@ -138,6 +170,23 @@ class TestSamplers:
         rng = Stream(5)
         many_b = [sample(spec, rng) for _ in range(100)]
         assert many_a == many_b
+
+    # The uniforms next to 0.5 (where log(1 - 2v) is nearest 0) and at both ends.
+    @example(kind="laplace_infinite_scale", k=2**51 - 1, low=0)
+    @example(kind="laplace_infinite_scale", k=2**51, low=4095)
+    @example(kind="laplace_infinite_scale", k=0, low=0)
+    @example(kind="laplace_infinite_scale", k=2**52 - 1, low=0)
+    @given(kind=st.sampled_from(sorted(NAN_FREE_SPECS)), k=st.integers(0, 2**52 - 1),
+           low=st.integers(0, 4095))
+    def test_sample_state_is_never_nan(self, kind, k, low):
+        # The engine relies on this: with every perceived total finite, an adjusted score
+        # total + noise is then never NaN. The (k, low) pairs cover every 64-bit state.
+        state = state_with_first_uniform(k, low)
+        assert first_random(state) == (k + 0.5) * 2.0**-52
+        y = sample_state(NAN_FREE_SPECS[kind], state)
+        assert y == y
+        if kind == "laplace_infinite_scale":
+            assert math.isinf(y)
 
     def test_laplace_moments(self):
         spec = NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=2.0)  # b = 2

@@ -14,10 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fairorder import engine
 from fairorder.adversary import ByzantineClientSpec, DelayModel
-from fairorder.engine import TAG_NOISE, pair_count, prepare, run_prepared
+from fairorder.engine import pair_count, prepare, run_prepared
 from fairorder.model import Request
-from fairorder.noise import NoiseSpec, sample
-from fairorder.rng import Stream, derive
+from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
 from fairorder.stats import LivenessError, estimate_order_probability
 
@@ -134,47 +133,47 @@ def test_static_fcfs_and_ttl_run_the_engine_once(policy):
         assert (count, missing) == engine_pair_count(prep, pair, 30, 230)
 
 
-def test_non_finite_scores_run_every_seed_through_the_engine():
-    # Request 2's score overflows to inf and so does the noise scale: whenever its
-    # noise is -inf its adjusted score is NaN and the engine's selection fails,
-    # even on seeds where the noise of requests 0 and 1 alone would decide the pair.
+def overflow_scenario(big, **kw):
+    """Request 2 has features (big, big, 0) and the noise scale overflows to inf."""
     spec = NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10)
     reqs = tuple(Request(id=i, client_id=i, features=feats, issue_tick=0)
                  for i, feats in enumerate([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                            (1e308, 1e308, 0.0)]))
-    scenario = ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
-                              eta_feature=2, policy=FairPolicy(spec=spec))
-    prep = prepare(scenario)
+                                            (big, big, 0.0)]))
+    return ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
+                          eta_feature=2, policy=FairPolicy(spec=spec), **kw)
 
-    def engine_fails(seed):
-        try:
-            engine_pair_count(prep, (0, 1), seed, seed + 1)
-        except ValueError:
-            return True
-        return False
 
-    def noise(seed, rid):
-        return sample(spec, Stream(derive(seed, TAG_NOISE, rid)))
-
-    seed = next(s for s in range(1, 200) if engine_fails(s) and not engine_fails(s - 1)
-                and noise(s, 0) != noise(s, 1))
-    assert pair_count(prep, (0, 1), seed - 1, seed) == engine_pair_count(
-        prep, (0, 1), seed - 1, seed)
-    with pytest.raises(ValueError):
-        pair_count(prep, (0, 1), seed - 1, seed + 1)
+def test_non_finite_scores_run_every_seed_through_the_engine():
+    # At 1e308, request 2's total overflows to inf: a seed whose noise for it is -inf
+    # would give it a NaN adjusted score, so loading rejects the scenario. At 1e307
+    # every adjusted score is +-inf, and the kernel still counts as the engine does.
+    with pytest.raises(ConfigurationError, match="request 2's perceived score can overflow"):
+        overflow_scenario(1e308)
+    prep = prepare(overflow_scenario(1e307))
+    assert prep.static
+    for pair in [(0, 1), (0, 2), (2, 1)]:
+        assert pair_count(prep, pair, 0, 100) == engine_pair_count(prep, pair, 0, 100)
 
 
 def test_totals_are_unbounded_when_a_delay_can_overflow_them():
     # 5e307 doubled is finite; with a delay of up to 5e307 added it is not. An
     # override replaces the delay, so it adds nothing to the bound.
-    reqs = tuple(Request(id=i, client_id=i, features=(0.0, 5e307), issue_tick=0)
-                 for i in range(2))
-    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+    def scenario(**kw):
+        reqs = tuple(Request(id=i, client_id=i, features=(0.0, 5e307), issue_tick=0)
+                     for i in range(2))
+        return ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
                               eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
-                              delay=DelayModel(kind="uniform", lo=0.0, hi=5e307))
-    assert not prepare(scenario).totals_bounded
-    assert prepare(replace(scenario, deliver_overrides={0: 1, 1: 1})).totals_bounded
-    assert prepare(replace(scenario, delay=DelayModel())).totals_bounded
+                              **kw)
+
+    with pytest.raises(ConfigurationError, match="request 0's perceived score can overflow"):
+        scenario(delay=DelayModel(kind="uniform", lo=0.0, hi=5e307))
+    scenario(delay=DelayModel(kind="uniform", lo=0.0, hi=5e307), deliver_overrides={0: 1, 1: 1})
+    scenario(delay=DelayModel())
+    # A bribe or a misreport lands in the eta feature, so it counts toward the bound too.
+    for adversary in (ByzantineClientSpec(client_id=1, bribe=5e307),
+                      ByzantineClientSpec(client_id=1, time_misreport=5 * 10**307)):
+        with pytest.raises(ConfigurationError, match="request 1's perceived score"):
+            scenario(adversaries=(adversary,))
 
 
 def random_delays():
@@ -316,27 +315,12 @@ def test_undelivered_request_issued_first_blocks_a_gated_pair():
 
 
 def test_non_finite_totals_run_every_random_seed_through_the_engine():
-    # As in the static case, request 2's total overflows to inf, and so does the noise
-    # scale; a seed whose noise for request 2 is -inf makes the engine's selection fail.
-    spec = NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10)
-    reqs = tuple(Request(id=i, client_id=i, features=feats, issue_tick=0)
-                 for i, feats in enumerate([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                            (1e308, 1e308, 0.0)]))
-    scenario = ScenarioConfig(feature_count=3, relevant=(0, 1), lam=1.0, requests=reqs,
-                              eta_feature=2, policy=FairPolicy(spec=spec),
-                              delay=DelayModel(kind="uniform", lo=0.0, hi=1.0))
-    prep = prepare(scenario)
+    # As in the static case, with random delays: loading rejects the total that can
+    # overflow, and with every adjusted score +-inf the kernel counts as the engine does.
+    delay = DelayModel(kind="uniform", lo=0.0, hi=1.0)
+    with pytest.raises(ConfigurationError, match="request 2's perceived score can overflow"):
+        overflow_scenario(1e308, delay=delay)
+    prep = prepare(overflow_scenario(1e307, delay=delay))
     assert not prep.static
-
-    def engine_fails(seed):
-        try:
-            engine_pair_count(prep, (0, 1), seed, seed + 1)
-        except ValueError:
-            return True
-        return False
-
-    seed = next(s for s in range(1, 200) if engine_fails(s) and not engine_fails(s - 1))
-    assert pair_count(prep, (0, 1), seed - 1, seed) == engine_pair_count(
-        prep, (0, 1), seed - 1, seed)
-    with pytest.raises(ValueError):
-        pair_count(prep, (0, 1), seed - 1, seed + 1)
+    for pair in [(0, 1), (0, 2), (2, 1)]:
+        assert pair_count(prep, pair, 0, 100) == engine_pair_count(prep, pair, 0, 100)

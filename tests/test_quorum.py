@@ -9,6 +9,7 @@ from fairorder.model import ParameterError, Request
 from fairorder.noise import ConfigurationError
 from fairorder.quorum import (QuorumView, check_prefix_consistency, global_ordered,
                               global_received, replicate_trace, serialize_view)
+from fairorder.randomizer import ReplicaSet
 from fairorder.rng import Stream
 from fairorder.scenario import FcfsPolicy, ScenarioConfig
 
@@ -23,11 +24,10 @@ def fcfs_trace(n_requests=3):
     return run(scenario, seed=0)
 
 
-def hand_view(rows, lags, horizon=None, n=4, f=1, correct=None):
+def hand_view(rows, lags, horizon=None, n=4, f=1):
     """A view of the trace written as ``rows`` (tick, kind, id), replayed with ``lags``."""
     trace = parse_trace(rows_text([Event(*row) for row in rows], horizon))
-    return QuorumView(n=n, f=f, trace=trace, lags=tuple(lags),
-                      correct=frozenset(correct if correct is not None else range(n)))
+    return QuorumView(ReplicaSet(n, f), trace, tuple(lags))
 
 
 class TestGlobalSets:
@@ -109,7 +109,8 @@ class TestReplication:
 
     def test_single_correct_server_vacuous(self):
         forged = forge_permuted_prefix(fcfs_trace(), at_tick=2)
-        view = QuorumView(n=4, f=1, trace=forged, lags=(0, 1, 2, 3), correct=frozenset({0}))
+        view = replicate_trace(forged, n=1, f=0, lags=(0,))
+        assert view.correct == {0}
         assert check_prefix_consistency(view).passed
 
     def test_quorum_sanity_validated(self):
@@ -126,6 +127,15 @@ class TestReplication:
     def test_negative_lag_rejected(self):
         with pytest.raises(ConfigurationError):
             replicate_trace(fcfs_trace(), n=4, f=1, lags=(0, -1, 0, 0))
+
+    @pytest.mark.parametrize("f, byzantine, message", [
+        (1, {9}, r"byzantine ids \[9\] lie outside 0..3"),
+        (1, {0, 1, 2}, "3 byzantine ids exceed the fault budget f=1"),
+        (-1, (), "the fault budget f must be non-negative, got -1"),
+    ], ids=["id_past_n", "past_f", "negative_f"])
+    def test_illegal_replica_set_rejected(self, f, byzantine, message):
+        with pytest.raises(ConfigurationError, match=message):
+            replicate_trace(fcfs_trace(), 4, f, (0, 1, 2, 3), byzantine)
 
 
 class TestPerTickOracle:
@@ -149,7 +159,7 @@ class TestPerTickOracle:
         n = data.draw(st.sampled_from([4, 5, 7]))
         f = (n - 1) // 3
         lags = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
-        byzantine = data.draw(st.sets(st.integers(0, n - 1), max_size=f + 1))
+        byzantine = data.draw(st.sets(st.integers(0, n - 1), max_size=f))
         assume(trace.horizon >= 0)  # the per-tick copy needs a tick 0 in the trace
         view = replicate_trace(trace, n, f, lags, byzantine)
         self.assert_matches_the_oracle(view, PerTickView(trace, n, f, lags, byzantine))

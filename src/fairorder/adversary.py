@@ -15,13 +15,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import ParameterError, Request, is_finite
-from .rng import Stream
+from .rng import Stream, first_random
 
 
 class DelayKind(str, Enum):
     CONSTANT = "constant"
     UNIFORM = "uniform"
     CAPPED_HEAVY_TAIL = "capped_heavy_tail"
+
+
+# An Enum member looked up on its class costs far more than a global; the samplers test these.
+_CONSTANT, _UNIFORM = DelayKind.CONSTANT, DelayKind.UNIFORM
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,25 @@ class DelayModel:
 
     def sample(self, client_id: int, rng: Stream) -> float:
         m = self.for_client(client_id)
-        if m.kind is DelayKind.CONSTANT:
-            return m.d
-        if m.kind is DelayKind.UNIFORM:
-            return m.lo + (m.hi - m.lo) * rng.random()
-        return min(-m.scale * math.log(rng.random()), m.cap)
+        return m.d if m.kind is _CONSTANT else m.delay_at(rng.random())
+
+    def sample_state(self, client_id: int, state: int) -> float:
+        """``sample(client_id, Stream(state))``, computing the one draw without a Stream.
+
+        Every model draws at most one uniform, so the stream's first draw
+        decides the delay.
+        """
+        m = self.for_client(client_id)
+        return m.d if m.kind is _CONSTANT else m.delay_at(first_random(state))
+
+    def delay_at(self, u: float) -> float:
+        """This model's own delay at the uniform ``u`` in (0, 1), overrides aside.
+
+        Only for a model that draws: a constant delay draws nothing.
+        """
+        if self.kind is _UNIFORM:
+            return self.lo + (self.hi - self.lo) * u
+        return min(-self.scale * math.log(u), self.cap)
 
     def max_delay(self) -> float:
         """Largest delay this model (or any override) can produce."""
@@ -101,14 +119,18 @@ def _with_eta_bump(r: Request, eta_feature: int, amount: float) -> Request:
 
 
 def apply_delay(r: Request, model: DelayModel, rng: Stream, eta_feature: int) -> tuple[int, Request]:
-    """Sample a delivery delay and fold it into the request's noise feature.
+    """Sample a delivery delay and fold it into the request's noise feature (``delayed``)."""
+    return delayed(r, model.sample(r.client_id, rng), eta_feature)
+
+
+def delayed(r: Request, delay: float, eta_feature: int) -> tuple[int, Request]:
+    """Fold a sampled delay into the request's noise feature.
 
     Returns (delivery_tick, request). The real-valued delay lands in the
     eta feature; the delivery tick is issue_tick plus the delay rounded
     up (arrival cannot precede the full delay). A zero delay leaves the
     request untouched (adding 0.0 would turn a -0.0 feature into 0.0).
     """
-    delay = model.sample(r.client_id, rng)
     if not delay:
         return r.issue_tick, r
     return r.issue_tick + math.ceil(delay), _with_eta_bump(r, eta_feature, delay)

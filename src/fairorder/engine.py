@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
-from .adversary import DelayKind, apply_delay
+from .adversary import DelayKind, apply_delay, delayed
 from .model import FeaturePartition, Request, score
 from .noise import NoiseSpec, sample_state
 from .noise import sample  # noqa: F401  (bench/tracing.py wraps engine.sample)
-from .rng import Stream, child, derive, tag
+from .rng import Stream, child, derive, first_random, tag
 from .scenario import FairPolicy, FcfsPolicy, Policy, ScenarioConfig, TtlPolicy
 
 TAG_DELAY = tag("delay")
@@ -322,7 +322,8 @@ def _schedule(prep: Prepared, seed: int) -> Schedule:
     totals: dict[int, float] = {}
     prefix = derive(seed, TAG_DELAY)
     for r in prep.requests:
-        tick, r = prep.fixed.get(r.id) or apply_delay(r, delay, Stream(child(prefix, r.id)), eta)
+        tick, r = prep.fixed.get(r.id) or delayed(
+            r, delay.sample_state(r.client_id, child(prefix, r.id)), eta)
         totals[r.id] = score(r, prep.partition).total
         issues.setdefault(r.issue_tick, []).append(r)
         if tick is not None:
@@ -388,7 +389,9 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     The fair policy goes to ``_fair_pair_count``: two requests ordered
     at different ticks are ordered by tick, and two ordered in one burst
     by their adjusted scores, which two noise draws decide
-    (``_burst_count``). fcfs and ttl draw nothing, so on a static
+    (``_burst_count``). Per seed it draws each delay with
+    ``DelayModel.sample_state`` and computes the pair's perceived totals
+    without building a ``Request``. fcfs and ttl draw nothing, so on a static
     schedule one engine run decides every seed; with random delays
     every seed runs through the engine. Every total is finite, so an
     adjusted score is finite or +-inf, never NaN, and the fair kernel
@@ -427,78 +430,107 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
     return count
 
 
-def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
-    """``pair_count`` for the fair policy, on a static schedule or with random delays.
+def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, at: tuple[int, int],
+            issue_ticks: list[int], seeds, totals: dict[int, float]) -> tuple[int, int | None]:
+    """(count, missing) over non-empty ``seeds`` that all give these delivery ticks.
 
-    A fixed delivery's tick and request come from ``prep.fixed``. Per
-    seed, every other request's delivery tick comes from the delay
-    stream and rounding of ``_schedule``; only the pair's requests are
-    rebuilt with the delay in their eta feature and scored. With gating
-    off a request is ordered at its delivery tick. With gating on it is
+    ``ticks`` lists every request's delivery tick by issue tick (inf:
+    never) and ``at`` gives the pair's places in it. With gating off a
+    request is ordered at its delivery tick. With gating on it is
     ordered at the first tick t >= its delivery after which nothing is
     in flight: the fixpoint of t <- the latest delivery among the
     requests issued by t. A request issued by then that is never
-    delivered stays in flight for good, and the pair is missing. When
-    no request that matters draws a delay, the ticks are the same on
-    every seed and are worked out once for the whole range.
+    delivered stays in flight for good, and the pair is missing. Two
+    requests ordered at one tick share a burst, which ``_burst_count``
+    decides.
     """
-    a, b = pair
-    scenario = prep.scenario
-    delay, eta = scenario.delay, scenario.eta_feature
+    ta, tb = ticks[at[0]], ticks[at[1]]
+    if prep.scenario.stability_gating and ta != math.inf and tb != math.inf:
+        latest_by = list(accumulate(ticks, max))
+        ta, tb = _order_tick(ta, issue_ticks, latest_by), _order_tick(tb, issue_ticks, latest_by)
+    if ta == math.inf or tb == math.inf:
+        return 0, seeds[0]
+    if ta != tb:
+        return len(seeds) * (ta < tb), None
+    return _burst_count(prep, pair, seeds, totals[pair[0]], totals[pair[1]]), None
+
+
+def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> float:
+    """The gated order tick of a request delivered at t.
+
+    ``latest_by[k]`` is the latest delivery among the first k + 1
+    requests by issue tick, which is never earlier than t, since it
+    covers the request delivered at t.
+    """
+    while True:
+        latest = latest_by[bisect_right(issue_ticks, t) - 1]
+        if latest == t or latest == math.inf:
+            return latest
+        t = latest
+
+
+def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
+    """``pair_count`` for the fair policy, on a static schedule or with random delays.
+
+    A plan built once per call holds each fixed delivery's tick (from
+    ``prep.fixed``) and each request that draws: its place by issue
+    tick, id, issue tick and resolved per-client delay model. Per seed,
+    a drawn delivery tick is the issue tick plus the delay rounded up:
+    the delay ``DelayModel.sample_state`` draws from the state
+    ``_schedule`` uses, computed on the resolved model. A pair request
+    that draws gets its perceived total without a ``Request``: the delay
+    is added to its eta value and its irrelevant values are summed in
+    ``score``'s order, and a zero delay keeps the undelayed total, as
+    ``apply_delay`` does. ``_decide`` turns the delivery ticks into a
+    count. When no request that matters draws a delay, the ticks are the
+    same on every seed and are decided once for the whole range.
+    """
+    part, delay = prep.partition, prep.scenario.delay
+    gating = prep.scenario.stability_gating
+    irrelevant = list(part.irrelevant)  # score's summation order
+    k = irrelevant.index(prep.scenario.eta_feature)
     by_issue = sorted(prep.requests, key=lambda r: r.issue_tick)
     issue_ticks = [r.issue_tick for r in by_issue]
     fixed: list[float | None] = []  # seed-independent delivery tick (inf: never), else None
-    totals: dict[int, float] = {}
-    drawn_pair: list[tuple[int, Request]] = []
-    drawn_rest: list[tuple[int, Request]] = []
+    totals: dict[int, float] = {}  # the pair's perceived totals; a drawn one, per seed
+    # Requests that draw, as (index by issue tick, id, issue tick, delay at a uniform); the
+    # pair's own also carry their relevant sum, irrelevant values and undelayed total.
+    drawn_pair: list[tuple] = []
+    drawn_rest: list[tuple] = []
     for i, r in enumerate(by_issue):
-        if r.id not in prep.fixed:
-            (drawn_pair if r.id in pair else drawn_rest).append((i, r))
-            fixed.append(None)
+        if r.id in prep.fixed:
+            tick, r = prep.fixed[r.id]
+            fixed.append(math.inf if tick is None else tick)
+            if r.id in pair:
+                totals[r.id] = score(r, part).total
             continue
-        tick, r = prep.fixed[r.id]
-        fixed.append(math.inf if tick is None else tick)
+        fixed.append(None)
+        draw = (i, r.id, r.issue_tick, delay.for_client(r.client_id).delay_at)
         if r.id in pair:
-            totals[r.id] = score(r, prep.partition).total
-    at = {r.id: i for i, r in enumerate(by_issue)}
-    gating = scenario.stability_gating
-    if not gating:
-        drawn_rest = []  # only the pair's own delivery ticks matter
-
-    def order_tick(t: float, latest_by: list[float]) -> float:
-        # latest_by[k]: the latest delivery among the first k + 1 requests by issue tick,
-        # which is never earlier than t, since it covers the request delivered at t.
-        while True:
-            latest = latest_by[bisect_right(issue_ticks, t) - 1]
-            if latest == t or latest == math.inf:
-                return latest
-            t = latest
-
-    def decide(ticks: list, seeds) -> tuple[int, int | None]:
-        # (count, missing) over non-empty seeds that all give these delivery ticks
-        ta, tb = ticks[at[a]], ticks[at[b]]
-        if gating and ta != math.inf and tb != math.inf:
-            latest_by = list(accumulate(ticks, max))
-            ta, tb = order_tick(ta, latest_by), order_tick(tb, latest_by)
-        if ta == math.inf or tb == math.inf:
-            return 0, seeds[0]
-        if ta != tb:
-            return len(seeds) * (ta < tb), None
-        return _burst_count(prep, pair, seeds, totals[a], totals[b]), None
-
+            s = score(r, part)
+            drawn_pair.append((*draw, s.relev, [r.features[j] for j in irrelevant], s.total))
+        elif gating:  # ungated, only the pair's own delivery ticks matter
+            drawn_rest.append(draw)
+    place = {r.id: i for i, r in enumerate(by_issue)}
+    at = (place[pair[0]], place[pair[1]])
     if not drawn_pair and not drawn_rest:
-        return decide(fixed, seeds) if seeds else (0, None)
+        return _decide(prep, pair, fixed, at, issue_ticks, seeds, totals) if seeds else (0, None)
+    ceil = math.ceil
     count, missing = 0, None
     for seed in seeds:
         ticks = fixed.copy()
         prefix = derive(seed, TAG_DELAY)
-        for i, r in drawn_pair:
-            ticks[i], r = apply_delay(r, delay, Stream(child(prefix, r.id)), eta)
-            totals[r.id] = score(r, prep.partition).total
-        for i, r in drawn_rest:
-            rng = Stream(child(prefix, r.id))
-            ticks[i] = r.issue_tick + math.ceil(delay.sample(r.client_id, rng))
-        seed_count, seed_missing = decide(ticks, (seed,))
+        for i, rid, issue, delay_at, relev, values, total in drawn_pair:
+            d = delay_at(first_random(child(prefix, rid)))
+            ticks[i] = issue + ceil(d)
+            if d:
+                values = values.copy()
+                values[k] += d
+                total = relev + sum(values)
+            totals[rid] = total
+        for i, rid, issue, delay_at in drawn_rest:
+            ticks[i] = issue + ceil(delay_at(first_random(child(prefix, rid))))
+        seed_count, seed_missing = _decide(prep, pair, ticks, at, issue_ticks, (seed,), totals)
         count += seed_count
         if missing is None:
             missing = seed_missing

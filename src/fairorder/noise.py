@@ -25,6 +25,10 @@ from .model import ParameterError, is_finite
 from .rng import Stream, first_random
 
 DEFAULT_EPSILON = 2.0  # common production choice when a scenario leaves it unset
+# Bounded Laplace keeps a draw with probability 1 - exp(-bound / scale) and rejects the
+# rest, so it draws 1 / that many uniforms per sample on average. A spec below this floor
+# (more than 10^5 draws per sample) is rejected at load rather than left to hang a run.
+MIN_BOUNDED_LAPLACE_ACCEPTANCE = 1e-5
 
 
 class NoiseKind(str, Enum):
@@ -77,6 +81,11 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"bounded_laplace scale sensitivity / epsilon must be finite, "
                 f"got {self.sensitivity!r} / {self.epsilon!r}")
+        if (self.kind is NoiseKind.BOUNDED_LAPLACE
+                and -math.expm1(-self.bound / self.scale) < MIN_BOUNDED_LAPLACE_ACCEPTANCE):
+            raise ConfigurationError(
+                f"bounded_laplace bound {self.bound!r} at scale {self.scale!r} accepts fewer "
+                f"than {MIN_BOUNDED_LAPLACE_ACCEPTANCE:g} of its draws")
         if self.delta is not None and not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError("delta must lie in [0, 1]")
 

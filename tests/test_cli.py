@@ -174,6 +174,9 @@ class TestCertifyCommand:
                                              "features": [0.0, 1.7e308]}]}
                      for c in (0, 1)],
          "adversaries": [{"client_id": 0, "bribe": 1.7e308}]},
+        # a bound so narrow against the scale that about one draw in 10^12 is accepted
+        {"noise": {"kind": "bounded_laplace", "epsilon": 1.0, "sensitivity": 1e6,
+                   "bound": 1e-6}},
     ])
     def test_non_finite_parameters_exit_two(self, tmp_path, edit, capsys):
         doc = dict(certify_config(), **edit)

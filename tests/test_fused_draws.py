@@ -2,8 +2,10 @@
 
 `pair_count` and the engine derive each request's noise as
 ``sample_state(spec, child(derive(seed, TAG_NOISE), rid))`` instead of
-``sample(spec, Stream(derive(seed, TAG_NOISE, rid)))``. These tests hold
-the two forms equal bit for bit, so no count, trace or report can move.
+``sample(spec, Stream(derive(seed, TAG_NOISE, rid)))``, and each delay
+as ``DelayModel.sample_state(client, state)`` instead of
+``DelayModel.sample(client, Stream(state))``. These tests hold the two
+forms equal bit for bit, so no count, trace or report can move.
 """
 
 from unittest import mock
@@ -11,6 +13,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from fairorder import noise
+from fairorder.adversary import DelayModel
 from fairorder.noise import NoiseSpec, sample, sample_state
 from fairorder.rng import Stream, child, derive, first_random
 
@@ -73,3 +76,26 @@ def test_bounded_laplace_rejection_continues_on_the_same_stream():
         assert streams.call_count == 1  # built once, after the first draw was rejected
         assert sample_state(spec, accepted).hex() == sample(spec, Stream(accepted)).hex()
         assert streams.call_count == 1  # an accepted first draw builds none
+
+
+DELAYS = {
+    "constant": DelayModel(kind="constant", d=1.5),
+    "uniform": DelayModel(kind="uniform", lo=0.5, hi=3.0),
+    "zero-width uniform": DelayModel(kind="uniform", lo=2.0, hi=2.0),
+    "zero uniform": DelayModel(kind="uniform", lo=0.0, hi=0.0),
+    "heavy tail": DelayModel(kind="capped_heavy_tail", scale=2.0, cap=5.0),
+    "heavy tail, cap 0": DelayModel(kind="capped_heavy_tail", scale=2.0, cap=0.0),
+    # Client 1 draws a heavy tail, client 2 a constant, client 3 a zero-width uniform;
+    # every other client the base uniform.
+    "per-client": DelayModel(kind="uniform", lo=0.0, hi=1e-3, per_client={
+        1: DelayModel(kind="capped_heavy_tail", scale=1e6, cap=1e300),
+        2: DelayModel(kind="constant", d=0.0),
+        3: DelayModel(kind="uniform", lo=7.0, hi=7.0)}),
+}
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(sorted(DELAYS)), client=st.integers(0, 4), state=INTS)
+def test_delay_sample_state_equals_sample_on_a_fresh_stream(kind, client, state):
+    model = DELAYS[kind]
+    assert model.sample_state(client, state).hex() == model.sample(client, Stream(state)).hex()

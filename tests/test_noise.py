@@ -243,6 +243,16 @@ class TestNoiseSpecValidation:
         # Plain Laplace samples once per draw, so an infinite scale cannot hang it.
         assert NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10).scale == math.inf
 
+    def test_bounded_laplace_rejects_an_acceptance_below_the_floor(self):
+        # Acceptance is 1 - exp(-bound / scale): about 1e-12 here, so sampling would
+        # take about 10^12 draws. At scale 1, the floor of 1e-5 lies between bounds
+        # 5e-6 and 2e-5.
+        with pytest.raises(ConfigurationError, match="accepts fewer than 1e-05"):
+            NoiseSpec(kind="bounded_laplace", epsilon=1.0, sensitivity=1e6, bound=1e-6)
+        NoiseSpec(kind="bounded_laplace", epsilon=1.0, sensitivity=1.0, bound=2e-5)
+        with pytest.raises(ConfigurationError, match="accepts fewer"):
+            NoiseSpec(kind="bounded_laplace", epsilon=1.0, sensitivity=1.0, bound=5e-6)
+
     def test_scale(self):
         spec = NoiseSpec(kind="laplace", epsilon=2.0, sensitivity=4.0)
         assert spec.scale == 2.0

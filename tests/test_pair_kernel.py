@@ -12,11 +12,12 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fairorder import engine
+from fairorder import engine, noise
 from fairorder.adversary import ByzantineClientSpec, DelayModel
 from fairorder.engine import pair_count, prepare, run_prepared
 from fairorder.model import Request
 from fairorder.noise import ConfigurationError, NoiseSpec
+from fairorder.rng import Stream
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
 from fairorder.stats import LivenessError, estimate_order_probability
 
@@ -235,6 +236,71 @@ def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_l
             == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
 
+@st.composite
+def multi_feature_scenarios(draw):
+    """Random delays over 3-4 features, 2-3 of them irrelevant, eta at any of those.
+
+    The kernel sums a drawn pair request's irrelevant values itself, so
+    values whose float sum depends on the order (+-1e16 against 0.1 and
+    the delay), -0.0, and zero delays (a zero-width uniform at 0) check
+    that it adds them as ``score`` does.
+    """
+    feature_count = draw(st.integers(3, 4))
+    n_irrelevant = draw(st.integers(2, min(3, feature_count - 1)))
+    shuffled = draw(st.permutations(range(feature_count)))
+    irrelevant = sorted(shuffled[:n_irrelevant])
+    eta = draw(st.sampled_from(irrelevant))
+    noise_values = st.sampled_from([-0.0, 0.1, 0.2, 1e16, -1e16])
+    requests = tuple(
+        Request(id=i, client_id=draw(st.integers(0, 3)),
+                features=tuple(draw(noise_values) if j in irrelevant
+                               else float(draw(st.integers(0, 2)))
+                               for j in range(feature_count)),
+                issue_tick=draw(st.integers(0, 4)))
+        for i in range(draw(st.integers(2, 6)))
+    )
+    delays = st.one_of(st.just(DelayModel(kind="uniform", lo=0.0, hi=0.0)), random_delays())
+    delay = replace(draw(delays), per_client=draw(st.dictionaries(st.integers(0, 3), delays,
+                                                                 max_size=3)))
+    # No noise (ties go to the engine) is the case where a total's last bit shows.
+    spec = SPECS[draw(st.sampled_from(["none", "none", "laplace", "uniform"]))]
+    policy = FairPolicy(spec=spec,
+                        direction=draw(st.sampled_from(["lowest_first", "highest_first"])))
+    return ScenarioConfig(
+        feature_count=feature_count, relevant=tuple(sorted(shuffled[n_irrelevant:])), lam=1.0,
+        requests=requests, eta_feature=eta, delay=delay, policy=policy,
+        stability_gating=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=multi_feature_scenarios(), data=st.data(), seed_lo=st.integers(0, 10**9),
+       n_seeds=st.integers(1, 30))
+def test_kernel_count_equals_engine_loop_on_multi_feature_delays(scenario, data, seed_lo,
+                                                                 n_seeds):
+    prep = prepare(scenario)
+    assume(not prep.static)
+    ids = [r.id for r in scenario.requests]
+    a = data.draw(st.sampled_from(ids))
+    b = data.draw(st.sampled_from([i for i in ids if i != a]))
+    seed_hi = seed_lo + n_seeds
+    assert (pair_count(prep, (a, b), seed_lo, seed_hi)
+            == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
+
+
+@pytest.mark.parametrize("eta", [1, 2])
+def test_drawn_pair_totals_sum_in_score_order(eta):
+    # A delay below 1 vanishes into 1e16 when added at the eta feature first, as the
+    # engine adds it, and survives if added to the undelayed total of 0.0.
+    reqs = (Request(id=0, client_id=0, features=(0.0, 1e16, -1e16), issue_tick=0),
+            Request(id=1, client_id=1, features=(0.0, 0.1, 0.2), issue_tick=0))
+    scenario = ScenarioConfig(feature_count=3, relevant=(0,), lam=1.0, requests=reqs,
+                              eta_feature=eta, delay=DelayModel(kind="uniform", lo=0.0, hi=1.0),
+                              policy=FairPolicy(spec=None))
+    prep = prepare(scenario)
+    assert pair_count(prep, (0, 1), 0, 50) == (50, None) == engine_pair_count(prep, (0, 1), 0, 50)
+
+
 SAMPLE_STATE = engine.sample_state
 
 
@@ -290,6 +356,24 @@ def test_random_delays_skip_the_engine_unless_scores_tie():
     with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
         count, missing = pair_count(prep, (0, 1), 0, 500)
     assert runs.call_count == 0
+    assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 500)
+
+
+def test_random_delay_kernel_builds_no_request_or_stream():
+    prep = prepare(delay_scenario())
+    built = []
+    post_init = Request.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.id)
+        post_init(self)
+
+    with mock.patch.object(Request, "__post_init__", counting_post_init), \
+            mock.patch.object(engine, "Stream", wraps=Stream) as engine_streams, \
+            mock.patch.object(noise, "Stream", wraps=Stream) as noise_streams:
+        count, missing = pair_count(prep, (0, 1), 0, 500)
+    assert built == []
+    assert engine_streams.call_count == noise_streams.call_count == 0
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 500)
 
 

@@ -56,6 +56,18 @@ class TestEstimator:
         parallel = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=2)
         assert serial == parallel
 
+    def test_parallel_jobs_match_serial_on_random_delays(self):
+        # Each worker builds the kernel's per-call plan from a pickled Prepared.
+        reqs = tuple(Request(id=i, client_id=i, features=(float(i % 2), 0.0), issue_tick=i // 2)
+                     for i in range(4))
+        scenario = ScenarioConfig(
+            feature_count=2, relevant=(0,), lam=1.0, requests=reqs, eta_feature=1,
+            delay=DelayModel(kind="uniform", lo=0.0, hi=3.0),
+            policy=FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)))
+        serial = estimate_order_probability(scenario, None, (0, 2), 3000, 11, jobs=1)
+        parallel = estimate_order_probability(scenario, None, (0, 2), 3000, 11, jobs=2)
+        assert serial == parallel
+
     def test_jobs_are_capped_at_the_cpu_count(self):
         # The pool forks all max_workers up front, so --jobs 100000 would fork that many.
         pools = []

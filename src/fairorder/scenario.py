@@ -4,22 +4,24 @@ A scenario fixes the feature geometry (count, relevant partition, which
 irrelevant index absorbs delays and bribes), the request population per
 client, the delay model, adversary specs, the noise mechanism, the
 policy, and the optional multi-server and trials blocks. Scenarios are
-plain JSON on disk; everything is validated on load.
+plain JSON on disk. On load, a document is checked against one table per
+block (the types are in ``fairorder.schema``), and the dataclasses it
+builds check the ranges and the rules that span keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .adversary import ByzantineClientSpec, DelayModel
+from .adversary import ByzantineClientSpec, DelayKind, DelayModel
 from .model import (FeaturePartition, ParameterError, Request, check_noise_bound, is_finite,
                     max_eta_gap, score)
-from .noise import ConfigurationError, NoiseSpec
+from .noise import ConfigurationError, NoiseKind, NoiseSpec
 from .randomizer import ByzantineStrategy, ReplicaSet
+from .schema import NUMBER, Nullable, Table, load
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,9 @@ class FcfsPolicy:
 @dataclass(frozen=True)
 class TtlPolicy:
     deadline_feature: int
+
+
+DIRECTIONS = ("lowest_first", "highest_first")
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class FairPolicy:
     direction: str = "lowest_first"
 
     def __post_init__(self):
-        if self.direction not in ("lowest_first", "highest_first"):
+        if self.direction not in DIRECTIONS:
             raise ConfigurationError(f"unknown direction {self.direction!r}")
 
 
@@ -63,7 +68,7 @@ class MultiServerBlock:
 @dataclass(frozen=True)
 class TrialsBlock:
     n_trials: int
-    base_seed: int
+    base_seed: int = 0
     confidence: float = 0.99
     pair: tuple[int, int] | None = None
     force_k: float | None = None  # override the derived k when certifying
@@ -104,6 +109,7 @@ class RandomizerBlock:
     instances: int = 1000
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", ByzantineStrategy(self.strategy))
         if self.instances <= 0:
             raise ConfigurationError("randomizer instances must be positive")
 
@@ -282,161 +288,86 @@ def lint_scenario(config: ScenarioConfig) -> list[str]:
     return warnings
 
 
-def _delay_from_json(obj) -> DelayModel:
-    per_client = {
-        int(cid): _delay_from_json(sub) for cid, sub in obj.get("per_client", {}).items()
-    }
-    return DelayModel(
-        kind=obj.get("kind", "constant"),
-        d=obj.get("d", 0.0),
-        lo=obj.get("lo", 0.0),
-        hi=obj.get("hi", 0.0),
-        scale=obj.get("scale", 1.0),
-        cap=obj.get("cap", 0.0),
-        per_client=per_client,
-    )
+def _request(id, features, issue_tick):  # the client fills in client_id
+    return id, features, issue_tick
 
 
-def _policy_from_json(obj) -> Policy:
-    kind = obj.get("kind", "fcfs")
-    if kind == "fcfs":
-        return FcfsPolicy()
-    if kind == "ttl":
-        return TtlPolicy(deadline_feature=int(obj["deadline_feature"]))
-    if kind == "fair":
-        spec = None
-        if obj.get("noise") is not None:
-            spec = _noise_from_json(obj["noise"])
-        return FairPolicy(spec=spec, direction=obj.get("direction", "lowest_first"))
-    raise ConfigurationError(f"unknown policy kind {kind!r}")
+def _client(id, requests) -> tuple[Request, ...]:
+    return tuple(Request(rid, id, features, tick) for rid, features, tick in requests)
 
 
-def _noise_from_json(obj) -> NoiseSpec:
-    return NoiseSpec(
-        kind=obj["kind"],
-        epsilon=obj.get("epsilon", 2.0),
-        sensitivity=obj.get("sensitivity", 1.0),
-        bound=obj.get("bound"),
-        delta=obj.get("delta"),
-    )
+def _scenario(**values) -> ScenarioConfig:
+    """Flatten the clients' requests; a fair policy without its own noise takes the scenario's."""
+    values["requests"] = tuple(r for client in values["requests"] for r in client)
+    policy = values.get("policy")
+    if isinstance(policy, FairPolicy) and policy.spec is None:
+        values["policy"] = replace(policy, spec=values.get("noise"))
+    return ScenarioConfig(**values)
 
 
-@contextmanager
-def _malformed(what: str):
-    """Report a missing key or a value of the wrong type (an array where an object
-    belongs, too) as one ConfigurationError."""
-    try:
-        yield
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise ConfigurationError(f"malformed {what}: {exc}") from exc
+def _randomizer(n, f, kind="laplace", epsilon=1.0, **block) -> RandomizerBlock:
+    """Its noise defaults to Laplace at epsilon 1.0, unlike a NoiseSpec's epsilon."""
+    def take(*names):
+        return {name: block.pop(name) for name in names if name in block}
+    return RandomizerBlock(ReplicaSet(n, f, **take("byzantine_ids")),
+                           NoiseSpec(kind, epsilon, **take("sensitivity", "bound")), **block)
+
+
+def _values(enum) -> tuple[str, ...]:
+    return tuple(member.value for member in enum)
+
+
+# One table per block (the types are listed in fairorder.schema). An absent key takes
+# the default of the dataclass field it fills. Noise and delay parameters keep the
+# number as written, since report.csv prints it.
+NOISE = Table(NoiseSpec, {"kind": _values(NoiseKind), "epsilon": NUMBER, "sensitivity": NUMBER,
+                          "bound": NUMBER, "delta": NUMBER})
+DELAY = Table(DelayModel, {"kind": _values(DelayKind), "d": NUMBER, "lo": NUMBER, "hi": NUMBER,
+                           "scale": NUMBER, "cap": NUMBER})
+DELAY.keys["per_client"] = {int: DELAY}
+POLICY = {"fcfs": Table(FcfsPolicy, {}), "ttl": Table(TtlPolicy, {"deadline_feature": int}),
+          "fair": Table(FairPolicy, {"noise": NOISE, "direction": DIRECTIONS}, {"noise": "spec"})}
+REQUEST = Table(_request, {"id": int, "features": [float], "issue_tick": int}, of=Request)
+CLIENT = Table(_client, {"id": int, "requests": [REQUEST]})
+ADVERSARY = Table(ByzantineClientSpec, {"client_id": int, "time_misreport": int, "bribe": float})
+MULTI_SERVER = Table(MultiServerBlock, {"n": int, "f": int, "lags": [int],
+                                        "byzantine_servers": [int]})
+TRIALS = Table(TrialsBlock, {"n_trials": int, "base_seed": int, "confidence": float,
+                             "pair": [int], "force_k": float})
+SCENARIO = Table(_scenario, {
+    "feature_count": int, "relevant": [int], "lambda": float, "clients": [CLIENT],
+    "eta_feature": int, "delay": DELAY, "adversaries": [ADVERSARY], "noise": NOISE,
+    "policy": POLICY, "drain_ticks": int, "stability_gating": bool, "assume_noise_bound": bool,
+    "deliver_overrides": {int: Nullable(int)}, "fee_mode": bool, "fee_gap_lint_multiplier": float,
+    "multi_server": MULTI_SERVER, "trials": TRIALS,
+}, {"lambda": "lam", "clients": "requests"}, of=ScenarioConfig)
+SWEEP = Table(SweepBlock, {"epsilons": [float], "gaps": [float], "n_trials": int,
+                           "base_seed": int, "lambda": float}, {"lambda": "lam"})
+RANDOMIZER = Table(_randomizer, {
+    "n": int, "f": int, "byzantine": [int], "kind": _values(NoiseKind), "epsilon": float,
+    "sensitivity": float, "bound": NUMBER, "strategy": _values(ByzantineStrategy),
+    "instances": int,
+}, {"byzantine": "byzantine_ids"}, of=ReplicaSet)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    with _malformed("scenario"):
-        requests = []
-        for client in doc["clients"]:
-            cid = int(client["id"])
-            for r in client["requests"]:
-                requests.append(
-                    Request(
-                        id=int(r["id"]),
-                        client_id=cid,
-                        features=tuple(float(x) for x in r["features"]),
-                        issue_tick=int(r["issue_tick"]),
-                    )
-                )
-        noise = _noise_from_json(doc["noise"]) if doc.get("noise") else None
-        policy_doc = dict(doc.get("policy", {"kind": "fcfs"}))
-        if policy_doc.get("kind") == "fair" and "noise" not in policy_doc:
-            policy_doc["noise"] = doc.get("noise")
-        ms = None
-        if doc.get("multi_server"):
-            b = doc["multi_server"]
-            ms = MultiServerBlock(
-                n=int(b["n"]),
-                f=int(b["f"]),
-                lags=tuple(int(x) for x in b["lags"]),
-                byzantine_servers=tuple(int(x) for x in b.get("byzantine_servers", ())),
-            )
-        trials = None
-        if doc.get("trials"):
-            b = doc["trials"]
-            trials = TrialsBlock(
-                n_trials=int(b["n_trials"]),
-                base_seed=int(b.get("base_seed", 0)),
-                confidence=float(b.get("confidence", 0.99)),
-                pair=tuple(int(x) for x in b["pair"]) if b.get("pair") else None,
-                force_k=float(b["force_k"]) if b.get("force_k") is not None else None,
-            )
-        overrides = {
-            int(k): (None if v is None else int(v))
-            for k, v in doc.get("deliver_overrides", {}).items()
-        }
-        return ScenarioConfig(
-            feature_count=int(doc["feature_count"]),
-            relevant=tuple(int(i) for i in doc["relevant"]),
-            lam=float(doc["lambda"]),
-            requests=tuple(requests),
-            eta_feature=int(doc["eta_feature"]),
-            delay=_delay_from_json(doc.get("delay", {})),
-            adversaries=tuple(
-                ByzantineClientSpec(
-                    client_id=int(a["client_id"]),
-                    time_misreport=int(a.get("time_misreport", 0)),
-                    bribe=float(a.get("bribe", 0.0)),
-                )
-                for a in doc.get("adversaries", ())
-            ),
-            noise=noise,
-            policy=_policy_from_json(policy_doc),
-            drain_ticks=None if doc.get("drain_ticks") is None else int(doc["drain_ticks"]),
-            stability_gating=bool(doc.get("stability_gating", True)),
-            assume_noise_bound=bool(doc.get("assume_noise_bound", True)),
-            deliver_overrides=overrides,
-            fee_mode=bool(doc.get("fee_mode", False)),
-            fee_gap_lint_multiplier=float(doc.get("fee_gap_lint_multiplier", 10.0)),
-            multi_server=ms,
-            trials=trials,
-        )
+    return load(SCENARIO, doc)
+
+
+def _block(doc, name: str, table: Table, missing: str):
+    """The ``name`` block of a config document, built by ``table``."""
+    block = doc.get(name) if isinstance(doc, dict) else None
+    if not block or not isinstance(block, dict):
+        raise ConfigurationError(missing)
+    return load(table, block, name)
 
 
 def sweep_from_dict(doc) -> SweepBlock:
-    """The validated ``sweep`` block of a sweep config document."""
-    grid = doc.get("sweep") if isinstance(doc, dict) else None
-    if not isinstance(grid, dict):
-        raise ConfigurationError("sweep needs a 'sweep' block with epsilons and gaps")
-    with _malformed("sweep block"):
-        return SweepBlock(
-            epsilons=tuple(float(e) for e in grid.get("epsilons") or ()),
-            gaps=tuple(float(n) for n in grid.get("gaps") or ()),
-            n_trials=int(grid.get("n_trials", 10000)),
-            base_seed=int(grid.get("base_seed", 0)),
-            lam=float(grid.get("lambda", 1.0)),
-        )
+    return _block(doc, "sweep", SWEEP, "sweep needs a 'sweep' block with epsilons and gaps")
 
 
 def randomizer_from_dict(doc) -> RandomizerBlock:
-    """The validated ``randomizer`` block of a randomizer config document."""
-    block = doc.get("randomizer") if isinstance(doc, dict) else None
-    if not block or not isinstance(block, dict):
-        raise ConfigurationError("config lacks a 'randomizer' block")
-    with _malformed("randomizer block"):
-        return RandomizerBlock(
-            replicas=ReplicaSet(
-                n=int(block["n"]), f=int(block["f"]),
-                byzantine_ids=frozenset(int(i) for i in block.get("byzantine", ())),
-            ),
-            spec=NoiseSpec(
-                kind=block.get("kind", "laplace"),
-                epsilon=float(block.get("epsilon", 1.0)),
-                sensitivity=float(block.get("sensitivity", 1.0)),
-                bound=block.get("bound"),
-            ),
-            strategy=ByzantineStrategy(block.get("strategy", "constant")),
-            instances=int(block.get("instances", 1000)),
-        )
+    return _block(doc, "randomizer", RANDOMIZER, "config lacks a 'randomizer' block")
 
 
 def read_input(path: str | Path, what: str = "config", parse=json.loads):

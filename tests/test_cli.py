@@ -337,36 +337,79 @@ def test_array_where_an_object_belongs_exits_two(tmp_path, command, edit, capsys
     assert one_error_line(capsys)
 
 
+def _one_request(**request):
+    """certify_config's two clients, the first request edited."""
+    first = dict({"id": 0, "issue_tick": 0, "features": [0.0, 0.0]}, **request)
+    return {"clients": [{"id": 0, "requests": [first]},
+                        {"id": 1, "requests": [{"id": 1, "issue_tick": 0,
+                                                "features": [0.0, 0.0]}]}]}
+
+
+# (command, edit, start of the error message after "error: ")
 INVALID_FIELDS = {
-    "drain_text": ("run", {"drain_ticks": "abc"}),
-    "drain_negative": ("run", {"drain_ticks": -5}),
-    "pair_of_one": ("certify", {"trials": {"n_trials": 10, "pair": [0]}}),
-    "pair_of_three": ("certify", {"trials": {"n_trials": 10, "pair": [0, 1, 2]}}),
-    "pair_repeats_an_id": ("certify", {"trials": {"n_trials": 10, "pair": [0, 0]}}),
+    "drain_text": ("run", {"drain_ticks": "abc"}, 'drain_ticks: expected an integer, got "abc"'),
+    "drain_negative": ("run", {"drain_ticks": -5}, "drain_ticks must be non-negative"),
+    "pair_of_one": ("certify", {"trials": {"n_trials": 10, "pair": [0]}},
+                    "trials pair must be two distinct ids"),
+    "pair_of_three": ("certify", {"trials": {"n_trials": 10, "pair": [0, 1, 2]}},
+                      "trials pair must be two distinct ids"),
+    "pair_repeats_an_id": ("certify", {"trials": {"n_trials": 10, "pair": [0, 0]}},
+                           "trials pair must be two distinct ids"),
     "byzantine_id_past_n": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
-                                                        "byzantine_servers": [9]}}),
+                                                        "byzantine_servers": [9]}},
+                            "byzantine ids [9] lie outside 0..3"),
     "byzantine_past_f": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
-                                                     "byzantine_servers": [0, 1, 2]}}),
+                                                     "byzantine_servers": [0, 1, 2]}},
+                         "3 byzantine ids exceed the fault budget"),
     "byzantine_one_past_f": ("quorum", {"multi_server": {"n": 4, "f": 1, "lags": [0, 0, 0, 0],
-                                                         "byzantine_servers": [0, 1]}}),
-    "negative_f": ("quorum", {"multi_server": {"n": 4, "f": -1, "lags": [0, 0, 0, 0]}}),
+                                                         "byzantine_servers": [0, 1]}},
+                             "2 byzantine ids exceed the fault budget"),
+    "negative_f": ("quorum", {"multi_server": {"n": 4, "f": -1, "lags": [0, 0, 0, 0]}},
+                   "the fault budget f must be non-negative"),
+    # Values the loader once coerced into a different scenario.
+    "gating_as_text": ("run", {"stability_gating": "false"},
+                       'stability_gating: expected a boolean, got "false"'),
+    "misspelled_key": ("run", {"stabilty_gating": False}, "stabilty_gating: unknown key"),
+    "fractional_issue_tick": ("run", _one_request(issue_tick=2.7),
+                              "clients[0].requests[0].issue_tick: expected an integer, got 2.7"),
+    "lambda_as_bool": ("run", {"lambda": True}, "lambda: expected a number, got true"),
+    "fractional_eta_feature": ("run", {"eta_feature": 1.9},
+                               "eta_feature: expected an integer, got 1.9"),
+    "feature_as_bool": ("run", _one_request(features=[True, 0.0]),
+                        "clients[0].requests[0].features[0]: expected a number, got true"),
+    "fractional_pair_id": ("certify", {"trials": {"n_trials": 10, "pair": [0, 1.5]}},
+                           "trials.pair[1]: expected an integer, got 1.5"),
+    "empty_trials": ("run", {"trials": {}}, "trials.n_trials: missing required key"),
+    "misspelled_policy_key": ("run", {"policy": {"kind": "fair", "directon": "highest_first"}},
+                              "policy.directon: unknown key"),
+    "override_id_with_underscore": ("run", {"deliver_overrides": {"1_0": 3}},
+                                    "deliver_overrides.1_0: expected a decimal integer id"),
+    # Quoted keys and values are escaped and cut short, so the error stays one short line.
+    "override_id_with_newline": ("run", {"deliver_overrides": {"1\n2": 3}},
+                                 'deliver_overrides."1\\n2": expected a decimal integer id'),
+    "override_of_10kb": ("run", {"deliver_overrides": {"1": "x" * 10_000}},
+                         'deliver_overrides.1: expected an integer, got "xxx'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_FIELDS))
 def test_invalid_scenario_field_exits_two(tmp_path, case, capsys):
-    command, edit = INVALID_FIELDS[case]
+    command, edit, message = INVALID_FIELDS[case]
     config = write_config(tmp_path, dict(certify_config(n_trials=10), **edit))
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
-    assert one_error_line(capsys)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err) < 200
     assert not (tmp_path / "out").exists()
 
 
-def test_fractional_drain_ticks_give_an_integer_horizon(tmp_path):
+def test_fractional_drain_ticks_give_an_integer_horizon(tmp_path, capsys):
     config = write_config(tmp_path, dict(BASE_CONFIG, drain_ticks=2.5))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "fractional")]) == 2
+    assert capsys.readouterr().err == "error: drain_ticks: expected an integer, got 2.5\n"
+    config = write_config(tmp_path, dict(BASE_CONFIG, drain_ticks=2.0))
     assert main(["run", "--config", config, "--out", str(tmp_path)]) == 0
     header = (tmp_path / "trace.txt").read_text().splitlines()[0]
-    assert header.endswith(" horizon=3")  # last event at tick 1, plus int(2.5)
+    assert header.endswith(" horizon=3")  # last event at tick 1, plus 2.0 read as 2
     assert main(["check", str(tmp_path / "trace.txt"), "--out", str(tmp_path / "c")]) == 0
 
 

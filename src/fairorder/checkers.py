@@ -138,19 +138,51 @@ def _order_steps(trace: Trace):
             yield walk, t, divergence
 
 
-def check_consistency(trace: Trace) -> Verdict:
-    """Quiet periods may only extend the order with already-received requests."""
-    for walk, t, divergence in _order_steps(trace):
-        if walk.received_grew:
-            continue
-        if divergence:
-            return Verdict(CONSISTENCY, False, (t, *divergence))
-        illegal = set(walk.output[walk.grown:]) - walk.received
-        if illegal:  # an id already ordered did not grow the order
-            illegal -= set(walk.output[:walk.grown])
-        if illegal:
-            return Verdict(CONSISTENCY, False, (t, min(illegal)))
-    return Verdict(CONSISTENCY, True)
+class OrderSweep:
+    """The consistency and monotonic-order witnesses of one trace, from one walk.
+
+    The walk runs on first use of ``witnesses``; ``check_all`` hands one
+    sweep to both checkers, so the trace is walked once.
+    """
+
+    def __init__(self, trace: Trace):
+        self.trace = trace
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple | None, tuple | None]:
+        """(consistency, monotonic order) witnesses, None where the property holds."""
+        consistency = monotonic = None
+        for walk, t, divergence in _order_steps(self.trace):
+            if monotonic is None and divergence:
+                monotonic = (t, *divergence)
+            if consistency is None and not walk.received_grew:
+                consistency = (t, *divergence) if divergence else _unreceived_growth(walk, t)
+            if consistency and monotonic:
+                break
+        return consistency, monotonic
+
+
+def _unreceived_growth(walk: TraceWalk, t: int) -> tuple | None:
+    """(t, least id) among the ids that grew the order at t without being received."""
+    illegal = set(walk.output[walk.grown:]) - walk.received
+    if illegal:  # an id already ordered did not grow the order
+        illegal -= set(walk.output[:walk.grown])
+    return (t, min(illegal)) if illegal else None
+
+
+def _sweep_of(trace: Trace, sweep: OrderSweep | None) -> OrderSweep:
+    """``sweep`` if it walks ``trace`` itself, else a new sweep of ``trace``."""
+    return sweep if sweep is not None and sweep.trace is trace else OrderSweep(trace)
+
+
+def check_consistency(trace: Trace, sweep: OrderSweep | None = None) -> Verdict:
+    """Quiet periods may only extend the order with already-received requests.
+
+    ``sweep``, an ``OrderSweep`` of ``trace``, shares its walk with
+    ``check_monotonic_order``.
+    """
+    witness = _sweep_of(trace, sweep).witnesses[0]
+    return Verdict(CONSISTENCY, witness is None, witness)
 
 
 def _first_divergence(a: tuple, b: tuple) -> tuple:
@@ -160,12 +192,14 @@ def _first_divergence(a: tuple, b: tuple) -> tuple:
     return (a[min(len(a), len(b)) - 1] if a else -1,)
 
 
-def check_monotonic_order(trace: Trace) -> Verdict:
-    """Each tick's order must be a prefix of the next one."""
-    for _, t, divergence in _order_steps(trace):
-        if divergence:
-            return Verdict(MONOTONIC_ORDER, False, (t, *divergence))
-    return Verdict(MONOTONIC_ORDER, True)
+def check_monotonic_order(trace: Trace, sweep: OrderSweep | None = None) -> Verdict:
+    """Each tick's order must be a prefix of the next one.
+
+    ``sweep``, an ``OrderSweep`` of ``trace``, shares its walk with
+    ``check_consistency``.
+    """
+    witness = _sweep_of(trace, sweep).witnesses[1]
+    return Verdict(MONOTONIC_ORDER, witness is None, witness)
 
 
 def check_policy_compliance(trace: Trace, pred: PolicyPredicate) -> Verdict:
@@ -197,11 +231,13 @@ def check_strong_non_blocking(trace: Trace) -> Verdict:
 
 
 def check_all(trace: Trace) -> list[Verdict]:
+    """The four core verdicts; consistency and monotonic order share one walk."""
+    sweep = OrderSweep(trace)
     return [
         check_order_determinism(trace),
         check_non_blocking(trace),
-        check_consistency(trace),
-        check_monotonic_order(trace),
+        check_consistency(trace, sweep),
+        check_monotonic_order(trace, sweep),
     ]
 
 

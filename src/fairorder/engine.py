@@ -174,7 +174,8 @@ class PolicyRuntime:
 
         A fair burst always drains (its stability does not depend on the
         request), so a tie group taken off the heap is used up before the
-        next delivery is pushed.
+        next delivery is pushed. A lone candidate draws nothing, so it is
+        popped without ``fair_policy_step``.
         """
         if not isinstance(self.policy, FairPolicy):
             return heappop(self._ready)[2]
@@ -183,6 +184,8 @@ class PolicyRuntime:
             key = self._ready[0][0]
             while self._ready and self._ready[0][0] == key:
                 tied.append(heappop(self._ready)[2])
+        if len(tied) == 1:
+            return tied.pop()
         r = fair_policy_step(tied, [self.adjusted(q) for q in tied], self.pick_stream,
                              direction=self.policy.direction)
         del tied[next(i for i, q in enumerate(tied) if q is r)]

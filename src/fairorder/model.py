@@ -49,7 +49,7 @@ class Request:
     def __post_init__(self):
         if self.id < 0 or self.client_id < 0 or self.issue_tick < 0:
             raise ParameterError("request id, client id, and issue tick must be non-negative")
-        object.__setattr__(self, "features", tuple(float(x) for x in self.features))
+        object.__setattr__(self, "features", tuple(map(float, self.features)))
         if self.declared_tick is None:
             object.__setattr__(self, "declared_tick", self.issue_tick)
 

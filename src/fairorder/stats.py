@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .engine import Prepared, pair_count, prepare
@@ -126,6 +125,10 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
     if jobs <= 1 or len(chunks) == 1:
         results = [pair_count(prep, pair, lo, hi) for lo, hi in chunks]
     else:
+        # Importing the pool loads multiprocessing and some 30 other modules: only a run
+        # that starts a pool pays for them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(pair_count, *zip(*[(prep, pair, lo, hi)
                                                        for lo, hi in chunks])))

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -434,3 +437,27 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert main(["run", "--config", config, "--out", str(tmp_path / "outfile" / "sub")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_import_loads_no_process_pool():
+    # Only --jobs > 1 starts a pool; every other command must not pay for its imports.
+    probe = ("import sys, fairorder.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("certify", certify_config(n_trials=400, delay={"kind": "uniform", "lo": 0.0, "hi": 3.0})),
+    ("sweep", {"sweep": {"epsilons": [0.5, 1.0], "gaps": [0.0, 1.0], "n_trials": 400}}),
+])
+def test_two_jobs_write_the_report_of_one(tmp_path, command, doc, capsys):
+    config = write_config(tmp_path, doc)
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main([command, "--config", config, "--out", str(out), "--jobs", jobs])
+        reports.append((code, capsys.readouterr(), (out / "report.csv").read_bytes()))
+    assert reports[0] == reports[1]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from unittest import mock
 
@@ -87,7 +88,7 @@ class TestEstimator:
 
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
         serial = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=1)
-        with mock.patch.object(stats, "ProcessPoolExecutor", SerialPool), \
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", SerialPool), \
                 mock.patch.object(stats.os, "cpu_count", return_value=3):
             capped = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=100_000)
         assert pools == [3] and capped == serial

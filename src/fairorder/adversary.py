@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import ParameterError, Request, is_finite
-from .rng import Stream, first_random
+from .rng import Stream
 
 
 class DelayKind(str, Enum):
@@ -59,15 +59,6 @@ class DelayModel:
     def sample(self, client_id: int, rng: Stream) -> float:
         m = self.for_client(client_id)
         return m.d if m.kind is _CONSTANT else m.delay_at(rng.random())
-
-    def sample_state(self, client_id: int, state: int) -> float:
-        """``sample(client_id, Stream(state))``, computing the one draw without a Stream.
-
-        Every model draws at most one uniform, so the stream's first draw
-        decides the delay.
-        """
-        m = self.for_client(client_id)
-        return m.d if m.kind is _CONSTANT else m.delay_at(first_random(state))
 
     def delay_at(self, u: float) -> float:
         """This model's own delay at the uniform ``u`` in (0, 1), overrides aside.

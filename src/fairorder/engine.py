@@ -35,12 +35,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from typing import NamedTuple
 
-from .adversary import DelayKind, apply_delay, delayed
-from .model import FeaturePartition, Request, score
+from .adversary import DelayKind, delayed
+from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
+from .model import Request, score_parts
 from .noise import NoiseSpec, sample_state
 from .noise import sample  # noqa: F401  (bench/tracing.py wraps engine.sample)
 from .rng import Stream, child, derive, first_random, tag
@@ -278,56 +281,93 @@ class Schedule:
     totals: dict[int, float]
 
 
+class PlanEntry(NamedTuple):
+    """One request of ``Prepared.plan``: the request after adversaries, its delivery
+    and its ``score_parts`` (relevant sum, irrelevant values in summation order).
+
+    A delivery that draws nothing has ``delay_at`` None and ``tick`` set (None:
+    never): an override, or a constant delay already folded into eta.
+    """
+
+    request: Request
+    tick: int | None
+    delay_at: Callable[[float], float] | None  # the client's resolved delay model
+    relev: float
+    values: tuple[float, ...]
+
+
+def _draw_delay(delay_at: Callable[[float], float], prefix: int, rid: int) -> float:
+    """``DelayModel.sample(client, Stream(child(prefix, rid)))`` with no Stream, from a
+    plan entry's ``delay_at``: a delay model draws at most one uniform. ``prefix`` is
+    ``derive(seed, TAG_DELAY)``."""
+    return delay_at(first_random(child(prefix, rid)))
+
+
+def _total(e: PlanEntry, delay: float, slot: int) -> float:
+    """``score`` of ``delayed(e.request, delay, eta_feature)`` bit for bit, with no
+    Request; ``slot`` is eta's place in ``e.values``. A zero delay keeps the total."""
+    if not delay:
+        return e.relev + sum(e.values)
+    values = list(e.values)
+    values[slot] += delay
+    return e.relev + sum(values)
+
+
 @dataclass(frozen=True)
 class Prepared:
     """A scenario compiled for repeated seeded runs.
 
-    ``fixed`` maps each request whose delivery draws nothing, an explicit
-    override or a constant delay, to its delivery tick (None: never) and
-    to the request with that delay folded into its eta feature. Those
-    are the same on every seed; only the other requests draw a delay per
-    run. Every perceived total is finite: loading rejects a scenario
-    whose totals could overflow.
+    ``plan`` has one entry per request, in the order of ``requests``, and
+    ``eta_slot`` is the eta feature's place in each entry's ``values``.
+    ``_schedule`` and the fair kernel both read them and draw and total
+    with ``_draw_delay`` and ``_total``. Loading rejects a scenario
+    whose perceived totals could overflow.
     """
 
     scenario: ScenarioConfig
     policy: Policy
-    partition: FeaturePartition
     requests: tuple[Request, ...]
     drain: int
-    fixed: dict[int, tuple[int | None, Request]]
+    plan: tuple[PlanEntry, ...]
+    eta_slot: int
 
     @property
     def static(self) -> bool:
         """True when no delivery draws: every seed gives the same schedule."""
-        return len(self.fixed) == len(self.requests)
+        return all(e.delay_at is None for e in self.plan)
 
 
 def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
-    """Apply adversaries and decide, once, which deliveries draw nothing."""
+    """Apply adversaries and compile the plan: deliveries and score parts, once."""
     policy = policy if policy is not None else scenario.policy
-    delay, eta = scenario.delay, scenario.eta_feature
+    part, delay, eta = scenario.partition, scenario.delay, scenario.eta_feature
     reqs = scenario.build_requests()
-    fixed: dict[int, tuple[int | None, Request]] = {}
+    plan = []
     for r in reqs:
+        model, tick, delay_at = delay.for_client(r.client_id), None, None
         if r.id in scenario.deliver_overrides:
-            fixed[r.id] = (scenario.deliver_overrides[r.id], r)
-        elif delay.for_client(r.client_id).kind is DelayKind.CONSTANT:
-            # A constant delay draws nothing from its stream, so any stream gives this.
-            fixed[r.id] = apply_delay(r, delay, Stream(0), eta)
-    return Prepared(scenario, policy, scenario.partition, reqs, scenario.drain(), fixed)
+            tick = scenario.deliver_overrides[r.id]
+        elif model.kind is DelayKind.CONSTANT:
+            tick, r = delayed(r, model.d, eta)
+        else:
+            delay_at = model.delay_at
+        plan.append(PlanEntry(r, tick, delay_at, *score_parts(r, part)))
+    slot = list(part.irrelevant).index(eta)  # in score's summation order
+    return Prepared(scenario, policy, reqs, scenario.drain(), tuple(plan), slot)
 
 
 def _schedule(prep: Prepared, seed: int) -> Schedule:
-    delay, eta = prep.scenario.delay, prep.scenario.eta_feature
+    eta, slot = prep.scenario.eta_feature, prep.eta_slot
     issues: dict[int, list[Request]] = {}
     delivers: dict[int, list[Request]] = {}
     totals: dict[int, float] = {}
     prefix = derive(seed, TAG_DELAY)
-    for r in prep.requests:
-        tick, r = prep.fixed.get(r.id) or delayed(
-            r, delay.sample_state(r.client_id, child(prefix, r.id)), eta)
-        totals[r.id] = score(r, prep.partition).total
+    for e in prep.plan:
+        r, tick, d = e.request, e.tick, 0.0
+        if e.delay_at is not None:
+            d = _draw_delay(e.delay_at, prefix, r.id)
+            tick, r = delayed(r, d, eta)
+        totals[r.id] = _total(e, d, slot)
         issues.setdefault(r.issue_tick, []).append(r)
         if tick is not None:
             delivers.setdefault(tick, []).append(r)
@@ -392,13 +432,12 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     The fair policy goes to ``_fair_pair_count``: two requests ordered
     at different ticks are ordered by tick, and two ordered in one burst
     by their adjusted scores, which two noise draws decide
-    (``_burst_count``). Per seed it draws each delay with
-    ``DelayModel.sample_state`` and computes the pair's perceived totals
-    without building a ``Request``. fcfs and ttl draw nothing, so on a static
-    schedule one engine run decides every seed; with random delays
-    every seed runs through the engine. Every total is finite, so an
-    adjusted score is finite or +-inf, never NaN, and the fair kernel
-    serves every fair scenario.
+    (``_burst_count``). It reads ``prep.plan`` and, per seed, draws and
+    totals as ``_schedule`` does, without building a ``Request``. fcfs
+    and ttl draw nothing, so on a static schedule one engine run decides
+    every seed; with random delays every seed runs through the engine.
+    Every total is finite, so an adjusted score is finite or +-inf,
+    never NaN, and the fair kernel serves every fair scenario.
     """
     if isinstance(prep.policy, FairPolicy):
         return _fair_pair_count(prep, pair, range(seed_lo, seed_hi))
@@ -475,64 +514,36 @@ def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> flo
 def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
     """``pair_count`` for the fair policy, on a static schedule or with random delays.
 
-    A plan built once per call holds each fixed delivery's tick (from
-    ``prep.fixed``) and each request that draws: its place by issue
-    tick, id, issue tick and resolved per-client delay model. Per seed,
-    a drawn delivery tick is the issue tick plus the delay rounded up:
-    the delay ``DelayModel.sample_state`` draws from the state
-    ``_schedule`` uses, computed on the resolved model. A pair request
-    that draws gets its perceived total without a ``Request``: the delay
-    is added to its eta value and its irrelevant values are summed in
-    ``score``'s order, and a zero delay keeps the undelayed total, as
-    ``apply_delay`` does. ``_decide`` turns the delivery ticks into a
-    count. When no request that matters draws a delay, the ticks are the
-    same on every seed and are decided once for the whole range.
+    It sorts ``prep.plan`` by issue tick once per call (ties in request
+    order). Per seed, a drawn delivery tick is the issue tick plus the
+    ``_draw_delay`` delay rounded up, and a drawn pair request's total
+    comes from ``_total``, as in ``_schedule``. ``_decide`` turns the
+    delivery ticks into a count. When no request that matters draws, the
+    ticks are the same on every seed and are decided once for the whole range.
     """
-    part, delay = prep.partition, prep.scenario.delay
-    gating = prep.scenario.stability_gating
-    irrelevant = list(part.irrelevant)  # score's summation order
-    k = irrelevant.index(prep.scenario.eta_feature)
-    by_issue = sorted(prep.requests, key=lambda r: r.issue_tick)
-    issue_ticks = [r.issue_tick for r in by_issue]
-    fixed: list[float | None] = []  # seed-independent delivery tick (inf: never), else None
-    totals: dict[int, float] = {}  # the pair's perceived totals; a drawn one, per seed
-    # Requests that draw, as (index by issue tick, id, issue tick, delay at a uniform); the
-    # pair's own also carry their relevant sum, irrelevant values and undelayed total.
-    drawn_pair: list[tuple] = []
-    drawn_rest: list[tuple] = []
-    for i, r in enumerate(by_issue):
-        if r.id in prep.fixed:
-            tick, r = prep.fixed[r.id]
-            fixed.append(math.inf if tick is None else tick)
-            if r.id in pair:
-                totals[r.id] = score(r, part).total
-            continue
-        fixed.append(None)
-        draw = (i, r.id, r.issue_tick, delay.for_client(r.client_id).delay_at)
-        if r.id in pair:
-            s = score(r, part)
-            drawn_pair.append((*draw, s.relev, [r.features[j] for j in irrelevant], s.total))
-        elif gating:  # ungated, only the pair's own delivery ticks matter
-            drawn_rest.append(draw)
-    place = {r.id: i for i, r in enumerate(by_issue)}
+    plan = sorted(prep.plan, key=lambda e: e.request.issue_tick)
+    gating, slot = prep.scenario.stability_gating, prep.eta_slot
+    issue_ticks = [e.request.issue_tick for e in plan]
+    place = {e.request.id: i for i, e in enumerate(plan)}
     at = (place[pair[0]], place[pair[1]])
-    if not drawn_pair and not drawn_rest:
+    # Every delivery tick (inf: never), a drawn one set per seed: every drawn one when
+    # gated, only the pair's own when not. A drawn pair request's total is set per seed.
+    fixed = [math.inf if e.tick is None else e.tick for e in plan]
+    drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e if i in at else None)
+             for i, e in enumerate(plan) if e.delay_at is not None and (gating or i in at)]
+    totals = {plan[i].request.id: _total(plan[i], 0, slot) for i in at if plan[i].delay_at is None}
+    if not drawn:
         return _decide(prep, pair, fixed, at, issue_ticks, seeds, totals) if seeds else (0, None)
     ceil = math.ceil
     count, missing = 0, None
     for seed in seeds:
         ticks = fixed.copy()
         prefix = derive(seed, TAG_DELAY)
-        for i, rid, issue, delay_at, relev, values, total in drawn_pair:
-            d = delay_at(first_random(child(prefix, rid)))
+        for i, issue, delay_at, rid, e in drawn:
+            d = _draw_delay(delay_at, prefix, rid)
             ticks[i] = issue + ceil(d)
-            if d:
-                values = values.copy()
-                values[k] += d
-                total = relev + sum(values)
-            totals[rid] = total
-        for i, rid, issue, delay_at in drawn_rest:
-            ticks[i] = issue + ceil(delay_at(first_random(child(prefix, rid))))
+            if e is not None:  # a pair request
+                totals[rid] = _total(e, d, slot)
         seed_count, seed_missing = _decide(prep, pair, ticks, at, issue_ticks, (seed,), totals)
         count += seed_count
         if missing is None:

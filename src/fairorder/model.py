@@ -107,12 +107,18 @@ def adjacent(r1: Request, r2: Request, part: FeaturePartition) -> bool:
     return all(r1.features[i] == r2.features[i] for i in part.relevant)
 
 
-def score(r: Request, part: FeaturePartition) -> Score:
-    """Sum relevant features into relev and irrelevant ones into eta."""
+def score_parts(r: Request, part: FeaturePartition) -> tuple[float, tuple[float, ...]]:
+    """The relevant sum and the irrelevant values in summation order, which
+    ``score`` sums into eta."""
     part.check_dimensions(r)
     relev = sum(r.features[i] for i in part.relevant)
-    eta = sum(r.features[i] for i in part.irrelevant)
-    return Score(relev, eta)
+    return relev, tuple([r.features[i] for i in part.irrelevant])
+
+
+def score(r: Request, part: FeaturePartition) -> Score:
+    """Sum relevant features into relev and irrelevant ones into eta."""
+    relev, values = score_parts(r, part)
+    return Score(relev, sum(values))
 
 
 def k_distance(s1: Score, s2: Score, lam: float) -> float:

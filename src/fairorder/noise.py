@@ -76,10 +76,12 @@ class NoiseSpec:
         if self.kind in (NoiseKind.BOUNDED_LAPLACE, NoiseKind.UNIFORM):
             if self.bound is None or self.bound <= 0:
                 raise ConfigurationError(f"{self.kind.value} requires a positive bound")
-        # Every draw at an infinite scale is +-inf, so rejection would never end.
-        if self.kind is NoiseKind.BOUNDED_LAPLACE and not math.isfinite(self.scale):
+        # Every draw at an infinite scale is +-inf, so rejection would never end;
+        # a quotient that underflows to zero leaves no Laplace to draw from.
+        if (self.kind is NoiseKind.BOUNDED_LAPLACE
+                and not (math.isfinite(self.scale) and self.scale > 0)):
             raise ConfigurationError(
-                f"bounded_laplace scale sensitivity / epsilon must be finite, "
+                f"bounded_laplace scale sensitivity / epsilon must be finite and positive, "
                 f"got {self.sensitivity!r} / {self.epsilon!r}")
         if (self.kind is NoiseKind.BOUNDED_LAPLACE
                 and -math.expm1(-self.bound / self.scale) < MIN_BOUNDED_LAPLACE_ACCEPTANCE):

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .checkers import Verdict
-from .engine import ORDER, Trace, TraceWalk
+from .engine import Trace, TraceWalk
 from .model import ParameterError
 from .noise import ConfigurationError
 from .randomizer import ReplicaSet
@@ -123,8 +123,7 @@ def global_received(view: QuorumView, t: int, quorum: int | None = None) -> froz
 
 def global_ordered(view: QuorumView, t: int, quorum: int | None = None) -> frozenset[int]:
     """Requests ordered by at least ``quorum`` servers by tick t (default n-f)."""
-    rows = [(max(ev.at_tick, 0), ev.rid) for ev in view.trace.events
-            if ev.kind == ORDER and max(ev.at_tick, 0) <= view.trace.horizon]
+    rows = [(c, rid) for c, _, ordered, _ in view.history[0] for rid in ordered]
     return _quorum_set(view, t, rows, view.trace.final_order,
                        view.n - view.f if quorum is None else quorum)
 

@@ -168,6 +168,11 @@ class ScenarioConfig:
                 raise ConfigurationError("n_trials must be positive")
             if self.trials.force_k is not None and not is_finite(self.trials.force_k):
                 raise ConfigurationError("force_k must be a finite number")
+            if self.trials.force_k is not None and self.trials.force_k < 0:
+                raise ConfigurationError(f"force_k must be non-negative, got {self.trials.force_k}")
+            if not 0.0 < self.trials.confidence < 1.0:
+                raise ConfigurationError("trials confidence must lie strictly between 0 and 1, "
+                                         f"got {self.trials.confidence}")
             pair = self.trials.pair
             if pair is not None and (len(pair) != 2 or pair[0] == pair[1]):
                 raise ConfigurationError(f"trials pair must be two distinct ids, got {list(pair)}")

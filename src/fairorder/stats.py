@@ -166,14 +166,11 @@ def _seed_chunks(base_seed: int, n_trials: int, jobs: int) -> list[tuple[int, in
 
 
 def _pre_mechanism_requests(prep: Prepared):
-    """Requests as the server perceives them before the DP mechanism.
-
-    Includes adversary bribes/misreports, and constant delivery delays
-    when every delivery is fixed; trial-varying random delays cannot be
-    attributed to a single pre-mechanism score and are left out.
-    """
+    """Requests as the server perceives them before the DP mechanism: after bribes and
+    misreports, and with the plan's constant delays only when no delivery draws (random
+    delays vary by trial, so no single pre-mechanism score holds them)."""
     if prep.static:
-        return {rid: r for rid, (_, r) in prep.fixed.items()}
+        return {e.request.id: e.request for e in prep.plan}
     return {r.id: r for r in prep.requests}
 
 

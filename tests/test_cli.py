@@ -352,6 +352,17 @@ def _one_request(**request):
 INVALID_FIELDS = {
     "drain_text": ("run", {"drain_ticks": "abc"}, 'drain_ticks: expected an integer, got "abc"'),
     "drain_negative": ("run", {"drain_ticks": -5}, "drain_ticks must be non-negative"),
+    # Trials blocks that once loaded: run exited 0, and certify failed after every trial.
+    "confidence_nan": ("certify", {"trials": {"n_trials": 10, "confidence": math.nan}},
+                       "trials confidence must lie strictly between 0 and 1, got nan"),
+    "confidence_zero": ("run", {"trials": {"n_trials": 10, "confidence": 0}},
+                        "trials confidence must lie strictly between 0 and 1, got 0.0"),
+    "confidence_one": ("certify", {"trials": {"n_trials": 10, "confidence": 1}},
+                       "trials confidence must lie strictly between 0 and 1, got 1.0"),
+    "confidence_above_one": ("quorum", {"trials": {"n_trials": 10, "confidence": 1.5}},
+                             "trials confidence must lie strictly between 0 and 1, got 1.5"),
+    "force_k_negative": ("certify", {"trials": {"n_trials": 10, "force_k": -0.5}},
+                         "force_k must be non-negative, got -0.5"),
     "pair_of_one": ("certify", {"trials": {"n_trials": 10, "pair": [0]}},
                     "trials pair must be two distinct ids"),
     "pair_of_three": ("certify", {"trials": {"n_trials": 10, "pair": [0, 1, 2]}},
@@ -402,6 +413,26 @@ def test_invalid_scenario_field_exits_two(tmp_path, case, capsys):
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err) < 200
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("trials", [{"confidence": 1.0}, {"confidence": -0.1},
+                                    {"force_k": -1.0}])
+@pytest.mark.parametrize("command", ["run", "certify", "quorum"])
+def test_bad_trials_block_exits_two_before_any_trial(tmp_path, monkeypatch, command, trials,
+                                                     capsys):
+    from fairorder import stats
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(stats, "estimate_order_probability", no_trials)
+    doc = certify_config(n_trials=200_000)
+    doc["trials"].update(trials)
+    doc["multi_server"] = {"n": 4, "f": 1, "lags": [0, 1, 2, 0]}
+    config = write_config(tmp_path, doc)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys)
     assert not (tmp_path / "out").exists()
 
 

@@ -2,10 +2,12 @@
 
 `pair_count` and the engine derive each request's noise as
 ``sample_state(spec, child(derive(seed, TAG_NOISE), rid))`` instead of
-``sample(spec, Stream(derive(seed, TAG_NOISE, rid)))``, and each delay
-as ``DelayModel.sample_state(client, state)`` instead of
-``DelayModel.sample(client, Stream(state))``. These tests hold the two
-forms equal bit for bit, so no count, trace or report can move.
+``sample(spec, Stream(derive(seed, TAG_NOISE, rid)))``. Each delay comes
+from the client's model resolved once in ``Prepared.plan``: a drawing
+model's ``delay_at(first_random(state))``, or a constant already folded
+into the request, instead of ``DelayModel.sample(client, Stream(state))``.
+These tests hold the two forms equal bit for bit, so no count, trace or
+report can move.
 """
 
 from unittest import mock
@@ -13,9 +15,12 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from fairorder import noise
-from fairorder.adversary import DelayModel
+from fairorder.adversary import DelayModel, delayed
+from fairorder.engine import _draw_delay, prepare
+from fairorder.model import Request
 from fairorder.noise import NoiseSpec, sample, sample_state
 from fairorder.rng import Stream, child, derive, first_random
+from fairorder.scenario import ScenarioConfig
 
 # Full 64-bit values, negative ones and ones past 64 bits, which derivation masks.
 INTS = st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**70, -1),
@@ -95,7 +100,19 @@ DELAYS = {
 
 
 @settings(max_examples=300)
-@given(kind=st.sampled_from(sorted(DELAYS)), client=st.integers(0, 4), state=INTS)
-def test_delay_sample_state_equals_sample_on_a_fresh_stream(kind, client, state):
+@given(kind=st.sampled_from(sorted(DELAYS)), client=st.integers(0, 4), rid=st.integers(0, 2**20),
+       prefix=INTS)
+def test_plan_delay_equals_sample_on_a_fresh_stream(kind, client, rid, prefix):
     model = DELAYS[kind]
-    assert model.sample_state(client, state).hex() == model.sample(client, Stream(state)).hex()
+    r = Request(id=rid, client_id=client, features=(0.0, -0.0), issue_tick=3)
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=(r,),
+                              eta_feature=1, delay=model)
+    (entry,) = prepare(scenario).plan
+    want = model.sample(client, Stream(child(prefix, rid)))
+    if model.for_client(client).kind == "constant":
+        # Drawn once at prepare, from no stream, and folded into the request.
+        tick, folded = delayed(r, want, 1)
+        assert entry.delay_at is None and entry.tick == tick
+        assert [x.hex() for x in entry.request.features] == [x.hex() for x in folded.features]
+    else:
+        assert _draw_delay(entry.delay_at, prefix, rid).hex() == want.hex()

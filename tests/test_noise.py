@@ -243,6 +243,12 @@ class TestNoiseSpecValidation:
         # Plain Laplace samples once per draw, so an infinite scale cannot hang it.
         assert NoiseSpec(kind="laplace", epsilon=1e-300, sensitivity=1e10).scale == math.inf
 
+    def test_bounded_laplace_rejects_an_underflowing_scale(self):
+        # Both parameters are positive, but sensitivity / epsilon rounds to 0, so the
+        # acceptance check bound / scale would divide by zero.
+        with pytest.raises(ConfigurationError, match="scale"):
+            NoiseSpec(kind="bounded_laplace", epsilon=2.0, sensitivity=5e-324, bound=1.0)
+
     def test_bounded_laplace_rejects_an_acceptance_below_the_floor(self):
         # Acceptance is 1 - exp(-bound / scale): about 1e-12 here, so sampling would
         # take about 10^12 draws. At scale 1, the floor of 1e-5 lies between bounds

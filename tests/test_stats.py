@@ -58,7 +58,7 @@ class TestEstimator:
         assert serial == parallel
 
     def test_parallel_jobs_match_serial_on_random_delays(self):
-        # Each worker builds the kernel's per-call plan from a pickled Prepared.
+        # Each worker reads the plan, delay models included, of a pickled Prepared.
         reqs = tuple(Request(id=i, client_id=i, features=(float(i % 2), 0.0), issue_tick=i // 2)
                      for i in range(4))
         scenario = ScenarioConfig(

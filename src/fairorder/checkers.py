@@ -14,8 +14,10 @@ counterexample witness on failure. The four core properties:
 Consistency is checked in this prefix-compatible form rather than as
 literal equality of orders: a server that keeps ordering already
 received requests during delivery-quiet periods must not be flagged,
-or non-blocking would be unsatisfiable. The time-indexed checks walk
-the rows with ``TraceWalk``, so they cost O(events) whatever the horizon.
+or non-blocking would be unsatisfiable. The time-indexed checks read
+the trace's ``history``, its row ticks, so they cost O(events) whatever
+the horizon; they rebuild a full output only at a reordering tick, and
+only until they have their witness.
 
 The module also hosts policy-compliance checking against a partial
 order of required precedences, an optional stronger liveness check,
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .engine import Trace, TraceWalk, run
+from .engine import History, Trace, run
 from .model import Request
 from .noise import ConfigurationError
 from .scenario import Policy, ScenarioConfig
@@ -126,65 +128,6 @@ def _is_prefix(shorter: tuple, longer: tuple) -> bool:
     return len(shorter) <= len(longer) and longer[: len(shorter)] == shorter
 
 
-def _order_steps(trace: Trace):
-    """Yield (walk, tick, divergence) at each tick 1..horizon with an order row, where
-    divergence is None if the output before the tick is a prefix of the output at it."""
-    walk = TraceWalk(trace.events, trace.horizon)
-    for t in walk:
-        if t and t in walk.orders:
-            divergence = None
-            if walk.prev is not None and not _is_prefix(walk.prev, cur := tuple(walk.output)):
-                divergence = _first_divergence(walk.prev, cur)
-            yield walk, t, divergence
-
-
-class OrderSweep:
-    """The consistency and monotonic-order witnesses of one trace, from one walk.
-
-    The walk runs on first use of ``witnesses``; ``check_all`` hands one
-    sweep to both checkers, so the trace is walked once.
-    """
-
-    def __init__(self, trace: Trace):
-        self.trace = trace
-
-    @cached_property
-    def witnesses(self) -> tuple[tuple | None, tuple | None]:
-        """(consistency, monotonic order) witnesses, None where the property holds."""
-        consistency = monotonic = None
-        for walk, t, divergence in _order_steps(self.trace):
-            if monotonic is None and divergence:
-                monotonic = (t, *divergence)
-            if consistency is None and not walk.received_grew:
-                consistency = (t, *divergence) if divergence else _unreceived_growth(walk, t)
-            if consistency and monotonic:
-                break
-        return consistency, monotonic
-
-
-def _unreceived_growth(walk: TraceWalk, t: int) -> tuple | None:
-    """(t, least id) among the ids that grew the order at t without being received."""
-    illegal = set(walk.output[walk.grown:]) - walk.received
-    if illegal:  # an id already ordered did not grow the order
-        illegal -= set(walk.output[:walk.grown])
-    return (t, min(illegal)) if illegal else None
-
-
-def _sweep_of(trace: Trace, sweep: OrderSweep | None) -> OrderSweep:
-    """``sweep`` if it walks ``trace`` itself, else a new sweep of ``trace``."""
-    return sweep if sweep is not None and sweep.trace is trace else OrderSweep(trace)
-
-
-def check_consistency(trace: Trace, sweep: OrderSweep | None = None) -> Verdict:
-    """Quiet periods may only extend the order with already-received requests.
-
-    ``sweep``, an ``OrderSweep`` of ``trace``, shares its walk with
-    ``check_monotonic_order``.
-    """
-    witness = _sweep_of(trace, sweep).witnesses[0]
-    return Verdict(CONSISTENCY, witness is None, witness)
-
-
 def _first_divergence(a: tuple, b: tuple) -> tuple:
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -192,14 +135,36 @@ def _first_divergence(a: tuple, b: tuple) -> tuple:
     return (a[min(len(a), len(b)) - 1] if a else -1,)
 
 
-def check_monotonic_order(trace: Trace, sweep: OrderSweep | None = None) -> Verdict:
-    """Each tick's order must be a prefix of the next one.
+def _reordering(history: History, t: int) -> tuple | None:
+    """(t, divergence) if the output before tick t is not a prefix of the output at t,
+    else None. Only a tick that ``reorders`` can give one; it rebuilds both outputs."""
+    before, at = history.output_at(t - 1), history.output_at(t)
+    return None if _is_prefix(before, at) else (t, *_first_divergence(before, at))
 
-    ``sweep``, an ``OrderSweep`` of ``trace``, shares its walk with
-    ``check_consistency``.
-    """
-    witness = _sweep_of(trace, sweep).witnesses[1]
-    return Verdict(MONOTONIC_ORDER, witness is None, witness)
+
+def check_consistency(trace: Trace) -> Verdict:
+    """Quiet periods may only extend the order with already-received requests."""
+    history, received = trace.history, set()
+    for t, new_received, ordered, reorders in history.steps:
+        received.update(new_received)
+        if not t or new_received:
+            continue
+        witness = reorders and _reordering(history, t)
+        if not witness:
+            illegal = [rid for rid in ordered if rid not in received]
+            witness = (t, min(illegal)) if illegal else None
+        if witness:
+            return Verdict(CONSISTENCY, False, witness)
+    return Verdict(CONSISTENCY, True)
+
+
+def check_monotonic_order(trace: Trace) -> Verdict:
+    """Each tick's order must be a prefix of the next one."""
+    history = trace.history
+    for step in history.steps:
+        if step.reorders and (witness := _reordering(history, step.tick)):
+            return Verdict(MONOTONIC_ORDER, False, witness)
+    return Verdict(MONOTONIC_ORDER, True)
 
 
 def check_policy_compliance(trace: Trace, pred: PolicyPredicate) -> Verdict:
@@ -223,21 +188,24 @@ def check_strong_non_blocking(trace: Trace) -> Verdict:
     Optional utilization-style check; gated policies legitimately fail
     it while they wait for stability.
     """
-    walk = TraceWalk(trace.events, trace.horizon)
-    for t in walk:  # a row tick's state lasts until the next, so it stalls first there
-        if walk.pending and t < trace.horizon and t + 1 not in walk.orders:
-            return Verdict(STRONG_NON_BLOCKING, False, (t, min(walk.pending)))
+    history, pending, ordered = trace.history, set(), set()
+    for t, received, new_ordered, _ in history.steps:
+        ordered.update(new_ordered)
+        pending.update(rid for rid in received if rid not in ordered)
+        pending.difference_update(new_ordered)
+        # a row tick's state lasts until the next, so it stalls first there
+        if pending and t < trace.horizon and t + 1 not in history.orders:
+            return Verdict(STRONG_NON_BLOCKING, False, (t, min(pending)))
     return Verdict(STRONG_NON_BLOCKING, True)
 
 
 def check_all(trace: Trace) -> list[Verdict]:
-    """The four core verdicts; consistency and monotonic order share one walk."""
-    sweep = OrderSweep(trace)
+    """The four core verdicts."""
     return [
         check_order_determinism(trace),
         check_non_blocking(trace),
-        check_consistency(trace, sweep),
-        check_monotonic_order(trace, sweep),
+        check_consistency(trace),
+        check_monotonic_order(trace),
     ]
 
 

@@ -3,8 +3,9 @@
 A run visits the ticks that carry issue and delivery events and lets
 the active policy move requests from the pending set into the output
 order. A recorded trace is its event rows, tick maps, final order and
-horizon, so it costs O(events) whatever the horizon; ``TraceWalk``
-sweeps the rows tick by tick for the checkers and the quorum view.
+horizon, so it costs O(events) whatever the horizon. ``Trace.history``,
+one pass over the rows, records what they hold at each row tick; the
+checkers and the quorum view read it.
 Everything is a pure function of (scenario, policy, seed): delays and
 noise samples are derived statelessly from the seed and the request
 id, so replaying a seed reproduces the trace bit for bit, and recording
@@ -37,6 +38,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
@@ -112,6 +114,12 @@ class Trace:
     deliver_ticks: dict[int, int]
     order_ticks: dict[int, int]
     horizon: int
+
+    @cached_property
+    def history(self) -> History:
+        """The one record of what the rows hold at each tick, built on first use and
+        kept; a trace made by ``replace`` builds its own."""
+        return history_of(self.events, self.horizon)
 
     @property
     def snapshots(self) -> tuple[Snapshot, ...]:
@@ -317,7 +325,7 @@ def _total(e: PlanEntry, delay: float, slot: int) -> float:
 class Prepared:
     """A scenario compiled for repeated seeded runs.
 
-    ``plan`` has one entry per request, in the order of ``requests``, and
+    ``plan`` has one entry per request, in the scenario's request order, and
     ``eta_slot`` is the eta feature's place in each entry's ``values``.
     ``_schedule`` and the fair kernel both read them and draw and total
     with ``_draw_delay`` and ``_total``. Loading rejects a scenario
@@ -326,7 +334,6 @@ class Prepared:
 
     scenario: ScenarioConfig
     policy: Policy
-    requests: tuple[Request, ...]
     drain: int
     plan: tuple[PlanEntry, ...]
     eta_slot: int
@@ -341,9 +348,8 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
     """Apply adversaries and compile the plan: deliveries and score parts, once."""
     policy = policy if policy is not None else scenario.policy
     part, delay, eta = scenario.partition, scenario.delay, scenario.eta_feature
-    reqs = scenario.build_requests()
     plan = []
-    for r in reqs:
+    for r in scenario.build_requests():
         model, tick, delay_at = delay.for_client(r.client_id), None, None
         if r.id in scenario.deliver_overrides:
             tick = scenario.deliver_overrides[r.id]
@@ -353,7 +359,7 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
             delay_at = model.delay_at
         plan.append(PlanEntry(r, tick, delay_at, *score_parts(r, part)))
     slot = list(part.irrelevant).index(eta)  # in score's summation order
-    return Prepared(scenario, policy, reqs, scenario.drain(), tuple(plan), slot)
+    return Prepared(scenario, policy, scenario.drain(), tuple(plan), slot)
 
 
 def _schedule(prep: Prepared, seed: int) -> Schedule:
@@ -557,65 +563,95 @@ def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,
     return run_prepared(prepare(scenario, policy), seed, record)
 
 
-class TraceWalk:
-    """One forward sweep over a trace's deliver and order rows, tick by tick.
+class Step(NamedTuple):
+    """One row tick of a trace: the ids first received there (ascending) and first
+    ordered there (in output order), and whether an order row there lands before an
+    earlier row, so that the output before the tick may not be a prefix of its output."""
+
+    tick: int
+    received: tuple[int, ...]
+    ordered: tuple[int, ...]
+    reorders: bool
+
+
+@dataclass(frozen=True)
+class History:
+    """What a trace's rows hold at each tick, from one pass over them (``history_of``).
 
     At tick t a request is received once it has a deliver row at a tick
     <= t, and the output lists the order rows at ticks <= t in row order
-    (negative ticks count as 0). Iterating yields each tick 0..horizon
-    with such a row, with ``received``, ``pending`` and ``output`` grown
-    in place to that tick. ``received_grew`` tells whether the tick added
-    a received request and ``grown`` is the output's length before it;
-    ``prev`` copies that output only if an order row lands before an
-    earlier row, so that it may not be a prefix of the new output.
+    (negative ticks count as 0, rows past the horizon are ignored).
+    ``steps`` has one entry per tick with such a row, since no other tick
+    changes the received set or the output. ``orders`` maps each row
+    tick to its positions among the order rows, whose ids are
+    ``order_rids``.
     """
 
-    def __init__(self, events, horizon: int):
-        self.horizon = horizon
-        self.delivers: dict[int, list[int]] = {}
-        self.orders: dict[int, list[int]] = {}  # tick -> positions among the order rows
-        self.order_rids: list[int] = []
-        for ev in events:
-            if ev.kind == DELIVER:
-                self.delivers.setdefault(max(ev.at_tick, 0), []).append(ev.rid)
-            elif ev.kind == ORDER:
-                self.orders.setdefault(max(ev.at_tick, 0), []).append(len(self.order_rids))
-                self.order_rids.append(ev.rid)
-        self.received, self.pending, self.output = set(), set(), []
-        self.received_grew, self.grown, self.prev = False, 0, None
+    steps: tuple[Step, ...]
+    orders: dict[int, list[int]]
+    order_rids: list[int]
 
-    def __iter__(self):
-        rows, ordered = [], set()  # positions of the order rows applied so far (ascending), ids
-        for t in sorted(t for t in self.delivers.keys() | self.orders if t <= self.horizon):
-            delivered, new_rows = self.delivers.get(t, ()), self.orders.get(t, ())
-            before = len(self.received)
-            self.received.update(delivered)
-            self.received_grew = len(self.received) > before
-            self.pending.update(rid for rid in delivered if rid not in ordered)
-            self.grown = len(self.output)
-            self.prev = tuple(self.output) if new_rows and rows and new_rows[0] < rows[-1] else None
-            for row in new_rows:
-                at = bisect_right(rows, row)
-                rows.insert(at, row)
-                self.output.insert(at, self.order_rids[row])
-            new_ids = [self.order_rids[row] for row in new_rows]
-            ordered.update(new_ids)
-            self.pending.difference_update(new_ids)
-            yield t
+    def output_at(self, u: int) -> tuple[int, ...]:
+        """The output at tick u, rebuilt from all the order rows: callers rebuild it only
+        at a tick that reorders."""
+        rows = sorted(row for t, at in self.orders.items() if t <= u for row in at)
+        return tuple(self.order_rids[row] for row in rows)
+
+
+def history_of(events, horizon: int) -> History:
+    """The ``History`` of the rows ``events`` up to ``horizon``, in O(events log events).
+
+    A tick's first-ordered ids come from its own order rows, which keep
+    their row order in the output.
+    """
+    delivers: dict[int, list[int]] = {}
+    orders: dict[int, list[int]] = {}
+    order_rids: list[int] = []
+    for ev in events:
+        t = max(ev.at_tick, 0)
+        if t > horizon:
+            continue
+        if ev.kind == DELIVER:
+            delivers.setdefault(t, []).append(ev.rid)
+        elif ev.kind == ORDER:
+            orders.setdefault(t, []).append(len(order_rids))
+            order_rids.append(ev.rid)
+    received, ordered, steps, last = set(), set(), [], -1  # last: the latest row applied
+    for t in sorted(delivers.keys() | orders):
+        new_received, new_ordered, rows = [], [], orders.get(t, ())
+        for rid in delivers.get(t, ()):
+            if rid not in received:
+                received.add(rid)
+                new_received.append(rid)
+        for row in rows:
+            if (rid := order_rids[row]) not in ordered:
+                ordered.add(rid)
+                new_ordered.append(rid)
+        steps.append(Step(t, tuple(sorted(new_received)), tuple(new_ordered),
+                          bool(rows) and rows[0] < last))
+        if rows:
+            last = max(last, rows[-1])
+    return History(tuple(steps), orders, order_rids)
 
 
 def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
-    """The per-tick snapshots 0..horizon that ``TraceWalk`` passes through.
+    """The per-tick snapshots 0..horizon of ``history_of(events, horizon)``.
 
     A tick without a row repeats the previous Snapshot object. It costs
     O(horizon), so only tests and the bench tracer read it.
     """
-    walk = TraceWalk(events, horizon)
+    history = history_of(events, horizon)
     snap, snapshots = Snapshot(frozenset(), frozenset(), ()), []
-    for t in walk:
+    received, pending, ordered = set(), set(), set()
+    for t, new_received, new_ordered, reorders in history.steps:
         snapshots.extend([snap] * (t - len(snapshots)))
-        output = snap.output if t not in walk.orders else tuple(walk.output)
-        snap = Snapshot(frozenset(walk.received), frozenset(walk.pending), output)
+        output = history.output_at(t) if reorders else snap.output + tuple(
+            history.order_rids[row] for row in history.orders.get(t, ()))
+        received.update(new_received)
+        ordered.update(new_ordered)
+        pending.update(rid for rid in new_received if rid not in ordered)
+        pending.difference_update(new_ordered)
+        snap = Snapshot(frozenset(received), frozenset(pending), output)
         snapshots.append(snap)
     snapshots.extend([snap] * (horizon + 1 - len(snapshots)))
     return tuple(snapshots)

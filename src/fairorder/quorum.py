@@ -12,19 +12,18 @@ checks quantify over correct servers only.
 A view is the trace plus one lag per server: correct server i holds at
 tick t what the trace holds at tick t - lags[i]. Every query reads the
 trace's row ticks shifted by the lags, so a view costs O(servers x
-events) whatever the lags and the horizon. A view walks its trace once,
-on first use, and every query reads that walk.
+events) whatever the lags and the horizon. Every query reads the
+trace's ``history``, built once per trace.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .checkers import Verdict
-from .engine import Trace, TraceWalk
+from .engine import Trace
 from .model import ParameterError
 from .noise import ConfigurationError
 from .randomizer import ReplicaSet
@@ -62,22 +61,6 @@ class QuorumView:
     def horizon(self) -> int:
         return self.trace.horizon + max(self.lags, default=0)
 
-    @cached_property
-    def history(self) -> tuple[list[tuple[int, list[int], list[int], bool]], TraceWalk]:
-        """One walk of the trace, built on first use: per row tick (tick, ids first
-        received, ids first ordered, whether it reorders), and the walk, left at the
-        trace's horizon."""
-        walk = TraceWalk(self.trace.events, self.trace.horizon)
-        received, ordered, changes = set(), set(), []
-        for t in walk:
-            new_received = sorted(set(walk.delivers.get(t, ())) - received)
-            tail = walk.output[walk.grown if walk.prev is None else 0:]
-            new_ordered = [rid for rid in dict.fromkeys(tail) if rid not in ordered]
-            received.update(new_received)
-            ordered.update(new_ordered)
-            changes.append((t, new_received, new_ordered, walk.prev is not None))
-        return changes, walk
-
 
 def replicate_trace(trace: Trace, n: int, f: int, lags,
                     byzantine_servers=()) -> QuorumView:
@@ -89,13 +72,6 @@ def replicate_trace(trace: Trace, n: int, f: int, lags,
     illegal replica set (see ``ReplicaSet``) raises ConfigurationError.
     """
     return QuorumView(ReplicaSet(n, f, byzantine_servers), trace, tuple(int(x) for x in lags))
-
-
-def _output_at(walk: TraceWalk, u: int) -> tuple[int, ...]:
-    """The trace's output at tick u <= its horizon: the order rows at ticks <= u, in
-    row order, read off the walk's row index."""
-    rows = sorted(row for t, at in walk.orders.items() if t <= u for row in at)
-    return tuple(walk.order_rids[row] for row in rows)
 
 
 def _quorum_set(view: QuorumView, t: int, rows, byzantine_ids, quorum: int) -> frozenset[int]:
@@ -116,14 +92,14 @@ def _quorum_set(view: QuorumView, t: int, rows, byzantine_ids, quorum: int) -> f
 
 def global_received(view: QuorumView, t: int, quorum: int | None = None) -> frozenset[int]:
     """Requests received by at least ``quorum`` servers by tick t (default f+1)."""
-    rows = [(c, rid) for c, received, _, _ in view.history[0] for rid in received]
+    rows = [(c, rid) for c, received, _, _ in view.trace.history.steps for rid in received]
     return _quorum_set(view, t, rows, view.trace.deliver_ticks,
                        view.f + 1 if quorum is None else quorum)
 
 
 def global_ordered(view: QuorumView, t: int, quorum: int | None = None) -> frozenset[int]:
     """Requests ordered by at least ``quorum`` servers by tick t (default n-f)."""
-    rows = [(c, rid) for c, _, ordered, _ in view.history[0] for rid in ordered]
+    rows = [(c, rid) for c, _, ordered, _ in view.trace.history.steps for rid in ordered]
     return _quorum_set(view, t, rows, view.trace.final_order,
                        view.n - view.f if quorum is None else quorum)
 
@@ -136,13 +112,13 @@ def check_prefix_consistency(view: QuorumView) -> Verdict:
     such a tick are compared in full.
     """
     correct = sorted(view.correct)
-    changes, walk = view.history
-    reorders = [c for c, _, _, reordered in changes if reordered]
-    for t in sorted({view.lags[i] + c for i in correct for c, *_ in changes}):
+    history = view.trace.history
+    reorders = [step.tick for step in history.steps if step.reorders]
+    for t in sorted({view.lags[i] + step.tick for i in correct for step in history.steps}):
         at = [min(t - view.lags[i], view.trace.horizon) for i in correct]
         if bisect_right(reorders, min(at)) == bisect_right(reorders, max(at)):
             continue
-        outputs = dict(zip(correct, (_output_at(walk, u) for u in at)))
+        outputs = dict(zip(correct, map(history.output_at, at)))
         for i, j in combinations(correct, 2):
             shorter, longer = sorted((outputs[i], outputs[j]), key=len)
             if longer[: len(shorter)] != shorter:
@@ -158,12 +134,13 @@ def serialize_view(view: QuorumView) -> str:
     """
     lines = [f"# fairorder-view v1 n={view.n} f={view.f} "
              f"correct={','.join(str(i) for i in sorted(view.correct))}"]
-    changes, walk = view.history
-    final = tuple(walk.output)
+    history = view.trace.history
+    final = history.output_at(view.trace.horizon)
     scrambled = tuple(reversed(view.trace.final_order))
     for i in range(view.n):
         if i in view.correct:
-            shifted = [(view.lags[i] + c, received, ordered) for c, received, ordered, _ in changes]
+            shifted = [(view.lags[i] + c, received, ordered)
+                       for c, received, ordered, _ in history.steps]
         else:
             shifted = [(0, sorted(view.trace.deliver_ticks), dict.fromkeys(scrambled))]
         for t, received, ordered in shifted:

@@ -115,8 +115,8 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
     if n_trials <= 0:
         raise ParameterError("n_trials must be positive")
     prep = prepare(scenario, policy)
-    by_id = {r.id: r for r in prep.requests}
-    if pair[0] not in by_id or pair[1] not in by_id:
+    pre_mechanism = _pre_mechanism_requests(prep)
+    if pair[0] not in pre_mechanism or pair[1] not in pre_mechanism:
         raise ParameterError(f"pair {pair} not found in scenario requests")
 
     # The pool starts all its workers at once, so more than the cores only costs processes.
@@ -140,7 +140,6 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
             )
 
     part = scenario.partition
-    pre_mechanism = _pre_mechanism_requests(prep)
     sa = score(pre_mechanism[pair[0]], part)
     sb = score(pre_mechanism[pair[1]], part)
     p_hat = count / n_trials
@@ -166,12 +165,10 @@ def _seed_chunks(base_seed: int, n_trials: int, jobs: int) -> list[tuple[int, in
 
 
 def _pre_mechanism_requests(prep: Prepared):
-    """Requests as the server perceives them before the DP mechanism: after bribes and
-    misreports, and with the plan's constant delays only when no delivery draws (random
-    delays vary by trial, so no single pre-mechanism score holds them)."""
-    if prep.static:
-        return {e.request.id: e.request for e in prep.plan}
-    return {r.id: r for r in prep.requests}
+    """Requests as the server perceives them before the DP mechanism: the plan's, after
+    bribes and misreports, each with its own constant delay folded in (a drawn delay
+    varies by trial, so no single pre-mechanism score holds it)."""
+    return {e.request.id: e.request for e in prep.plan}
 
 
 def _verdict(q: float, thr: float, radius: float) -> str:

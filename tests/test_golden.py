@@ -141,11 +141,11 @@ GOLDEN_CERTIFY = {
         '0,1,2000,1253,0.6265,0.4,1.0,2.718281828459045,0.03639477080072093,pass\n',
         'pair=(0, 1) p_hat=0.626500 k=0.4 bound=2.71828 verdict=pass\n',
     ),
-    'delay_mixed_clients': (
+    'delay_mixed_clients': (  # k reads client 0's constant delay 1.5 beside the drawn ones
         0,
         'pair_a,pair_b,n_trials,count_first,p_hat,k,epsilon,bound,radius,verdict\n'
-        '0,1,2000,798,0.399,0.4,1.0,2.718281828459045,0.03639477080072093,pass\n',
-        'pair=(0, 1) p_hat=0.399000 k=0.4 bound=2.71828 verdict=pass\n',
+        '0,1,2000,798,0.399,0.1,1.0,2.718281828459045,0.03639477080072093,pass\n',
+        'pair=(0, 1) p_hat=0.399000 k=0.1 bound=2.71828 verdict=pass\n',
     ),
     'bounded_highest_first_bribe': (
         3,

@@ -1,11 +1,11 @@
-"""One walk of a trace per command, held to the per-tick oracles.
+"""One pass over a trace's rows, shared by its checkers and its quorum views.
 
-``check_all`` walks a trace once for both the consistency and the
-monotonic-order sweep, and a quorum view walks its trace once for its
-change list, its prefix check and its serialization. A spy counts the
-``TraceWalk`` constructions; the hypothesis test holds the shared pass to
-the tick-by-tick oracles on hand-written, engine and forged traces, and
-checks that no view or sweep answers from another trace's walk.
+``Trace.history`` is built once per trace, on first use, and the
+time-indexed checkers, the prefix check, ``view.txt`` and the global
+sets all read it. A spy counts the builds and the full outputs rebuilt
+from it; the hypothesis test holds the shared pass to the tick-by-tick
+oracles on hand-written, engine and forged traces, and checks that no
+view or trace answers from another trace's record.
 """
 
 from dataclasses import replace
@@ -15,13 +15,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from forge import (forge_drop_from_output, forge_order_before_delivery,
                    forge_permuted_prefix, forge_phantom_receipt)
-from gen import engine_traces, hand_written_traces
-from oracles import PerTickView, consistency_and_monotonic_per_tick, snapshots_per_tick
-from fairorder import checkers, quorum
+from gen import engine_traces, hand_written_traces, rows_text
+from oracles import (PerTickView, consistency_and_monotonic_per_tick, snapshots_per_tick,
+                     strong_non_blocking_per_tick)
+from fairorder import engine
 from fairorder.adversary import DelayModel
-from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, OrderSweep, check_all,
-                                check_consistency, check_monotonic_order)
-from fairorder.engine import run
+from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, check_all,
+                                check_strong_non_blocking)
+from fairorder.engine import DELIVER, ORDER, Event, History, parse_trace, run
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.quorum import (check_prefix_consistency, global_ordered, global_received,
@@ -64,61 +65,77 @@ def forged_traces():
 TRACES = st.one_of(hand_written_traces(), engine_traces(), forged_traces())
 
 
-def walks_in(module):
-    """(patch, constructions): a spy on ``module.TraceWalk`` that counts its walks."""
-    calls = []
-    real = module.TraceWalk
+def builds():
+    """A spy on the record's builder, ``engine.history_of``, that counts its builds."""
+    return mock.patch.object(engine, "history_of", wraps=engine.history_of)
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
 
-    return mock.patch.object(module, "TraceWalk", spy), calls
+def test_check_all_walks_the_trace_once():
+    with builds() as spy:
+        verdicts = check_all(fair_trace())
+    assert spy.call_count == 1 and all(v.passed for v in verdicts)
 
 
 def test_quorum_walks_its_trace_once():
-    view = replicate_trace(fair_trace(), 4, 1, (0, 1, 2, 3), {3})
-    patch, calls = walks_in(quorum)
-    with patch:
+    # The view's trace was checked first: the checkers' record serves the view too.
+    trace = fair_trace()
+    view = replicate_trace(trace, 4, 1, (0, 1, 2, 3), {3})
+    with builds() as spy:
+        assert all(v.passed for v in check_all(trace))
         check_prefix_consistency(view)
         serialize_view(view)
         global_received(view, 2)
         global_ordered(view, 2)
-    assert len(calls) == 1
+    assert spy.call_count == 1
 
 
 def test_quorum_compares_straddling_outputs_without_a_walk():
     # The swap at tick 2 makes server 0 straddle a reordering tick that server 1 has not reached.
     view = replicate_trace(forge_permuted_prefix(HONEST, at_tick=2), 4, 1, (0, 1, 0, 0))
-    patch, calls = walks_in(quorum)
-    with patch:
+    with builds() as spy:
         assert not check_prefix_consistency(view).passed
         serialize_view(view)
-    assert len(calls) == 1
+    assert spy.call_count == 1
 
 
-def test_check_all_walks_the_trace_once():
-    patch, calls = walks_in(checkers)
-    with patch:
-        verdicts = check_all(fair_trace())
-    assert len(calls) == 1 and all(v.passed for v in verdicts)
+def every_tick_reorders(n):
+    """Request t delivered and ordered at tick t, each order row listed ahead of every
+    earlier one: the output at tick t is t, t-1, ..., 0."""
+    rows = ([Event(t, DELIVER, t) for t in range(n)]
+            + [Event(t, ORDER, t) for t in reversed(range(n))])
+    return parse_trace(rows_text(rows, final_order=reversed(range(n))))
+
+
+def test_check_all_rebuilds_a_constant_number_of_outputs():
+    n = 2000
+    trace = every_tick_reorders(n)
+    with mock.patch.object(History, "output_at", autospec=True,
+                           side_effect=History.output_at) as rebuilds:
+        verdicts = {v.property: v for v in check_all(trace)}
+    assert verdicts[MONOTONIC_ORDER].witness == (1, 0, 1)
+    assert verdicts[CONSISTENCY].passed  # every tick also receives a request
+    # Each witness needs the outputs around one reordering tick; rebuilding them at
+    # every reordering tick would read about n^2 / 2 ids.
+    assert rebuilds.call_count <= 4
 
 
 @settings(max_examples=200, deadline=None)
 @given(trace=TRACES, other=TRACES, data=st.data())
 def test_shared_pass_matches_the_per_tick_oracles(trace, other, data):
     assume(trace.horizon >= 0 and other.horizon >= 0)
-    consistency, monotonic = consistency_and_monotonic_per_tick(
-        snapshots_per_tick(trace.events, trace.horizon))
+    snapshots = snapshots_per_tick(trace.events, trace.horizon)
+    consistency, monotonic = consistency_and_monotonic_per_tick(snapshots)
     verdicts = {v.property: v for v in check_all(trace)}
     assert verdicts[CONSISTENCY].witness == consistency
     assert verdicts[MONOTONIC_ORDER].witness == monotonic
-    # A sweep of another trace, walked first, is not read for this one.
-    sweep = OrderSweep(other)
-    assert sweep.witnesses == consistency_and_monotonic_per_tick(
-        snapshots_per_tick(other.events, other.horizon))
-    assert check_consistency(trace, sweep) == verdicts[CONSISTENCY]
-    assert check_monotonic_order(trace, sweep) == verdicts[MONOTONIC_ORDER]
+    assert check_strong_non_blocking(trace).witness == strong_non_blocking_per_tick(snapshots)
+    # A trace cut from a checked one reads its own rows up to its own horizon.
+    cut = replace(trace, horizon=data.draw(st.integers(0, trace.horizon)))
+    cut_snapshots = snapshots_per_tick(cut.events, cut.horizon)
+    verdicts = {v.property: v for v in check_all(cut)}
+    assert (verdicts[CONSISTENCY].witness, verdicts[MONOTONIC_ORDER].witness) == \
+        consistency_and_monotonic_per_tick(cut_snapshots)
+    assert check_strong_non_blocking(cut).witness == strong_non_blocking_per_tick(cut_snapshots)
 
     n = data.draw(st.sampled_from([4, 5, 7]))
     f = (n - 1) // 3
@@ -129,7 +146,7 @@ def test_shared_pass_matches_the_per_tick_oracles(trace, other, data):
         oracle = PerTickView(view_trace, n, f, lags, byzantine)
         assert serialize_view(view) == oracle.serialize()
         assert check_prefix_consistency(view).witness == oracle.prefix_witness()
-        # Views built from a queried view walk their own trace and lags.
+        # Views built from a queried view read their own trace and lags.
         moved = replace(view, trace=other if view_trace is trace else trace)
         assert serialize_view(moved) == PerTickView(moved.trace, n, f, lags,
                                                     byzantine).serialize()

@@ -1,8 +1,9 @@
 """Snapshots derived from event rows against a per-tick rebuild.
 
-`snapshots_from_events` follows the engine's `TraceWalk`, which visits
-only the ticks that carry a deliver or order row, and shares one
-Snapshot object across the quiet ticks after them.
+`snapshots_from_events` reads the steps of the trace's record
+(`engine.history_of`), which has one step per tick that carries a
+deliver or order row, and shares one Snapshot object across the quiet
+ticks after them.
 `oracles.snapshots_per_tick` rebuilds every tick from scratch.
 """
 

@@ -117,15 +117,22 @@ class TestEstimator:
         assert report.k == pytest.approx(2.5)
         assert report.k_relev == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("second", [DelayModel(d=3.0), DelayModel(kind="uniform", hi=3.0)],
-                             ids=["constant", "random"])
-    def test_k_includes_constant_delays_only(self, second):
-        # Client 1's constant delay of 3 is in its pre-mechanism eta feature; a random
-        # one has no single value and is left out.
+    @pytest.mark.parametrize("second,third", [
+        (DelayModel(d=3.0), None),
+        (DelayModel(kind="uniform", hi=3.0), None),
+        (DelayModel(d=3.0), DelayModel(kind="uniform", hi=1.0)),
+    ], ids=["constant", "random", "constant_beside_a_draw"])
+    def test_k_includes_constant_delays_only(self, second, third):
+        # Client 1's constant delay of 3 is in its pre-mechanism eta feature, whatever
+        # client 2 draws; a random one has no single value and is left out.
+        requests = [Request(0, 0, (0.0, 0.0), 0), Request(1, 1, (0.0, 0.0), 0)]
+        per_client = {1: second}
+        if third is not None:
+            requests.append(Request(2, 2, (0.0, 0.0), 0))
+            per_client[2] = third
         scenario = ScenarioConfig(
-            feature_count=2, relevant=(0,), lam=1.0,
-            requests=(Request(0, 0, (0.0, 0.0), 0), Request(1, 1, (0.0, 0.0), 0)),
-            eta_feature=1, delay=DelayModel(per_client={1: second}),
+            feature_count=2, relevant=(0,), lam=1.0, requests=tuple(requests),
+            eta_feature=1, delay=DelayModel(per_client=per_client),
             policy=FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)),
         )
         report = estimate_order_probability(scenario, None, (0, 1), 10, 0)

@@ -3,7 +3,8 @@
 Each checker inspects a complete Trace and returns a Verdict carrying a
 counterexample witness on failure. The four core properties:
 
-  order determinism   a request is never ordered before it is received
+  order determinism   a request is never ordered before it is received,
+                      nor delivered before it is issued
   non-blocking        every delivered request eventually appears in the
                       final order (by the trace's quiescence horizon)
   consistency         between two ticks with no new deliveries, the
@@ -107,11 +108,16 @@ class PolicyPredicate:
 
 
 def check_order_determinism(trace: Trace) -> Verdict:
-    """Every request's ordering tick must be at or after its delivery tick."""
+    """Every request's ordering tick must be at or after its delivery tick, and its
+    delivery tick at or after its issue tick (a delivery with no issue row passes)."""
+    issued, delivered = trace.issue_ticks, trace.deliver_ticks
     for rid, otick in sorted(trace.order_ticks.items()):
-        dtick = trace.deliver_ticks.get(rid)
+        dtick = delivered.get(rid)
         if dtick is None or otick < dtick:
             return Verdict(ORDER_DETERMINISM, False, (otick, rid))
+    for rid, dtick in sorted(delivered.items()):
+        if dtick < issued.get(rid, dtick):
+            return Verdict(ORDER_DETERMINISM, False, (dtick, rid))
     return Verdict(ORDER_DETERMINISM, True)
 
 

@@ -2,10 +2,10 @@
 
 A run visits the ticks that carry issue and delivery events and lets
 the active policy move requests from the pending set into the output
-order. A recorded trace is its event rows, tick maps, final order and
-horizon, so it costs O(events) whatever the horizon. ``Trace.history``,
-one pass over the rows, records what they hold at each row tick; the
-checkers and the quorum view read it.
+order. A recorded trace is its event rows, final order and horizon, so
+it costs O(events) whatever the horizon; its tick maps are read off the
+rows. ``Trace.history``, one pass over the rows, records what they hold
+at each row tick; the checkers and the quorum view read it.
 Everything is a pure function of (scenario, policy, seed): delays and
 noise samples are derived statelessly from the seed and the request
 id, so replaying a seed reproduces the trace bit for bit, and recording
@@ -101,19 +101,38 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete timed record of one run: its event rows up to ``horizon``.
+    """Complete timed record of one run: its event rows up to ``horizon``, and the
+    final order, which is the rows' output at the horizon.
 
-    A run recorded without events (``record=False``) has horizon -1 and
-    cannot be serialized.
+    A run recorded without events (``record=False``) keeps only its final
+    order, has horizon -1 and cannot be serialized.
     """
 
     events: tuple[Event, ...]
     final_order: tuple[int, ...]
     seed: int
-    issue_ticks: dict[int, int]
-    deliver_ticks: dict[int, int]
-    order_ticks: dict[int, int]
     horizon: int
+
+    @cached_property
+    def _ticks(self) -> dict[str, dict[int, int]]:
+        """Each kind's tick per request id, from one pass over the rows; the last row
+        of a kind wins."""
+        ticks: dict[str, dict[int, int]] = {ISSUE: {}, DELIVER: {}, ORDER: {}}
+        for ev in self.events:
+            ticks[ev.kind][ev.rid] = ev.at_tick
+        return ticks
+
+    @property
+    def issue_ticks(self) -> dict[int, int]:
+        return self._ticks[ISSUE]
+
+    @property
+    def deliver_ticks(self) -> dict[int, int]:
+        return self._ticks[DELIVER]
+
+    @property
+    def order_ticks(self) -> dict[int, int]:
+        return self._ticks[ORDER]
 
     @cached_property
     def history(self) -> History:
@@ -387,15 +406,12 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
     rt = PolicyRuntime(prep.policy, seed, sched.totals, prep.scenario.stability_gating)
     state = EngineState()
     events: list[Event] = []
-    issue_ticks: dict[int, int] = {}
-    order_ticks: dict[int, int] = {}
     # Stability depends only on the in-flight set, which changes only at
     # these ticks, so no other tick can emit an order.
     for t in sched.ticks:
         state.tick = t
         for r in sched.issues.get(t, ()):
             _apply_issue(state, r)
-            issue_ticks[r.id] = t
             if record:
                 events.append(Event(t, ISSUE, r.id))
         for r in sched.delivers.get(t, ()):
@@ -404,13 +420,11 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
             if record:
                 events.append(Event(t, DELIVER, r.id))
         for rid in _emit_orders(state, rt):
-            order_ticks[rid] = t
             if record:
                 events.append(Event(t, ORDER, rid))
     horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain if record else -1
     return Trace(events=tuple(events), final_order=tuple(state.output), seed=seed,
-                 issue_ticks=issue_ticks, deliver_ticks=dict(state.deliver_ticks),
-                 order_ticks=order_ticks, horizon=horizon)
+                 horizon=horizon)
 
 
 def _engine_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
@@ -669,12 +683,17 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
-    """Rebuild a Trace from its serialized form; a header horizon must be >= 0."""
+    """Rebuild a Trace from its serialized form, with its ``history`` already built.
+
+    A header horizon must be >= 0, a request has at most one row of each
+    kind, and the ``order:`` line must list the rows' output at the
+    horizon (``history.output_at(horizon)``).
+    """
     seed = 0
     horizon: int | None = None
     events: list[Event] = []
     final_order: tuple[int, ...] | None = None
-    ticks: dict[str, dict[int, int]] = {ISSUE: {}, DELIVER: {}, ORDER: {}}
+    seen: dict[str, set[int]] = {ISSUE: set(), DELIVER: set(), ORDER: set()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         try:
@@ -694,11 +713,11 @@ def parse_trace(text: str) -> Trace:
                 if len(parts) != 3:
                     raise ValueError("expected tick,kind,id")
                 tick, kind, rid = int(parts[0]), parts[1], int(parts[2])
-                if kind not in ticks:
+                if kind not in seen:
                     raise ValueError(f"unknown event kind {kind!r}")
-                if kind != ISSUE and rid in ticks[kind]:
-                    raise ValueError(f"request {rid} {kind}ed twice")  # delivered, ordered
-                ticks[kind][rid] = tick
+                if rid in seen[kind]:
+                    raise ValueError(f"request {rid} has a second {kind} row")
+                seen[kind].add(rid)
                 events.append(Event(tick, kind, rid))
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
@@ -707,8 +726,12 @@ def parse_trace(text: str) -> Trace:
     if horizon is None:
         # The last row's tick; rows at negative ticks count as tick 0, so they end there.
         horizon = max((ev.at_tick for ev in events if ev.at_tick > 0), default=0)
-    # Semantic disagreements with the final-order line are left for the
-    # checkers (forged traces must parse so they can be judged).
-    return Trace(events=tuple(events), final_order=final_order, seed=seed,
-                 issue_ticks=ticks[ISSUE], deliver_ticks=ticks[DELIVER],
-                 order_ticks=ticks[ORDER], horizon=horizon)
+    history = history_of(events, horizon)
+    output = history.output_at(horizon)
+    if final_order != output:
+        at = next((i for i, (a, b) in enumerate(zip(final_order, output)) if a != b),
+                  min(len(final_order), len(output)))
+        raise TraceParseError(f"order line differs from the order rows' output at position {at}")
+    trace = Trace(events=tuple(events), final_order=final_order, seed=seed, horizon=horizon)
+    trace.__dict__["history"] = history  # what Trace.history would build
+    return trace

@@ -134,9 +134,8 @@ def serialize_view(view: QuorumView) -> str:
     """
     lines = [f"# fairorder-view v1 n={view.n} f={view.f} "
              f"correct={','.join(str(i) for i in sorted(view.correct))}"]
-    history = view.trace.history
-    final = history.output_at(view.trace.horizon)
-    scrambled = tuple(reversed(view.trace.final_order))
+    history, final = view.trace.history, view.trace.final_order
+    scrambled = tuple(reversed(final))
     for i in range(view.n):
         if i in view.correct:
             shifted = [(view.lags[i] + c, received, ordered)

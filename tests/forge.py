@@ -1,19 +1,21 @@
-"""Targeted trace mutations, each violating exactly one validity property.
+"""Targeted trace mutations, each violating a validity property.
 
 All helpers take an honest engine trace of the canonical three-request
 fcfs scenario (deliveries at ticks 1, 2, 4) and return a tampered copy.
-Each is an edit of the event rows plus the tick maps and final order;
-they are kept mutually consistent except for the single seeded
-violation, so the other checkers stay green.
+Each is an edit of the event rows; the final order is kept equal to the
+rows' output at the horizon, as ``parse_trace`` requires, and the tick
+maps are read off the rows. Each seeds one violation that only its
+target checker sees, except the phantom receipt, which order
+determinism sees as well.
 """
 
 from dataclasses import replace
 
-from fairorder.engine import DELIVER, ORDER, Event, Trace, snapshots_from_events
+from fairorder.engine import DELIVER, ORDER, Event, Trace, history_of
 
 
 def _final_output(events, horizon: int) -> tuple[int, ...]:
-    return snapshots_from_events(events, horizon)[-1].output
+    return history_of(events, horizon).output_at(horizon)
 
 
 def _order_row(events, rid: int) -> int:
@@ -31,28 +33,25 @@ def forge_order_before_delivery(trace: Trace, rid: int, early_tick: int) -> Trac
     del events[_order_row(events, rid)]
     at = next((i for i, ev in enumerate(events) if ev.at_tick > early_tick), len(events))
     events.insert(at, Event(early_tick, ORDER, rid))
-    return replace(trace, events=tuple(events),
-                   order_ticks={**trace.order_ticks, rid: early_tick},
-                   final_order=_final_output(events, trace.horizon))
+    return replace(trace, events=tuple(events), final_order=_final_output(events, trace.horizon))
 
 
 def forge_drop_from_output(trace: Trace, rid: int) -> Trace:
     """Silently never order ``rid``: delivered but absent from the output."""
     events = list(trace.events)
     del events[_order_row(events, rid)]
-    order_ticks = {k: v for k, v in trace.order_ticks.items() if k != rid}
     return replace(trace, events=tuple(events),
-                   final_order=tuple(x for x in trace.final_order if x != rid),
-                   order_ticks=order_ticks)
+                   final_order=tuple(x for x in trace.final_order if x != rid))
 
 
 def forge_phantom_receipt(trace: Trace, rid: int) -> Trace:
     """Drop the deliver row of ``rid`` while still ordering it.
 
     The rows then claim the order grew during a delivery-quiet stretch
-    with a request the server had not received: a pure consistency
-    violation (the deliver tick map, which order determinism and
-    non-blocking read, is untouched).
+    with a request the server had not received, which consistency
+    catches. With its deliver row gone, ``rid`` is also ordered without a
+    delivery, which order determinism catches: a trace with one deliver
+    and one order row per id cannot break consistency alone.
     """
     events = tuple(ev for ev in trace.events if not (ev.kind == DELIVER and ev.rid == rid))
     return replace(trace, events=events)
@@ -70,6 +69,4 @@ def forge_permuted_prefix(trace: Trace, at_tick: int) -> Trace:
     first, second = [ev.rid for ev in events if ev.kind == ORDER][:2]
     del events[_order_row(events, second)]
     events.insert(_order_row(events, first), Event(at_tick, ORDER, second))
-    return replace(trace, events=tuple(events),
-                   order_ticks={**trace.order_ticks, second: at_tick},
-                   final_order=_final_output(events, trace.horizon))
+    return replace(trace, events=tuple(events), final_order=_final_output(events, trace.horizon))

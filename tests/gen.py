@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from hypothesis import strategies as st
 
+from oracles import snapshots_per_tick
 from fairorder.adversary import DelayModel
 from fairorder.engine import DELIVER, ISSUE, ORDER, Event, parse_trace, run
 from fairorder.model import Request
@@ -63,7 +64,7 @@ def random_scenario(rng: Stream, policy_kind: str = "fcfs") -> ScenarioConfig:
 
 @st.composite
 def hand_written_rows(draw, ticks=st.integers(-2, 15)):
-    """Rows in any order, negative ticks included; each id delivered and ordered at most once."""
+    """Rows in any order, negative ticks included; each id has at most one row of each kind."""
     rows = []
     for rid in range(draw(st.integers(0, 8))):
         if draw(st.booleans()):
@@ -75,8 +76,16 @@ def hand_written_rows(draw, ticks=st.integers(-2, 15)):
     return draw(st.permutations(rows))
 
 
-def rows_text(rows, header=None, final_order=()) -> str:
-    """A trace file of ``rows``, with a ``horizon=`` header when ``header`` is not None."""
+def rows_text(rows, header=None, final_order=None) -> str:
+    """A trace file of ``rows``, with a ``horizon=`` header when ``header`` is not None.
+
+    The order line lists ``final_order``, by default the rows' own output at
+    the horizon, which is the one order line ``parse_trace`` accepts (empty
+    under a negative header, which it rejects anyway).
+    """
+    if final_order is None:
+        horizon = max([0, *(ev.at_tick for ev in rows)]) if header is None else header
+        final_order = snapshots_per_tick(rows, horizon)[-1].output if horizon >= 0 else ()
     lines = [f"{ev.at_tick},{ev.kind},{ev.rid}" for ev in rows]
     if header is not None:
         lines.insert(0, f"# fairorder-trace v1 seed=0 horizon={header}")
@@ -89,8 +98,7 @@ def hand_written_traces(draw):
     """Parsed traces of hand-written rows: no header, or one below or past the last row."""
     rows = draw(hand_written_rows())
     header = draw(st.one_of(st.none(), st.integers(0, 25)))
-    final = draw(st.lists(st.integers(0, 8), max_size=8))  # any ids, repeats too
-    return parse_trace(rows_text(rows, header, final))
+    return parse_trace(rows_text(rows, header))
 
 
 @st.composite

@@ -4,7 +4,7 @@ import math
 
 from scipy.integrate import quad
 
-from fairorder.engine import DELIVER, ORDER, Snapshot, fair_policy_step, is_stable
+from fairorder.engine import DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable
 from fairorder.model import adjacent, score
 from fairorder.scenario import FcfsPolicy, TtlPolicy
 
@@ -49,6 +49,17 @@ def pairwise_noise_bound(requests, part, lam):
             if adjacent(r1, r2, part) and abs(s1.eta - s2.eta) > lam:
                 return False
     return True
+
+
+def tick_maps_per_row(events):
+    """(issue, deliver, order) tick maps: each id's tick in its last row of the kind,
+    found by a backward search per id."""
+    maps = []
+    for kind in (ISSUE, DELIVER, ORDER):
+        rows = [ev for ev in events if ev.kind == kind]
+        maps.append({rid: next(ev.at_tick for ev in reversed(rows) if ev.rid == rid)
+                     for rid in {ev.rid for ev in rows}})
+    return tuple(maps)
 
 
 def snapshots_per_tick(events, horizon):

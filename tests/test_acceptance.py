@@ -161,16 +161,18 @@ def test_07_validity_suite_and_mutations():
         eta_feature=1, policy=FcfsPolicy(), deliver_overrides={0: 1, 1: 2, 2: 4},
     )
     honest = run(base, seed=0)
+    # Each forgery fails exactly its targets; a phantom receipt is also an order
+    # before delivery (see forge.forge_phantom_receipt).
     mutations = {
-        ORDER_DETERMINISM: forge_order_before_delivery(honest, rid=1, early_tick=1),
-        NON_BLOCKING: forge_drop_from_output(honest, rid=2),
-        CONSISTENCY: forge_phantom_receipt(honest, rid=2),
-        MONOTONIC_ORDER: forge_permuted_prefix(honest, at_tick=2),
+        (ORDER_DETERMINISM,): forge_order_before_delivery(honest, rid=1, early_tick=1),
+        (NON_BLOCKING,): forge_drop_from_output(honest, rid=2),
+        (CONSISTENCY, ORDER_DETERMINISM): forge_phantom_receipt(honest, rid=2),
+        (MONOTONIC_ORDER,): forge_permuted_prefix(honest, at_tick=2),
     }
     targeted_ok = True
-    for target, forged in mutations.items():
+    for targets, forged in mutations.items():
         statuses = {v.property: v.passed for v in check_all(forged)}
-        expected = {prop: prop != target for prop in statuses}
+        expected = {prop: prop not in targets for prop in statuses}
         targeted_ok = targeted_ok and statuses == expected
     report(7, "validity suite over 300 randomized runs; targeted mutations isolated",
            not failures and targeted_ok,

@@ -245,7 +245,7 @@ def test_one_burst_checks_stability_a_linear_number_of_times(policy, stragglers)
     make_state = engine.EngineState
     with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks, \
             mock.patch.object(engine, "EngineState", lambda: make_state(in_flight=in_flight)):
-        trace = run_prepared(prep, 7, record=False)
+        trace = run_prepared(prep, 7, record=True)
     assert {trace.order_ticks[i] for i in range(n)} == {n}
     assert len(trace.final_order) == n + stragglers
     # One failed check per delivery tick before the burst, one per order in it;

@@ -1,9 +1,10 @@
 """Malformed trace files through ``fairorder check``.
 
-Files start from ``gen.hand_written_rows`` and take up to three line
-edits: a field dropped or added, a non-integer tick or id, an unknown
-kind, a repeated deliver or order row, a negative or huge ``horizon=``
-header, or no ``order:`` line. Whatever the file, ``check`` must return
+Files start from ``gen.hand_written_rows``, with the rows' own output or
+any ids on the ``order:`` line, and take up to three line edits: a field
+dropped or added, a non-integer tick or id, an unknown kind, a repeated
+deliver or order row, a negative or huge ``horizon=`` header, or no
+``order:`` line. Whatever the file, ``check`` must return
 0, 1 or 2 without raising, report a configuration error (2) on exactly
 one stderr line, and stay under a ``tracemalloc`` budget: no path may
 cost memory in proportion to the header's horizon.
@@ -84,7 +85,7 @@ MUTATIONS = [drop_or_add_field, non_integer, unknown_kind, repeated_row, bad_hor
 def trace_files(draw):
     rows = draw(hand_written_rows())
     header = draw(st.one_of(st.none(), st.integers(0, 25)))
-    final = draw(st.lists(st.integers(0, 8), max_size=8))
+    final = draw(st.one_of(st.none(), st.lists(st.integers(0, 8), max_size=8)))
     lines = rows_text(rows, header, final).splitlines()
     for mutate in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         mutate(draw, lines)

@@ -84,10 +84,14 @@ class TestTargetedMutations:
         assert check_non_blocking(forged).witness[1] == 2
 
     def test_phantom_receipt(self, honest_trace):
+        # Without its deliver row, request 2 is also ordered before any delivery: with at
+        # most one deliver and one order row per id, consistency cannot fail alone.
         forged = forge_phantom_receipt(honest_trace, rid=2)
         statuses = self._statuses(forged)
-        assert statuses == {ORDER_DETERMINISM: True, NON_BLOCKING: True,
+        assert statuses == {ORDER_DETERMINISM: False, NON_BLOCKING: True,
                             CONSISTENCY: False, MONOTONIC_ORDER: True}
+        assert check_consistency(forged).witness == (4, 2)
+        assert check_order_determinism(forged).witness == (4, 2)
 
     def test_permuted_prefix(self, honest_trace):
         forged = forge_permuted_prefix(honest_trace, at_tick=2)
@@ -196,8 +200,7 @@ class TestSnapshotWalk:
         # Parsing rejects a second order row for one id, so this trace is built directly;
         # snapshots_per_tick assumes one order row per id, so the oracle reads its snapshots.
         rows = (Event(1, DELIVER, 1), Event(1, ORDER, 2), Event(2, ORDER, 2))
-        trace = Trace(events=rows, final_order=(2, 2), seed=0, issue_ticks={},
-                      deliver_ticks={1: 1}, order_ticks={2: 2}, horizon=2)
+        trace = Trace(events=rows, final_order=(2, 2), seed=0, horizon=2)
         assert [s.output for s in trace.snapshots] == [(), (2,), (2, 2)]
         assert_sweeps_match_the_per_tick_oracles(trace, trace.snapshots)
         assert check_consistency(trace).passed

@@ -112,6 +112,30 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("text,code,out", [
+        ("5,issue,0\n0,deliver,0\n0,order,0\norder:0\n", 1,
+         "order_determinism,fail,0;0\nnon_blocking,pass,\nconsistency,pass,\n"
+         "monotonic_order,pass,\n"),
+        ("0,issue,0\n1,issue,0\n1,deliver,0\n1,order,0\norder:0\n", 2,
+         "line 2: request 0 has a second issue row"),
+        ("0,issue,0\n1,issue,0\n1,deliver,0\n1,order,0\norder:0,0\n", 2,
+         "line 2: request 0 has a second issue row"),
+        ("0,deliver,0\n0,deliver,1\n0,order,0\n0,order,1\norder:1,0\n", 2,
+         "order line differs from the order rows' output at position 0"),
+        ("0,deliver,0\n0,order,0\norder:0,7\n", 2,
+         "order line differs from the order rows' output at position 1"),
+    ], ids=["delivered_before_issue", "issued_twice", "issued_twice_listed_twice",
+            "order_line_reversed", "order_line_unknown_id"])
+    def test_forged_transitions_are_judged(self, tmp_path, capsys, text, code, out):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        assert main(["check", str(path), "--out", str(tmp_path)]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out == out
+        else:
+            assert captured.err == f"error: malformed trace: {out}\n"
+
     def test_negative_header_horizon_exits_two(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
         path.write_text("# fairorder-trace v1 seed=0 horizon=-5\n0,deliver,0\norder:\n")

@@ -216,7 +216,6 @@ class TestRunInvariants:
             full = run_prepared(prep, seed, record=True)
             lite = run_prepared(prep, seed, record=False)
             assert full.final_order == lite.final_order
-            assert full.order_ticks == lite.order_ticks
 
     def test_pure_function_of_inputs(self):
         gen = Stream(5)

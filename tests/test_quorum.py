@@ -175,8 +175,7 @@ class TestPerTickOracle:
         # Parsing rejects a second deliver or order row for one id, so this trace is built
         # directly; snapshots_per_tick assumes one row per id, so the oracle reads its snapshots.
         rows = (Event(0, DELIVER, 1), Event(2, DELIVER, 1), Event(1, ORDER, 1), Event(3, ORDER, 1))
-        trace = Trace(events=rows, final_order=(1, 1), seed=0, issue_ticks={},
-                      deliver_ticks={1: 2}, order_ticks={1: 3}, horizon=4)
+        trace = Trace(events=rows, final_order=(1, 1), seed=0, horizon=4)
         view = replicate_trace(trace, n=4, f=1, lags=(0, 1, 2, 3), byzantine_servers={3})
         assert serialize_view(view).count(",deliver,1") == 4
         # At tick 1 only server 0 (lag 0, order row at tick 1) and the Byzantine server 3

@@ -22,7 +22,8 @@ from fairorder import engine
 from fairorder.adversary import DelayModel
 from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, check_all,
                                 check_strong_non_blocking)
-from fairorder.engine import DELIVER, ORDER, Event, History, parse_trace, run
+from fairorder.cli import main
+from fairorder.engine import DELIVER, ORDER, Event, History, parse_trace, run, serialize_trace
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.quorum import (check_prefix_consistency, global_ordered, global_received,
@@ -74,6 +75,14 @@ def test_check_all_walks_the_trace_once():
     with builds() as spy:
         verdicts = check_all(fair_trace())
     assert spy.call_count == 1 and all(v.passed for v in verdicts)
+
+
+def test_check_command_walks_the_trace_once(tmp_path, capsys):
+    # parse_trace builds the record to hold the order line to it; the checkers reuse it.
+    (tmp_path / "trace.txt").write_text(serialize_trace(fair_trace()))
+    with builds() as spy:
+        assert main(["check", str(tmp_path / "trace.txt"), "--out", str(tmp_path)]) == 0
+    assert spy.call_count == 1
 
 
 def test_quorum_walks_its_trace_once():

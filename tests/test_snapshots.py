@@ -4,17 +4,24 @@
 (`engine.history_of`), which has one step per tick that carries a
 deliver or order row, and shares one Snapshot object across the quiet
 ticks after them.
-`oracles.snapshots_per_tick` rebuilds every tick from scratch.
+`oracles.snapshots_per_tick` rebuilds every tick from scratch. The tick
+maps read off the rows are held to `oracles.tick_maps_per_row`, and a
+parsed order line to the rows' own output.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import hand_written_rows, random_scenario, rows_text
-from oracles import snapshots_per_tick
+from gen import engine_traces, hand_written_rows, random_scenario, rows_text
+from oracles import snapshots_per_tick, tick_maps_per_row
 from fairorder.engine import (DELIVER, ORDER, TraceParseError, parse_trace, run,
                               serialize_trace, snapshots_from_events)
 from fairorder.rng import Stream
+
+
+def assert_maps_match_the_per_row_oracle(trace):
+    oracle = tick_maps_per_row(trace.events)
+    assert (trace.issue_ticks, trace.deliver_ticks, trace.order_ticks) == oracle
 
 
 def assert_quiet_ticks_share_objects(events, snapshots):
@@ -44,6 +51,7 @@ def test_hand_written_rows_match_per_tick_rebuild(rows, header):
     assert trace.snapshots == expected
     assert snapshots_from_events(rows, horizon) == expected
     assert_quiet_ticks_share_objects(rows, trace.snapshots)
+    assert_maps_match_the_per_row_oracle(trace)
 
 
 def test_header_horizon_past_the_last_event():
@@ -58,9 +66,28 @@ def test_header_horizon_past_the_last_event():
 @settings(max_examples=150, deadline=None)
 @given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)))
 def test_a_serialized_trace_parses_back_to_itself(rows, header):
-    trace = parse_trace(rows_text(rows, header, final_order=(3, 1)))
+    trace = parse_trace(rows_text(rows, header))
     assert trace.horizon >= 0
     assert parse_trace(serialize_trace(trace)) == trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_traces())
+def test_engine_traces_round_trip_and_match_the_per_row_oracle(trace):
+    assert_maps_match_the_per_row_oracle(trace)
+    assert parse_trace(serialize_trace(trace)) == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)),
+       final=st.lists(st.integers(0, 8), max_size=8))
+def test_only_the_rows_own_output_parses_as_the_order_line(rows, header, final):
+    horizon = header if header is not None else max([0, *(ev.at_tick for ev in rows)])
+    output = snapshots_per_tick(rows, horizon)[-1].output
+    assert parse_trace(rows_text(rows, header, output)).final_order == output
+    if tuple(final) != output:
+        with pytest.raises(TraceParseError, match="order line differs"):
+            parse_trace(rows_text(rows, header, final))
 
 
 def test_rows_at_negative_ticks_only_end_at_tick_0():

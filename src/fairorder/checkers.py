@@ -3,8 +3,10 @@
 Each checker inspects a complete Trace and returns a Verdict carrying a
 counterexample witness on failure. The four core properties:
 
-  order determinism   a request is never ordered before it is received,
-                      nor delivered before it is issued
+  order determinism   each request's rows follow the chain issue ->
+                      deliver -> order: an order row needs a deliver
+                      row at or before its tick, and a deliver row an
+                      issue row at or before its tick
   non-blocking        every delivered request eventually appears in the
                       final order (by the trace's quiescence horizon)
   consistency         between two ticks with no new deliveries, the
@@ -28,6 +30,7 @@ non-trivial policy is unachievable without a stability horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -108,16 +111,14 @@ class PolicyPredicate:
 
 
 def check_order_determinism(trace: Trace) -> Verdict:
-    """Every request's ordering tick must be at or after its delivery tick, and its
-    delivery tick at or after its issue tick (a delivery with no issue row passes)."""
-    issued, delivered = trace.issue_ticks, trace.deliver_ticks
-    for rid, otick in sorted(trace.order_ticks.items()):
-        dtick = delivered.get(rid)
-        if dtick is None or otick < dtick:
-            return Verdict(ORDER_DETERMINISM, False, (otick, rid))
-    for rid, dtick in sorted(delivered.items()):
-        if dtick < issued.get(rid, dtick):
-            return Verdict(ORDER_DETERMINISM, False, (dtick, rid))
+    """The chain rule issue -> deliver -> order: a request's order row needs a deliver
+    row at or before its tick, and its deliver row an issue row at or before its tick.
+    The witness is the least (tick, id) of a row that breaks it."""
+    rules = ((trace.order_ticks, trace.deliver_ticks), (trace.deliver_ticks, trace.issue_ticks))
+    broken = [(t, rid) for later, earlier in rules for rid, t in later.items()
+              if t < earlier.get(rid, math.inf)]
+    if broken:
+        return Verdict(ORDER_DETERMINISM, False, min(broken))
     return Verdict(ORDER_DETERMINISM, True)
 
 

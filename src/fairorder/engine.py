@@ -3,9 +3,10 @@
 A run visits the ticks that carry issue and delivery events and lets
 the active policy move requests from the pending set into the output
 order. A recorded trace is its event rows, final order and horizon, so
-it costs O(events) whatever the horizon; its tick maps are read off the
-rows. ``Trace.history``, one pass over the rows, records what they hold
-at each row tick; the checkers and the quorum view read it.
+it costs O(events) whatever the horizon. ``Trace.history``, one pass
+over the rows, holds its tick maps and what the rows hold at each row
+tick, and rejects a second row of one kind for one request; the
+checkers and the quorum view read it.
 Everything is a pure function of (scenario, policy, seed): delays and
 noise samples are derived statelessly from the seed and the request
 id, so replaying a seed reproduces the trace bit for bit, and recording
@@ -104,8 +105,10 @@ class Trace:
     """Complete timed record of one run: its event rows up to ``horizon``, and the
     final order, which is the rows' output at the horizon.
 
-    A run recorded without events (``record=False``) keeps only its final
-    order, has horizon -1 and cannot be serialized.
+    A request has at most one row of each kind. The tick maps are read off
+    ``history``, whose one pass over the rows raises ProtocolError on a
+    second row. A run recorded without events (``record=False``) keeps
+    only its final order, has horizon -1 and cannot be serialized.
     """
 
     events: tuple[Event, ...]
@@ -113,26 +116,17 @@ class Trace:
     seed: int
     horizon: int
 
-    @cached_property
-    def _ticks(self) -> dict[str, dict[int, int]]:
-        """Each kind's tick per request id, from one pass over the rows; the last row
-        of a kind wins."""
-        ticks: dict[str, dict[int, int]] = {ISSUE: {}, DELIVER: {}, ORDER: {}}
-        for ev in self.events:
-            ticks[ev.kind][ev.rid] = ev.at_tick
-        return ticks
-
     @property
     def issue_ticks(self) -> dict[int, int]:
-        return self._ticks[ISSUE]
+        return self.history.ticks[ISSUE]
 
     @property
     def deliver_ticks(self) -> dict[int, int]:
-        return self._ticks[DELIVER]
+        return self.history.ticks[DELIVER]
 
     @property
     def order_ticks(self) -> dict[int, int]:
-        return self._ticks[ORDER]
+        return self.history.ticks[ORDER]
 
     @cached_property
     def history(self) -> History:
@@ -578,9 +572,9 @@ def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,
 
 
 class Step(NamedTuple):
-    """One row tick of a trace: the ids first received there (ascending) and first
-    ordered there (in output order), and whether an order row there lands before an
-    earlier row, so that the output before the tick may not be a prefix of its output."""
+    """One row tick of a trace: the ids received there (ascending) and ordered there
+    (in output order), and whether an order row there lands before an earlier row, so
+    that the output before the tick may not be a prefix of its output."""
 
     tick: int
     received: tuple[int, ...]
@@ -592,18 +586,20 @@ class Step(NamedTuple):
 class History:
     """What a trace's rows hold at each tick, from one pass over them (``history_of``).
 
-    At tick t a request is received once it has a deliver row at a tick
-    <= t, and the output lists the order rows at ticks <= t in row order
-    (negative ticks count as 0, rows past the horizon are ignored).
-    ``steps`` has one entry per tick with such a row, since no other tick
-    changes the received set or the output. ``orders`` maps each row
-    tick to its positions among the order rows, whose ids are
-    ``order_rids``.
+    ``ticks`` maps each kind to each request's tick in its row of that
+    kind, as written (negative or past the horizon). At tick t a request
+    is received once it has a deliver row at a tick <= t, and the output
+    lists the order rows at ticks <= t in row order (negative ticks count
+    as 0, rows past the horizon are ignored). ``steps`` has one entry per
+    tick with such a row, since no other tick changes the received set or
+    the output. ``orders`` maps each row tick to its positions among the
+    order rows, whose ids are ``order_rids``.
     """
 
     steps: tuple[Step, ...]
     orders: dict[int, list[int]]
     order_rids: list[int]
+    ticks: dict[str, dict[int, int]]
 
     def output_at(self, u: int) -> tuple[int, ...]:
         """The output at tick u, rebuilt from all the order rows: callers rebuild it only
@@ -615,13 +611,18 @@ class History:
 def history_of(events, horizon: int) -> History:
     """The ``History`` of the rows ``events`` up to ``horizon``, in O(events log events).
 
-    A tick's first-ordered ids come from its own order rows, which keep
-    their row order in the output.
+    A second row of one kind for one request raises ProtocolError. A
+    tick's ordered ids come from its own order rows, which keep their row
+    order in the output.
     """
+    ticks: dict[str, dict[int, int]] = {ISSUE: {}, DELIVER: {}, ORDER: {}}
     delivers: dict[int, list[int]] = {}
     orders: dict[int, list[int]] = {}
     order_rids: list[int] = []
     for ev in events:
+        if ev.rid in (kind_ticks := ticks[ev.kind]):
+            raise ProtocolError(f"request {ev.rid} has a second {ev.kind} row")
+        kind_ticks[ev.rid] = ev.at_tick
         t = max(ev.at_tick, 0)
         if t > horizon:
             continue
@@ -630,22 +631,15 @@ def history_of(events, horizon: int) -> History:
         elif ev.kind == ORDER:
             orders.setdefault(t, []).append(len(order_rids))
             order_rids.append(ev.rid)
-    received, ordered, steps, last = set(), set(), [], -1  # last: the latest row applied
+    steps, last = [], -1  # last: the latest order row applied
     for t in sorted(delivers.keys() | orders):
-        new_received, new_ordered, rows = [], [], orders.get(t, ())
-        for rid in delivers.get(t, ()):
-            if rid not in received:
-                received.add(rid)
-                new_received.append(rid)
-        for row in rows:
-            if (rid := order_rids[row]) not in ordered:
-                ordered.add(rid)
-                new_ordered.append(rid)
-        steps.append(Step(t, tuple(sorted(new_received)), tuple(new_ordered),
+        rows = orders.get(t, ())
+        steps.append(Step(t, tuple(sorted(delivers.get(t, ()))),
+                          tuple(order_rids[row] for row in rows),
                           bool(rows) and rows[0] < last))
         if rows:
             last = max(last, rows[-1])
-    return History(tuple(steps), orders, order_rids)
+    return History(tuple(steps), orders, order_rids, ticks)
 
 
 def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
@@ -685,19 +679,22 @@ def serialize_trace(trace: Trace) -> str:
 def parse_trace(text: str) -> Trace:
     """Rebuild a Trace from its serialized form, with its ``history`` already built.
 
-    A header horizon must be >= 0, a request has at most one row of each
-    kind, and the ``order:`` line must list the rows' output at the
-    horizon (``history.output_at(horizon)``).
+    A file has at most one header line and one ``order:`` line. A header
+    horizon must be >= 0, a request has at most one row of each kind, and
+    the ``order:`` line must list the rows' output at the horizon
+    (``history.output_at(horizon)``).
     """
-    seed = 0
+    seed, last, header = 0, 0, False  # last: the latest row tick, and at least 0
     horizon: int | None = None
     events: list[Event] = []
     final_order: tuple[int, ...] | None = None
-    seen: dict[str, set[int]] = {ISSUE: set(), DELIVER: set(), ORDER: set()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         try:
             if line.startswith("#"):
+                if header:
+                    raise ValueError("second header line")
+                header = True
                 for part in line.split():
                     if part.startswith("seed="):
                         seed = int(part[5:])
@@ -706,6 +703,8 @@ def parse_trace(text: str) -> Trace:
                         if horizon < 0:
                             raise ValueError(f"negative horizon {horizon}")
             elif line.startswith("order:"):
+                if final_order is not None:
+                    raise ValueError("second order line")
                 body = line[len("order:"):]
                 final_order = tuple(int(x) for x in body.split(",")) if body else ()
             elif line:
@@ -713,20 +712,20 @@ def parse_trace(text: str) -> Trace:
                 if len(parts) != 3:
                     raise ValueError("expected tick,kind,id")
                 tick, kind, rid = int(parts[0]), parts[1], int(parts[2])
-                if kind not in seen:
+                if kind not in (ISSUE, DELIVER, ORDER):
                     raise ValueError(f"unknown event kind {kind!r}")
-                if rid in seen[kind]:
-                    raise ValueError(f"request {rid} has a second {kind} row")
-                seen[kind].add(rid)
                 events.append(Event(tick, kind, rid))
+                last = max(last, tick)
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if final_order is None:
         raise TraceParseError("missing final order line")
     if horizon is None:
-        # The last row's tick; rows at negative ticks count as tick 0, so they end there.
-        horizon = max((ev.at_tick for ev in events if ev.at_tick > 0), default=0)
-    history = history_of(events, horizon)
+        horizon = last
+    try:
+        history = history_of(events, horizon)
+    except ProtocolError as exc:
+        raise TraceParseError(str(exc)) from exc
     output = history.output_at(horizon)
     if final_order != output:
         at = next((i for i, (a, b) in enumerate(zip(final_order, output)) if a != b),

@@ -75,16 +75,12 @@ def replicate_trace(trace: Trace, n: int, f: int, lags,
 
 
 def _quorum_set(view: QuorumView, t: int, rows, byzantine_ids, quorum: int) -> frozenset[int]:
-    """Ids held by ``quorum`` servers at tick t, each server counted once per id: a
-    correct server holds an id once its lag has passed the id's first (tick, id) row,
-    a Byzantine one each of ``byzantine_ids``."""
+    """Ids held by ``quorum`` servers at tick t: a correct server holds an id once its
+    lag has passed the id's (tick, id) row, a Byzantine one each of ``byzantine_ids``."""
     if not 0 <= t <= view.horizon:
         raise ParameterError(f"tick {t} outside view range 0..{view.horizon}")
     lags = sorted(view.lags[i] for i in view.correct)
-    first: dict[int, int] = {}
-    for tick, rid in rows:
-        first[rid] = min(tick, first.get(rid, tick))
-    counts = {rid: bisect_right(lags, t - tick) for rid, tick in first.items()}
+    counts = {rid: bisect_right(lags, t - tick) for tick, rid in rows}
     for rid in set(byzantine_ids):
         counts[rid] = counts.get(rid, 0) + view.n - len(lags)
     return frozenset(rid for rid, c in counts.items() if c and c >= quorum)

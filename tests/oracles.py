@@ -52,14 +52,25 @@ def pairwise_noise_bound(requests, part, lam):
 
 
 def tick_maps_per_row(events):
-    """(issue, deliver, order) tick maps: each id's tick in its last row of the kind,
-    found by a backward search per id."""
+    """(issue, deliver, order) tick maps: each id's tick in its row of the kind, found
+    by a search per id."""
     maps = []
     for kind in (ISSUE, DELIVER, ORDER):
         rows = [ev for ev in events if ev.kind == kind]
-        maps.append({rid: next(ev.at_tick for ev in reversed(rows) if ev.rid == rid)
+        maps.append({rid: next(ev.at_tick for ev in rows if ev.rid == rid)
                      for rid in {ev.rid for ev in rows}})
     return tuple(maps)
+
+
+def order_determinism_per_row(events):
+    """The least (tick, id) of a deliver or order row with no row of the kind before it
+    in the chain issue -> deliver -> order, at a tick <=, found by a search of all the
+    rows per row; None if every row has one."""
+    before = {DELIVER: ISSUE, ORDER: DELIVER}
+    broken = [(ev.at_tick, ev.rid) for ev in events if ev.kind in before
+              and not any(p.kind == before[ev.kind] and p.rid == ev.rid
+                          and p.at_tick <= ev.at_tick for p in events)]
+    return min(broken, default=None)
 
 
 def snapshots_per_tick(events, horizon):
@@ -144,18 +155,16 @@ EMPTY = Snapshot(frozenset(), frozenset(), ())  # a server's history before its 
 class PerTickView:
     """A quorum view as a [server][tick] copy of every server's history.
 
-    Built on ``snapshots_per_tick`` unless ``snapshots`` are given; every
-    query visits every server and tick by value, with no shortcut for
-    quiet ticks.
+    Built on ``snapshots_per_tick``; every query visits every server and
+    tick by value, with no shortcut for quiet ticks.
     """
 
-    def __init__(self, trace, n, f, lags, byzantine_servers=(), snapshots=None):
+    def __init__(self, trace, n, f, lags, byzantine_servers=()):
         byz = frozenset(byzantine_servers)
         self.n, self.f = n, f
         self.correct = frozenset(range(n)) - byz
         self.horizon = trace.horizon + max(lags)
-        if snapshots is None:
-            snapshots = snapshots_per_tick(trace.events, trace.horizon)
+        snapshots = snapshots_per_tick(trace.events, trace.horizon)
         self.received, self.ordered = [], []
         for i in range(n):
             if i in byz:

@@ -7,7 +7,10 @@ deliver or order row, a negative or huge ``horizon=`` header, or no
 ``order:`` line. Whatever the file, ``check`` must return
 0, 1 or 2 without raising, report a configuration error (2) on exactly
 one stderr line, and stay under a ``tracemalloc`` budget: no path may
-cost memory in proportion to the header's horizon.
+cost memory in proportion to the header's horizon. A file that passes
+(0) must keep the chain rule issue -> deliver -> order and list its
+rows' output on its ``order:`` line, as the per-row and per-tick
+oracles decide.
 """
 
 import contextlib
@@ -19,7 +22,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from gen import hand_written_rows, rows_text
+from oracles import order_determinism_per_row, snapshots_per_tick
 from fairorder.cli import main
+from fairorder.engine import parse_trace
 
 # About twice the largest peak measured over 500 of these examples (68 KB); one entry
 # per tick up to a huge horizon would exceed it by far.
@@ -111,3 +116,10 @@ def test_check_exits_with_a_code_and_one_error_line(text):
     if code == 2:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+    if code == 0:
+        trace = parse_trace(text)
+        assert order_determinism_per_row(trace.events) is None
+        # The output stops changing at the last row tick, so the oracle stops there
+        # rather than walk up to a header horizon of 10^18.
+        horizon = min(trace.horizon, max([0, *(ev.at_tick for ev in trace.events)]))
+        assert trace.final_order == snapshots_per_tick(trace.events, horizon)[-1].output

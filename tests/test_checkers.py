@@ -12,7 +12,8 @@ from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, NON_BLOCKING,
                                 check_order_determinism, check_policy_compliance,
                                 check_strong_non_blocking, impossibility_harness)
 from fairorder.checkers import check_consistency
-from fairorder.engine import DELIVER, ORDER, Event, Trace, parse_trace, run
+from fairorder.engine import (DELIVER, ISSUE, ORDER, Event, ProtocolError, Trace, parse_trace,
+                              run)
 from fairorder.model import Request
 from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.rng import Stream
@@ -171,9 +172,8 @@ class TestPolicyPredicate:
             check_policy_compliance(honest_trace, PolicyPredicate([(0, 99)]))
 
 
-def assert_sweeps_match_the_per_tick_oracles(trace, snapshots=None):
-    if snapshots is None:
-        snapshots = snapshots_per_tick(trace.events, trace.horizon)
+def assert_sweeps_match_the_per_tick_oracles(trace):
+    snapshots = snapshots_per_tick(trace.events, trace.horizon)
     consistency, monotonic = consistency_and_monotonic_per_tick(snapshots)
     assert check_consistency(trace).witness == consistency
     assert check_monotonic_order(trace).witness == monotonic
@@ -196,14 +196,18 @@ class TestSnapshotWalk:
     def test_engine_traces_match_the_per_tick_oracle(self, trace):
         assert_sweeps_match_the_per_tick_oracles(trace)
 
-    def test_re_ordered_id_that_was_not_received(self):
-        # Parsing rejects a second order row for one id, so this trace is built directly;
-        # snapshots_per_tick assumes one order row per id, so the oracle reads its snapshots.
-        rows = (Event(1, DELIVER, 1), Event(1, ORDER, 2), Event(2, ORDER, 2))
-        trace = Trace(events=rows, final_order=(2, 2), seed=0, horizon=2)
-        assert [s.output for s in trace.snapshots] == [(), (2,), (2, 2)]
-        assert_sweeps_match_the_per_tick_oracles(trace, trace.snapshots)
-        assert check_consistency(trace).passed
+
+@pytest.mark.parametrize("kind", [ISSUE, DELIVER, ORDER])
+def test_a_second_row_of_one_kind_is_a_protocol_error(kind):
+    # Parsing turns this into a TraceParseError, so the trace is built directly. The
+    # second row lies past the horizon: every row counts, whichever reader asks first.
+    rows = (Event(0, ISSUE, 1), Event(1, DELIVER, 1), Event(2, ORDER, 1), Event(5, kind, 1))
+    trace = Trace(events=rows, final_order=(1,), seed=0, horizon=3)
+    tick_map = {ISSUE: "issue_ticks", DELIVER: "deliver_ticks", ORDER: "order_ticks"}[kind]
+    for read in (lambda: trace.history, lambda: getattr(trace, tick_map),
+                 lambda: check_all(trace)):
+        with pytest.raises(ProtocolError, match=f"^request 1 has a second {kind} row$"):
+            read()
 
 
 class TestPrefixTransitivity:

@@ -116,16 +116,24 @@ class TestCheckCommand:
         ("5,issue,0\n0,deliver,0\n0,order,0\norder:0\n", 1,
          "order_determinism,fail,0;0\nnon_blocking,pass,\nconsistency,pass,\n"
          "monotonic_order,pass,\n"),
+        ("0,deliver,0\n0,order,0\norder:0\n", 1,
+         "order_determinism,fail,0;0\nnon_blocking,pass,\nconsistency,pass,\n"
+         "monotonic_order,pass,\n"),
         ("0,issue,0\n1,issue,0\n1,deliver,0\n1,order,0\norder:0\n", 2,
-         "line 2: request 0 has a second issue row"),
+         "request 0 has a second issue row"),
         ("0,issue,0\n1,issue,0\n1,deliver,0\n1,order,0\norder:0,0\n", 2,
-         "line 2: request 0 has a second issue row"),
+         "request 0 has a second issue row"),
         ("0,deliver,0\n0,deliver,1\n0,order,0\n0,order,1\norder:1,0\n", 2,
          "order line differs from the order rows' output at position 0"),
         ("0,deliver,0\n0,order,0\norder:0,7\n", 2,
          "order line differs from the order rows' output at position 1"),
-    ], ids=["delivered_before_issue", "issued_twice", "issued_twice_listed_twice",
-            "order_line_reversed", "order_line_unknown_id"])
+        ("0,issue,0\n0,deliver,0\n0,order,0\norder:7\norder:0\n", 2,
+         "line 5: second order line"),
+        ("# fairorder-trace v1 seed=0 horizon=5\n# fairorder-trace v1 horizon=0 seed=3\n"
+         "0,issue,0\n0,deliver,0\n0,order,0\norder:0\n", 2, "line 2: second header line"),
+    ], ids=["delivered_before_issue", "delivered_without_issue", "issued_twice",
+            "issued_twice_listed_twice", "order_line_reversed", "order_line_unknown_id",
+            "two_order_lines", "two_headers"])
     def test_forged_transitions_are_judged(self, tmp_path, capsys, text, code, out):
         path = tmp_path / "trace.txt"
         path.write_text(text)

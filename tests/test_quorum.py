@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from forge import forge_permuted_prefix
 from gen import engine_traces, hand_written_traces, random_scenario, rows_text
 from oracles import PerTickView
-from fairorder.engine import DELIVER, ORDER, Event, Trace, parse_trace, run
+from fairorder.engine import DELIVER, ORDER, Event, parse_trace, run
 from fairorder.model import ParameterError, Request
 from fairorder.noise import ConfigurationError
 from fairorder.quorum import (QuorumView, check_prefix_consistency, global_ordered,
@@ -170,21 +170,6 @@ class TestPerTickOracle:
         text = serialize_view(view)
         assert "0,1,order,1" in text and "3,2,order,2" in text
         self.assert_matches_the_oracle(view, PerTickView(view.trace, 4, 1, view.lags))
-
-    def test_repeated_rows_count_once(self):
-        # Parsing rejects a second deliver or order row for one id, so this trace is built
-        # directly; snapshots_per_tick assumes one row per id, so the oracle reads its snapshots.
-        rows = (Event(0, DELIVER, 1), Event(2, DELIVER, 1), Event(1, ORDER, 1), Event(3, ORDER, 1))
-        trace = Trace(events=rows, final_order=(1, 1), seed=0, horizon=4)
-        view = replicate_trace(trace, n=4, f=1, lags=(0, 1, 2, 3), byzantine_servers={3})
-        assert serialize_view(view).count(",deliver,1") == 4
-        # At tick 1 only server 0 (lag 0, order row at tick 1) and the Byzantine server 3
-        # hold request 1; one server holding it twice still counts once.
-        assert global_ordered(view, 1) == frozenset()
-        assert global_ordered(view, 1, quorum=2) == frozenset({1})
-        assert global_ordered(view, 2) == frozenset({1})
-        self.assert_matches_the_oracle(
-            view, PerTickView(trace, 4, 1, view.lags, {3}, snapshots=trace.snapshots))
 
     def test_violation_after_quiet_ticks_is_found(self):
         # The trace orders 1 at tick 1, then puts 2 ahead of it at tick 3: server 0

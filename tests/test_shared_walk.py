@@ -16,11 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 from forge import (forge_drop_from_output, forge_order_before_delivery,
                    forge_permuted_prefix, forge_phantom_receipt)
 from gen import engine_traces, hand_written_traces, rows_text
-from oracles import (PerTickView, consistency_and_monotonic_per_tick, snapshots_per_tick,
-                     strong_non_blocking_per_tick)
+from oracles import (PerTickView, consistency_and_monotonic_per_tick, order_determinism_per_row,
+                     snapshots_per_tick, strong_non_blocking_per_tick)
 from fairorder import engine
 from fairorder.adversary import DelayModel
-from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, check_all,
+from fairorder.checkers import (CONSISTENCY, MONOTONIC_ORDER, ORDER_DETERMINISM, check_all,
                                 check_strong_non_blocking)
 from fairorder.cli import main
 from fairorder.engine import DELIVER, ORDER, Event, History, parse_trace, run, serialize_trace
@@ -135,6 +135,7 @@ def test_shared_pass_matches_the_per_tick_oracles(trace, other, data):
     snapshots = snapshots_per_tick(trace.events, trace.horizon)
     consistency, monotonic = consistency_and_monotonic_per_tick(snapshots)
     verdicts = {v.property: v for v in check_all(trace)}
+    assert verdicts[ORDER_DETERMINISM].witness == order_determinism_per_row(trace.events)
     assert verdicts[CONSISTENCY].witness == consistency
     assert verdicts[MONOTONIC_ORDER].witness == monotonic
     assert check_strong_non_blocking(trace).witness == strong_non_blocking_per_tick(snapshots)

@@ -447,7 +447,9 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     at different ticks are ordered by tick, and two ordered in one burst
     by their adjusted scores, which two noise draws decide
     (``_burst_count``). It reads ``prep.plan`` and, per seed, draws and
-    totals as ``_schedule`` does, without building a ``Request``. fcfs
+    totals as ``_schedule`` does, without building a ``Request``. Gated,
+    a seed that delivers both pair requests at or after the last issue
+    tick orders them in the final burst, so it draws only their delays. fcfs
     and ttl draw nothing, so on a static schedule one engine run decides
     every seed; with random delays every seed runs through the engine.
     Every total is finite, so an adjusted score is finite or +-inf,
@@ -534,6 +536,13 @@ def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int,
     comes from ``_total``, as in ``_schedule``. ``_decide`` turns the
     delivery ticks into a count. When no request that matters draws, the
     ticks are the same on every seed and are decided once for the whole range.
+
+    A seed draws the pair's own delays first. Gated, with every request
+    delivered at some tick, a pair delivered at or after the last issue
+    tick L is ordered in the final burst: from any t >= L the fixpoint
+    reads the latest delivery of all, M >= t, and before M the request
+    delivered at M is in flight. Such a seed goes to ``_burst_count``
+    without the other draws, which cannot change its count.
     """
     plan = sorted(prep.plan, key=lambda e: e.request.issue_tick)
     gating, slot = prep.scenario.stability_gating, prep.eta_slot
@@ -543,21 +552,30 @@ def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int,
     # Every delivery tick (inf: never), a drawn one set per seed: every drawn one when
     # gated, only the pair's own when not. A drawn pair request's total is set per seed.
     fixed = [math.inf if e.tick is None else e.tick for e in plan]
-    drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e if i in at else None)
+    drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e)
              for i, e in enumerate(plan) if e.delay_at is not None and (gating or i in at)]
     totals = {plan[i].request.id: _total(plan[i], 0, slot) for i in at if plan[i].delay_at is None}
     if not drawn:
         return _decide(prep, pair, fixed, at, issue_ticks, seeds, totals) if seeds else (0, None)
+    own = [d for d in drawn if d[0] in at]
+    rest = [d for d in drawn if d[0] not in at]
+    # The final burst needs a latest delivery: no request may be never delivered.
+    final = gating and all(e.tick is not None or e.delay_at is not None for e in plan)
+    last_issue, (ia, ib), (a, b) = issue_ticks[-1], at, pair
     ceil = math.ceil
     count, missing = 0, None
     for seed in seeds:
         ticks = fixed.copy()
         prefix = derive(seed, TAG_DELAY)
-        for i, issue, delay_at, rid, e in drawn:
+        for i, issue, delay_at, rid, e in own:
             d = _draw_delay(delay_at, prefix, rid)
             ticks[i] = issue + ceil(d)
-            if e is not None:  # a pair request
-                totals[rid] = _total(e, d, slot)
+            totals[rid] = _total(e, d, slot)
+        if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
+            count += _burst_count(prep, pair, (seed,), totals[a], totals[b])
+            continue
+        for i, issue, delay_at, rid, _ in rest:
+            ticks[i] = issue + ceil(_draw_delay(delay_at, prefix, rid))
         seed_count, seed_missing = _decide(prep, pair, ticks, at, issue_ticks, (seed,), totals)
         count += seed_count
         if missing is None:
@@ -680,11 +698,12 @@ def parse_trace(text: str) -> Trace:
     """Rebuild a Trace from its serialized form, with its ``history`` already built.
 
     A file has at most one header line and one ``order:`` line. A header
-    horizon must be >= 0, a request has at most one row of each kind, and
-    the ``order:`` line must list the rows' output at the horizon
-    (``history.output_at(horizon)``).
+    horizon must be >= 0 and no row tick may lie past it, a request has at
+    most one row of each kind, and the ``order:`` line must list the rows'
+    output at the horizon (``history.output_at(horizon)``).
     """
     seed, last, header = 0, 0, False  # last: the latest row tick, and at least 0
+    last_line = 0  # the first line with a row at tick ``last``
     horizon: int | None = None
     events: list[Event] = []
     final_order: tuple[int, ...] | None = None
@@ -715,13 +734,16 @@ def parse_trace(text: str) -> Trace:
                 if kind not in (ISSUE, DELIVER, ORDER):
                     raise ValueError(f"unknown event kind {kind!r}")
                 events.append(Event(tick, kind, rid))
-                last = max(last, tick)
+                if tick > last:
+                    last, last_line = tick, lineno
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if final_order is None:
         raise TraceParseError("missing final order line")
     if horizon is None:
         horizon = last
+    elif last > horizon:
+        raise TraceParseError(f"line {last_line}: row tick {last} is past the horizon {horizon}")
     try:
         history = history_of(events, horizon)
     except ProtocolError as exc:

@@ -84,7 +84,7 @@ def rows_text(rows, header=None, final_order=None) -> str:
     under a negative header, which it rejects anyway).
     """
     if final_order is None:
-        horizon = max([0, *(ev.at_tick for ev in rows)]) if header is None else header
+        horizon = last_row_tick(rows) if header is None else header
         final_order = snapshots_per_tick(rows, horizon)[-1].output if horizon >= 0 else ()
     lines = [f"{ev.at_tick},{ev.kind},{ev.rid}" for ev in rows]
     if header is not None:
@@ -93,12 +93,22 @@ def rows_text(rows, header=None, final_order=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def last_row_tick(rows) -> int:
+    """The horizon of a file of ``rows`` without a header: the latest row tick, at least 0."""
+    return max([0, *(ev.at_tick for ev in rows)])
+
+
+def headers(rows):
+    """No header, or a ``horizon=`` header at or past the last row: ``parse_trace``
+    rejects a row past the header horizon."""
+    return st.one_of(st.none(), st.integers(last_row_tick(rows), 25))
+
+
 @st.composite
 def hand_written_traces(draw):
-    """Parsed traces of hand-written rows: no header, or one below or past the last row."""
+    """Parsed traces of hand-written rows: no header, or one at or past the last row."""
     rows = draw(hand_written_rows())
-    header = draw(st.one_of(st.none(), st.integers(0, 25)))
-    return parse_trace(rows_text(rows, header))
+    return parse_trace(rows_text(rows, draw(headers(rows))))
 
 
 @st.composite

@@ -131,9 +131,14 @@ class TestCheckCommand:
          "line 5: second order line"),
         ("# fairorder-trace v1 seed=0 horizon=5\n# fairorder-trace v1 horizon=0 seed=3\n"
          "0,issue,0\n0,deliver,0\n0,order,0\norder:0\n", 2, "line 2: second header line"),
+        ("# fairorder-trace v1 seed=0 horizon=2\n0,issue,0\n5,deliver,0\norder:\n", 2,
+         "line 3: row tick 5 is past the horizon 2"),
+        ("0,issue,0\n5,deliver,0\n7,deliver,1\n# fairorder-trace v1 horizon=6\norder:\n", 2,
+         "line 3: row tick 7 is past the horizon 6"),
     ], ids=["delivered_before_issue", "delivered_without_issue", "issued_twice",
             "issued_twice_listed_twice", "order_line_reversed", "order_line_unknown_id",
-            "two_order_lines", "two_headers"])
+            "two_order_lines", "two_headers", "delivered_past_horizon",
+            "delivered_past_a_later_header"])
     def test_forged_transitions_are_judged(self, tmp_path, capsys, text, code, out):
         path = tmp_path / "trace.txt"
         path.write_text(text)

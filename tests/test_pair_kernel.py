@@ -408,3 +408,111 @@ def test_non_finite_totals_run_every_random_seed_through_the_engine():
     assert not prep.static
     for pair in [(0, 1), (0, 2), (2, 1)]:
         assert pair_count(prep, pair, 0, 100) == engine_pair_count(prep, pair, 0, 100)
+
+
+@st.composite
+def final_burst_scenarios(draw):
+    """Random-delay fair scenarios whose pair (0, 1) is delivered at or after the last
+    issue tick on most seeds: the pair is issued at the last issue tick, or every delay
+    is at least that tick. Otherwise one pair request may be issued at tick 0, so that it
+    alone is delivered before that tick on some seeds. Request 2 may be never delivered,
+    and a pair request may have a fixed delivery tick."""
+    n = draw(st.integers(3, 7))
+    last = draw(st.integers(1, 3))
+    long_delays = draw(st.booleans())
+    late = {0, 1} if long_delays else draw(st.sampled_from([{0, 1}, {0, 1}, {0}, {1}]))
+    requests = tuple(
+        Request(id=i, client_id=draw(st.integers(0, 3)),
+                features=(float(draw(st.integers(0, 2))), float(draw(st.integers(0, 1)))),
+                issue_tick=last if i == n - 1 or (i in late and not long_delays)
+                else 0 if i < 2 else draw(st.integers(0, last)))
+        for i in range(n)
+    )
+    lo = float(last) if long_delays else draw(st.sampled_from([0.0, 0.5]))
+    delay = DelayModel(kind="uniform", lo=lo, hi=lo + draw(st.sampled_from([0.0, 1.0, 2.5])),
+                       per_client=draw(st.dictionaries(
+                           st.integers(0, 3),
+                           st.builds(lambda cap: DelayModel(kind="capped_heavy_tail", scale=1.0,
+                                                            cap=lo + cap),
+                                     st.sampled_from([0.0, 1.0, 3.0])),
+                           max_size=0 if long_delays else 2)))
+    overrides = {}
+    if draw(st.integers(0, 4)) == 0:
+        overrides[2] = None
+    if draw(st.integers(0, 3)) == 0:
+        rid = draw(st.integers(0, 1))
+        overrides[rid] = draw(st.integers(requests[rid].issue_tick, last + 3))
+    policy = FairPolicy(spec=SPECS[draw(st.sampled_from(["bounded_laplace"] * 3 + sorted(SPECS)))],
+                        direction=draw(st.sampled_from(["lowest_first", "highest_first"])))
+    bribes = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=4, max_size=4))
+    return ScenarioConfig(
+        feature_count=2, relevant=(0,), lam=1.0, requests=requests, eta_feature=1,
+        delay=delay, policy=policy,
+        adversaries=tuple(ByzantineClientSpec(client_id=c, bribe=b) for c, b in enumerate(bribes)),
+        stability_gating=draw(st.sampled_from([True] * 4 + [False])), deliver_overrides=overrides,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=final_burst_scenarios(), reverse=st.booleans(), seed_lo=st.integers(0, 10**9),
+       n_seeds=st.integers(1, 30))
+def test_kernel_count_equals_engine_loop_in_the_final_burst(scenario, reverse, seed_lo,
+                                                            n_seeds):
+    prep = prepare(scenario)
+    assume(not prep.static)
+    pair = (1, 0) if reverse else (0, 1)
+    seed_hi = seed_lo + n_seeds
+    assert (pair_count(prep, pair, seed_lo, seed_hi)
+            == engine_pair_count(prep, pair, seed_lo, seed_hi))
+
+
+def certify_shaped(issue_tick, **extra):
+    """Eight one-request clients with uniform 0-3 delays, bounded-Laplace noise,
+    highest_first and a bribing client 1, as in the certify_delay bench workload;
+    ``issue_tick(i)`` is request i's issue tick."""
+    reqs = tuple(Request(id=i, client_id=i, features=(float(4 if i < 2 else 3 * i), 0.0),
+                         issue_tick=issue_tick(i))
+                 for i in range(8))
+    spec = NoiseSpec(kind="bounded_laplace", epsilon=1.0, sensitivity=5.0, bound=15.0)
+    return ScenarioConfig(feature_count=2, relevant=(0,), lam=5.0, requests=reqs,
+                          eta_feature=1, delay=DelayModel(kind="uniform", lo=0.0, hi=3.0),
+                          policy=FairPolicy(spec=spec, direction="highest_first"),
+                          adversaries=(ByzantineClientSpec(client_id=1, bribe=2.0),), **extra)
+
+
+def test_final_burst_draws_only_the_pairs_delays():
+    # Issued at ticks 0-1 with delays in (0, 3], the pair is delivered at tick 1 or later
+    # on every seed, so only its two delays matter.
+    prep = prepare(certify_shaped(lambda i: i % 2))
+    with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
+        count, missing = pair_count(prep, (0, 1), 0, 400)
+    assert draws.call_count == 2 * 400
+    assert {call.args[2] for call in draws.call_args_list} == {0, 1}
+    assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 400)
+
+
+def test_a_pair_delivered_before_the_last_issue_tick_draws_every_entry():
+    # The pair is issued at tick 0 and the rest at tick 2: a seed that delivers either
+    # pair request at tick 1 or 2 goes through the fixpoint, which reads every delivery.
+    prep = prepare(certify_shaped(lambda i: 0 if i < 2 else 2))
+    seen = set()
+    for seed in range(60):
+        delivered = run_prepared(prep, seed).deliver_ticks
+        early = frozenset(rid for rid in (0, 1) if delivered[rid] < 2)
+        seen.add(early)
+        with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
+            result = pair_count(prep, (0, 1), seed, seed + 1)
+        assert sorted(call.args[2] for call in draws.call_args_list) == (
+            list(range(8)) if early else [0, 1])
+        assert result == engine_pair_count(prep, (0, 1), seed, seed + 1)
+    assert seen == {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
+
+
+def test_a_never_delivered_request_keeps_every_draw_and_the_missing_seed():
+    # With request 5 never delivered there is no latest delivery, so no final burst:
+    # every seed draws its seven delays and the pair is missing from the first seed on.
+    prep = prepare(certify_shaped(lambda i: i % 2, deliver_overrides={5: None}))
+    with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
+        result = pair_count(prep, (0, 1), 40, 90)
+    assert draws.call_count == 7 * 50
+    assert result == (0, 40) == engine_pair_count(prep, (0, 1), 40, 90)

@@ -10,9 +10,10 @@ parsed order line to the rows' own output.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gen import engine_traces, hand_written_rows, random_scenario, rows_text
+from gen import (engine_traces, hand_written_rows, headers, last_row_tick, random_scenario,
+                 rows_text)
 from oracles import snapshots_per_tick, tick_maps_per_row
 from fairorder.engine import (DELIVER, ORDER, TraceParseError, parse_trace, run,
                               serialize_trace, snapshots_from_events)
@@ -43,10 +44,11 @@ def test_engine_traces_match_per_tick_rebuild(policy_kind, gen_seed, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)))
-def test_hand_written_rows_match_per_tick_rebuild(rows, header):
+@given(rows=hand_written_rows(), data=st.data())
+def test_hand_written_rows_match_per_tick_rebuild(rows, data):
+    header = data.draw(headers(rows))
     trace = parse_trace(rows_text(rows, header))
-    horizon = header if header is not None else max([0, *(ev.at_tick for ev in rows)])
+    horizon = header if header is not None else last_row_tick(rows)
     expected = snapshots_per_tick(rows, horizon)
     assert trace.snapshots == expected
     assert snapshots_from_events(rows, horizon) == expected
@@ -64,9 +66,9 @@ def test_header_horizon_past_the_last_event():
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)))
-def test_a_serialized_trace_parses_back_to_itself(rows, header):
-    trace = parse_trace(rows_text(rows, header))
+@given(rows=hand_written_rows(), data=st.data())
+def test_a_serialized_trace_parses_back_to_itself(rows, data):
+    trace = parse_trace(rows_text(rows, data.draw(headers(rows))))
     assert trace.horizon >= 0
     assert parse_trace(serialize_trace(trace)) == trace
 
@@ -79,10 +81,10 @@ def test_engine_traces_round_trip_and_match_the_per_row_oracle(trace):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=hand_written_rows(), header=st.one_of(st.none(), st.integers(0, 25)),
-       final=st.lists(st.integers(0, 8), max_size=8))
-def test_only_the_rows_own_output_parses_as_the_order_line(rows, header, final):
-    horizon = header if header is not None else max([0, *(ev.at_tick for ev in rows)])
+@given(rows=hand_written_rows(), data=st.data(), final=st.lists(st.integers(0, 8), max_size=8))
+def test_only_the_rows_own_output_parses_as_the_order_line(rows, data, final):
+    header = data.draw(headers(rows))
+    horizon = header if header is not None else last_row_tick(rows)
     output = snapshots_per_tick(rows, horizon)[-1].output
     assert parse_trace(rows_text(rows, header, output)).final_order == output
     if tuple(final) != output:
@@ -105,6 +107,19 @@ def test_an_unrecorded_trace_cannot_be_serialized():
     assert trace.horizon == -1
     with pytest.raises(ValueError, match="record=False"):
         serialize_trace(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hand_written_rows(), data=st.data())
+def test_a_row_past_the_header_horizon_is_rejected(rows, data):
+    # Named by the first line holding the latest row tick; the header is line 1.
+    last = last_row_tick(rows)
+    assume(last > 0)
+    header = data.draw(st.integers(0, last - 1))
+    line = 2 + next(i for i, ev in enumerate(rows) if ev.at_tick == last)
+    with pytest.raises(TraceParseError,
+                       match=f"^line {line}: row tick {last} is past the horizon {header}$"):
+        parse_trace(rows_text(rows, header))
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,12 +25,12 @@ request once no in-flight request could still claim an earlier slot;
 gating off models a server that must not wait (used to demonstrate the
 asynchronous impossibility).
 
-Burst selection: each run keeps one ready queue of the pending requests,
-keyed by the policy's selection key (``PolicyRuntime.push``). Stability
-is monotone in that key, so a burst checks ``is_stable`` on the front
-only: O(N log N) for a burst of N. The README's "How a burst is
-selected" gives the keys and the tie rule. Scenario loading keeps every
-perceived total finite, so no adjusted score is NaN.
+A run knows its policy only by one selection key per request, which
+``_schedule`` computes per seed from the plan, and it keeps one ready
+queue of the pending requests under those keys. Stability is monotone
+in the key, so a burst checks ``is_stable`` on the front only: O(N log N)
+for a burst of N. The README's "How a burst is selected" gives the keys
+and the tie rule. Loading keeps every perceived total finite, so no key is NaN.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .adversary import DelayKind, delayed
 from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
 from .model import Request, score_parts
-from .noise import NoiseSpec, sample_state
+from .noise import sample_state
 from .noise import sample  # noqa: F401  (bench/tracing.py wraps engine.sample)
 from .rng import Stream, child, derive, first_random, tag
 from .scenario import FairPolicy, FcfsPolicy, Policy, ScenarioConfig, TtlPolicy
@@ -55,6 +55,9 @@ from .scenario import FairPolicy, FcfsPolicy, Policy, ScenarioConfig, TtlPolicy
 TAG_DELAY = tag("delay")
 TAG_NOISE = tag("noise")
 TAG_PICK = tag("pick")
+
+# A selection key, least first: (delivery tick, id), (deadline, id) or ``_fair_key``.
+Key = tuple[float, int] | float
 
 
 class ProtocolError(RuntimeError):
@@ -88,9 +91,10 @@ class EngineState:
     pending: dict[int, Request] = field(default_factory=dict)
     output: list[int] = field(default_factory=list)
     deliver_ticks: dict[int, int] = field(default_factory=dict)
-    # (deadline feature, min-heap of the in-flight (deadline, id) keys): built by the
-    # first gated ttl stability check; a delivered request leaves it lazily
-    ttl_keys: tuple[int, list[tuple[float, int]]] | None = None
+    keys: dict[int, Key] = field(default_factory=dict)  # the run's ``Schedule.keys``
+    # min-heap of the in-flight ttl keys: built by the first gated ttl stability
+    # check; a delivered request leaves it lazily
+    ttl_keys: list[tuple[float, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -140,53 +144,31 @@ class Trace:
         return snapshots_from_events(self.events, self.horizon)
 
 
-def _noise(spec: NoiseSpec | None, prefix: int, rid: int) -> float:
-    """A request's noise sample, from its seed's ``prefix = derive(seed, TAG_NOISE)``.
-
-    A pure function of (seed, request id): ``child(prefix, rid)`` is
-    ``derive(seed, TAG_NOISE, rid)``.
-    """
-    return 0.0 if spec is None else sample_state(spec, child(prefix, rid))
+def _fair_key(policy: FairPolicy, total: float, prefix: int, rid: int) -> float:
+    """A fair request's key: its perceived total plus its noise sample, negated for
+    ``highest_first``, so the least key goes first either way. ``prefix`` is
+    ``child(derive(seed), TAG_NOISE)``, so the noise is ``derive(seed, TAG_NOISE, rid)``'s."""
+    spec = policy.spec
+    adjusted = total + (0.0 if spec is None else sample_state(spec, child(prefix, rid)))
+    return -adjusted if policy.direction == "highest_first" else adjusted
 
 
 class PolicyRuntime:
-    """Per-run policy context: totals, noise, tie-break stream, gating, ready queue."""
+    """Per-run policy context: the selection keys, tie-break stream, gating, ready queue."""
 
-    def __init__(self, policy: Policy, seed: int, totals: dict[int, float],
+    def __init__(self, policy: Policy, pick_stream: Stream, keys: dict[int, Key],
                  stability_gating: bool = True):
         self.policy = policy
-        self.totals = totals
+        self.keys = keys
         self.stability_gating = stability_gating
-        self.pick_stream = Stream(derive(seed, TAG_PICK))
-        self.spec = policy.spec if isinstance(policy, FairPolicy) else None
-        self.noise_prefix = derive(seed, TAG_NOISE)
-        self._adjusted: dict[int, float] = {}
+        self.pick_stream = pick_stream
         self._ready: list[tuple] = []  # heap of (key, delivery sequence, request)
-        self._tied: list[Request] = []  # fair: the front's equal-score group, off the heap
+        self._tied: list[Request] = []  # fair: the front's equal-key group, off the heap
         self._delivered = 0
 
-    def noise_for(self, r: Request) -> float:
-        return _noise(self.spec, self.noise_prefix, r.id)
-
-    def adjusted(self, r: Request) -> float:
-        """Perceived score plus noise, computed once per request."""
-        a = self._adjusted.get(r.id)
-        if a is None:
-            a = self._adjusted[r.id] = self.totals[r.id] + self.noise_for(r)
-        return a
-
-    def push(self, r: Request, deliver_tick: int) -> None:
-        """Queue a delivered request under the policy's selection key."""
-        policy = self.policy
-        if isinstance(policy, FcfsPolicy):
-            key = (deliver_tick, r.id)
-        elif isinstance(policy, TtlPolicy):
-            key = (r.features[policy.deadline_feature], r.id)
-        else:
-            key = self.adjusted(r)
-            if policy.direction == "highest_first":
-                key = -key
-        heappush(self._ready, (key, self._delivered, r))
+    def push(self, r: Request) -> None:
+        """Queue a delivered request under its selection key."""
+        heappush(self._ready, (self.keys[r.id], self._delivered, r))
         self._delivered += 1
 
     def front(self) -> Request:
@@ -210,8 +192,7 @@ class PolicyRuntime:
                 tied.append(heappop(self._ready)[2])
         if len(tied) == 1:
             return tied.pop()
-        r = fair_policy_step(tied, [self.adjusted(q) for q in tied], self.pick_stream,
-                             direction=self.policy.direction)
+        r = fair_policy_step(tied, [self.keys[q.id] for q in tied], self.pick_stream)
         del tied[next(i for i, q in enumerate(tied) if q is r)]
         return r
 
@@ -221,8 +202,8 @@ def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: 
 
     Under fcfs a delivered request is immediately stable (later arrivals
     order later by definition). Under ttl, stability requires every
-    in-flight request to carry a strictly later (deadline, id) key: the
-    least of them, read off ``state.ttl_keys`` in O(log M) amortized.
+    in-flight request to carry a strictly later key in ``state.keys``:
+    the least of them, read off ``state.ttl_keys`` in O(log M) amortized.
     Under fair, noise is unbounded in general, so any in-flight request
     could end up ahead: stability requires an empty in-flight window.
     With gating disabled everything is immediately stable.
@@ -230,29 +211,27 @@ def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: 
     if not stability_gating or isinstance(policy, FcfsPolicy):
         return True
     if isinstance(policy, TtlPolicy):
-        i = policy.deadline_feature
-        if state.ttl_keys is None or state.ttl_keys[0] != i:
-            state.ttl_keys = (i, [(f.features[i], f.id) for f in state.in_flight.values()])
-            heapify(state.ttl_keys[1])
-        keys = state.ttl_keys[1]
-        while keys and keys[0][1] not in state.in_flight:
-            heappop(keys)
-        return not keys or keys[0] > (r.features[i], r.id)
+        if state.ttl_keys is None:
+            state.ttl_keys = [state.keys[rid] for rid in state.in_flight]
+            heapify(state.ttl_keys)
+        heap = state.ttl_keys
+        while heap and heap[0][1] not in state.in_flight:
+            heappop(heap)
+        return not heap or heap[0] > state.keys[r.id]
     return not state.in_flight
 
 
-def fair_policy_step(pending, adjusted, rng: Stream,
-                     direction: str = "lowest_first") -> Request:
-    """Select the next request: minimum adjusted score, ties uniform.
+def fair_policy_step(pending, keys, rng: Stream) -> Request:
+    """Select the next request: minimum fair key, ties uniform.
 
-    ``adjusted[i]`` is the noise-adjusted score of ``pending[i]``;
+    ``keys[i]`` is the fair key of ``pending[i]`` (``_fair_key``);
     ``rng`` (the pick stream) is drawn from only to break exact ties.
     """
     pending = list(pending)
     if not pending:
         raise ProtocolError("fair policy step on an empty pending set")
-    best = max(adjusted) if direction == "highest_first" else min(adjusted)
-    high_priority = [r for r, a in zip(pending, adjusted) if a == best]
+    best = min(keys)
+    high_priority = [r for r, k in zip(pending, keys) if k == best]
     if len(high_priority) == 1:
         return high_priority[0]
     return high_priority[rng.randrange(len(high_priority))]
@@ -261,8 +240,7 @@ def fair_policy_step(pending, adjusted, rng: Stream,
 def _apply_issue(state: EngineState, r: Request) -> None:
     state.in_flight[r.id] = r
     if state.ttl_keys is not None:
-        i, keys = state.ttl_keys
-        heappush(keys, (r.features[i], r.id))
+        heappush(state.ttl_keys, state.keys[r.id])
 
 
 def _apply_deliver(state: EngineState, rid: int) -> None:
@@ -290,16 +268,16 @@ def _emit_orders(state: EngineState, rt: PolicyRuntime) -> list[int]:
 
 @dataclass(frozen=True)
 class Schedule:
-    """One run's requests, delays folded in, grouped by issue and delivery tick.
+    """One run's plan requests, grouped by issue and delivery tick, and their keys.
 
     Groups are sorted by id; ``ticks`` lists every tick with a group,
-    ascending, and ``totals`` maps each id to its perceived score total.
+    ascending, and ``keys`` maps an id to its selection key (``_schedule``).
     """
 
     issues: dict[int, list[Request]]
     delivers: dict[int, list[Request]]
     ticks: tuple[int, ...]
-    totals: dict[int, float]
+    keys: dict[int, Key]
 
 
 class PlanEntry(NamedTuple):
@@ -375,30 +353,44 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
     return Prepared(scenario, policy, scenario.drain(), tuple(plan), slot)
 
 
-def _schedule(prep: Prepared, seed: int) -> Schedule:
-    eta, slot = prep.scenario.eta_feature, prep.eta_slot
+def _schedule(prep: Prepared, root: int) -> Schedule:
+    """The schedule of the seed whose ``derive(seed)`` is ``root``: the plan's requests
+    by tick, and each one's key (ttl: every request's; otherwise a delivered one's),
+    with its drawn delay folded in as ``delayed`` folds it, bit for bit."""
+    policy, eta, slot = prep.policy, prep.scenario.eta_feature, prep.eta_slot
+    fair = isinstance(policy, FairPolicy)
+    deadline = policy.deadline_feature if isinstance(policy, TtlPolicy) else None
     issues: dict[int, list[Request]] = {}
     delivers: dict[int, list[Request]] = {}
-    totals: dict[int, float] = {}
-    prefix = derive(seed, TAG_DELAY)
+    keys: dict[int, Key] = {}
+    delay_prefix, noise_prefix = child(root, TAG_DELAY), child(root, TAG_NOISE)
     for e in prep.plan:
         r, tick, d = e.request, e.tick, 0.0
+        rid = r.id
         if e.delay_at is not None:
-            d = _draw_delay(e.delay_at, prefix, r.id)
-            tick, r = delayed(r, d, eta)
-        totals[r.id] = _total(e, d, slot)
+            d = _draw_delay(e.delay_at, delay_prefix, rid)
+            tick = r.issue_tick + math.ceil(d)
+        if deadline is not None:
+            feature = r.features[deadline]
+            keys[rid] = (feature + d if d and deadline == eta else feature, rid)
         issues.setdefault(r.issue_tick, []).append(r)
         if tick is not None:
             delivers.setdefault(tick, []).append(r)
+            if fair:
+                keys[rid] = _fair_key(policy, _total(e, d, slot), noise_prefix, rid)
+            elif deadline is None:
+                keys[rid] = (tick, rid)
     for group in (*issues.values(), *delivers.values()):
         group.sort(key=lambda r: r.id)
-    return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), totals)
+    return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), keys)
 
 
 def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
-    sched = _schedule(prep, seed)
-    rt = PolicyRuntime(prep.policy, seed, sched.totals, prep.scenario.stability_gating)
-    state = EngineState()
+    root = derive(seed)
+    sched = _schedule(prep, root)
+    rt = PolicyRuntime(prep.policy, Stream(child(root, TAG_PICK)), sched.keys,
+                       prep.scenario.stability_gating)
+    state = EngineState(keys=sched.keys)
     events: list[Event] = []
     # Stability depends only on the in-flight set, which changes only at
     # these ticks, so no other tick can emit an order.
@@ -410,7 +402,7 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
                 events.append(Event(t, ISSUE, r.id))
         for r in sched.delivers.get(t, ()):
             _apply_deliver(state, r.id)
-            rt.push(r, t)
+            rt.push(r)
             if record:
                 events.append(Event(t, DELIVER, r.id))
         for rid in _emit_orders(state, rt):
@@ -445,15 +437,15 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
 
     The fair policy goes to ``_fair_pair_count``: two requests ordered
     at different ticks are ordered by tick, and two ordered in one burst
-    by their adjusted scores, which two noise draws decide
-    (``_burst_count``). It reads ``prep.plan`` and, per seed, draws and
-    totals as ``_schedule`` does, without building a ``Request``. Gated,
+    by their fair keys, which two noise draws decide (``_burst_count``).
+    It reads ``prep.plan`` and, per seed, draws and totals as
+    ``_schedule`` does, without building a ``Request``. Gated,
     a seed that delivers both pair requests at or after the last issue
     tick orders them in the final burst, so it draws only their delays. fcfs
     and ttl draw nothing, so on a static schedule one engine run decides
     every seed; with random delays every seed runs through the engine.
-    Every total is finite, so an adjusted score is finite or +-inf,
-    never NaN, and the fair kernel serves every fair scenario.
+    Every total is finite, so a fair key is finite or +-inf, never NaN,
+    and the fair kernel serves every fair scenario.
     """
     if isinstance(prep.policy, FairPolicy):
         return _fair_pair_count(prep, pair, range(seed_lo, seed_hi))
@@ -463,34 +455,34 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     return count * (seed_hi - seed_lo), missing
 
 
-def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, total_a: float,
+def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: float,
                  total_b: float) -> int:
     """Seeds on which pair[0] precedes pair[1], both ordered in one fair burst.
 
-    The burst is emitted in adjusted-score order, so two noise draws
-    decide a seed unless the adjusted scores tie; a tied seed also
-    depends on the pick stream and runs through the engine.
+    ``roots`` gives each seed's ``derive(seed)``, in step with ``seeds``.
+    The burst is emitted in key order, so the two ``_fair_key``s decide
+    a seed unless they tie; a tied seed also depends on the pick stream
+    and runs through the engine.
     """
     a, b = pair
-    spec = prep.policy.spec
-    low_first = prep.policy.direction != "highest_first"
+    policy = prep.policy
     count = 0
-    for seed in seeds:
-        prefix = derive(seed, TAG_NOISE)
-        adj_a = total_a + _noise(spec, prefix, a)
-        adj_b = total_b + _noise(spec, prefix, b)
-        if adj_a < adj_b:
-            count += low_first
-        elif adj_a > adj_b:
-            count += not low_first
-        else:
+    for seed, root in zip(seeds, roots):
+        prefix = child(root, TAG_NOISE)
+        key_a = _fair_key(policy, total_a, prefix, a)
+        key_b = _fair_key(policy, total_b, prefix, b)
+        if key_a < key_b:
+            count += 1
+        elif key_a == key_b:
             count += _engine_count(prep, pair, (seed,))[0]
     return count
 
 
 def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, at: tuple[int, int],
-            issue_ticks: list[int], seeds, totals: dict[int, float]) -> tuple[int, int | None]:
-    """(count, missing) over non-empty ``seeds`` that all give these delivery ticks.
+            issue_ticks: list[int], seeds, roots,
+            totals: dict[int, float]) -> tuple[int, int | None]:
+    """(count, missing) over ``seeds``, which all give these delivery ticks;
+    ``roots`` gives each seed's ``derive(seed)``, in step with ``seeds``.
 
     ``ticks`` lists every request's delivery tick by issue tick (inf:
     never) and ``at`` gives the pair's places in it. With gating off a
@@ -507,10 +499,10 @@ def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, at: tuple[int, i
         latest_by = list(accumulate(ticks, max))
         ta, tb = _order_tick(ta, issue_ticks, latest_by), _order_tick(tb, issue_ticks, latest_by)
     if ta == math.inf or tb == math.inf:
-        return 0, seeds[0]
+        return 0, seeds[0] if seeds else None
     if ta != tb:
         return len(seeds) * (ta < tb), None
-    return _burst_count(prep, pair, seeds, totals[pair[0]], totals[pair[1]]), None
+    return _burst_count(prep, pair, seeds, roots, totals[pair[0]], totals[pair[1]]), None
 
 
 def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> float:
@@ -556,7 +548,7 @@ def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int,
              for i, e in enumerate(plan) if e.delay_at is not None and (gating or i in at)]
     totals = {plan[i].request.id: _total(plan[i], 0, slot) for i in at if plan[i].delay_at is None}
     if not drawn:
-        return _decide(prep, pair, fixed, at, issue_ticks, seeds, totals) if seeds else (0, None)
+        return _decide(prep, pair, fixed, at, issue_ticks, seeds, map(derive, seeds), totals)
     own = [d for d in drawn if d[0] in at]
     rest = [d for d in drawn if d[0] not in at]
     # The final burst needs a latest delivery: no request may be never delivered.
@@ -566,17 +558,19 @@ def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int,
     count, missing = 0, None
     for seed in seeds:
         ticks = fixed.copy()
-        prefix = derive(seed, TAG_DELAY)
+        root = derive(seed)
+        prefix = child(root, TAG_DELAY)
         for i, issue, delay_at, rid, e in own:
             d = _draw_delay(delay_at, prefix, rid)
             ticks[i] = issue + ceil(d)
             totals[rid] = _total(e, d, slot)
         if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
-            count += _burst_count(prep, pair, (seed,), totals[a], totals[b])
+            count += _burst_count(prep, pair, (seed,), (root,), totals[a], totals[b])
             continue
         for i, issue, delay_at, rid, _ in rest:
             ticks[i] = issue + ceil(_draw_delay(delay_at, prefix, rid))
-        seed_count, seed_missing = _decide(prep, pair, ticks, at, issue_ticks, (seed,), totals)
+        seed_count, seed_missing = _decide(prep, pair, ticks, at, issue_ticks, (seed,), (root,),
+                                           totals)
         count += seed_count
         if missing is None:
             missing = seed_missing

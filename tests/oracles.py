@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from fairorder.engine import DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable
 from fairorder.model import adjacent, score
-from fairorder.scenario import FcfsPolicy, TtlPolicy
+from fairorder.scenario import FairPolicy
 
 
 def laplace_pdf(x, mu, b):
@@ -240,18 +240,14 @@ def emit_orders_by_rescan(state, rt):
     return emitted
 
 
-def ttl_stable_by_scan(r, state, policy):
-    """Gated ttl stability as defined: every in-flight request has a later (deadline, id)."""
-    i = policy.deadline_feature
-    return all((f.features[i], f.id) > (r.features[i], r.id) for f in state.in_flight.values())
+def ttl_stable_by_scan(r, state):
+    """Gated ttl stability as defined: every in-flight request has a later (deadline, id)
+    key in the run's keys."""
+    keys = state.keys
+    return all(keys[rid] > keys[r.id] for rid in state.in_flight)
 
 
 def _select_by_rescan(stable, state, rt):
-    policy = rt.policy
-    if isinstance(policy, FcfsPolicy):
-        return min(stable, key=lambda r: (state.deliver_ticks[r.id], r.id))
-    if isinstance(policy, TtlPolicy):
-        i = policy.deadline_feature
-        return min(stable, key=lambda r: (r.features[i], r.id))
-    return fair_policy_step(stable, [rt.adjusted(r) for r in stable], rt.pick_stream,
-                            direction=policy.direction)
+    if isinstance(rt.policy, FairPolicy):
+        return fair_policy_step(stable, [state.keys[r.id] for r in stable], rt.pick_stream)
+    return min(stable, key=lambda r: state.keys[r.id])

@@ -124,7 +124,7 @@ def test_ttl_stability_matches_a_scan_of_the_in_flight_requests(scenario, deadli
 
     def is_stable(r, state, policy, stability_gating=True):
         got = IS_STABLE(r, state, policy, stability_gating)
-        checked.append(got == ttl_stable_by_scan(r, state, policy))
+        checked.append(got == ttl_stable_by_scan(r, state))
         return got
 
     with mock.patch.object(engine, "is_stable", is_stable):
@@ -244,7 +244,8 @@ def test_one_burst_checks_stability_a_linear_number_of_times(policy, stragglers)
     in_flight = CountingDict()
     make_state = engine.EngineState
     with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks, \
-            mock.patch.object(engine, "EngineState", lambda: make_state(in_flight=in_flight)):
+            mock.patch.object(engine, "EngineState",
+                              lambda **kw: make_state(in_flight=in_flight, **kw)):
         trace = run_prepared(prep, 7, record=True)
     assert {trace.order_ticks[i] for i in range(n)} == {n}
     assert len(trace.final_order) == n + stragglers
@@ -254,3 +255,26 @@ def test_one_burst_checks_stability_a_linear_number_of_times(policy, stragglers)
     # Under ttl, a check that compares the front with every in-flight request
     # reads about n * stragglers entries over the burst.
     assert in_flight.reads <= 4 * (n + stragglers)
+
+
+@pytest.mark.parametrize("policy", [
+    FcfsPolicy(), TtlPolicy(deadline_feature=1),
+    FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=50.0),
+               direction="highest_first"),
+], ids=["fcfs", "ttl", "fair"])
+def test_a_run_builds_no_request(policy):
+    # Every request draws a delay of at least 0.5, so a run that rebuilt each delayed
+    # request would build 200; the keys fold the delays in without building any.
+    reqs = tuple(Request(id=i, client_id=i % 16, features=(float(i % 20), 0.0),
+                         issue_tick=i // 4)
+                 for i in range(200))
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=50.0, requests=reqs,
+                              eta_feature=1, delay=DelayModel(kind="uniform", lo=0.5, hi=3.0),
+                              policy=policy, assume_noise_bound=False)
+    prep = prepare(scenario)
+    post_init = Request.__post_init__
+    with mock.patch.object(Request, "__post_init__", autospec=True,
+                           side_effect=post_init) as built:
+        trace = run_prepared(prep, 7, record=True)
+    assert len(trace.final_order) == 200
+    assert built.call_count == 0

@@ -1,12 +1,13 @@
 """The engine's schedule, compiled from ``Prepared.plan``, against the plain reference.
 
 ``prepare`` decides each request's delivery and score parts once, and
-``_schedule`` draws each delay and folds each total from them. The
-reference rebuilds every request per seed instead: the delay is
-``DelayModel.sample(client, Stream(derive(seed, TAG_DELAY, rid)))``, put
-through ``delayed`` and then ``score``. These tests hold the two equal
-bit for bit: the delivery tick, the delayed request and its total, and
-the order in which each tick lists its issues and deliveries.
+``_schedule`` draws each delay and computes each selection key from
+them. The reference rebuilds every request per seed instead: the delay
+is ``DelayModel.sample(client, Stream(derive(seed, TAG_DELAY, rid)))``,
+put through ``delayed``, and the key is read off the delayed request
+(its deadline feature, or its ``score`` plus its noise ``sample``).
+These tests hold the two equal bit for bit: the delivery tick, each
+key, the requests each tick lists, and the order it lists them in.
 """
 
 from dataclasses import replace
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairorder.adversary import ByzantineClientSpec, DelayModel, delayed
-from fairorder.engine import TAG_DELAY, _engine_count, _schedule, pair_count, prepare, run
+from fairorder.engine import (TAG_DELAY, TAG_NOISE, _engine_count, _schedule, pair_count,
+                              prepare, run)
 from fairorder.model import Request, score
+from fairorder.noise import NoiseSpec, sample
 from fairorder.rng import Stream, derive
-from fairorder.scenario import FairPolicy, ScenarioConfig
+from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
 
 # Values whose float sum depends on the order, and -0.0, which adding 0.0 would turn to 0.0.
 VALUES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 3.0, 1e16, -1e16])
@@ -59,25 +62,63 @@ def scenarios(draw):
         ByzantineClientSpec(client_id=c, time_misreport=draw(st.integers(-2, 2)),
                             bribe=draw(st.sampled_from([0.0, 0.5, 1e16])))
         for c in draw(st.lists(st.integers(0, 3), max_size=3, unique=True)))
+    kind = draw(st.sampled_from(["fcfs", "ttl", "fair"]))
+    if kind == "fcfs":
+        policy = FcfsPolicy()
+    elif kind == "ttl":  # every feature index, eta's included
+        policy = TtlPolicy(deadline_feature=draw(st.integers(0, feature_count - 1)))
+    else:
+        policy = FairPolicy(spec=draw(st.sampled_from(SPECS)),
+                            direction=draw(st.sampled_from(["lowest_first", "highest_first"])))
     return ScenarioConfig(
         feature_count=feature_count, relevant=tuple(sorted(shuffled[n_irrelevant:])),
         lam=1.0, requests=requests, eta_feature=draw(st.sampled_from(irrelevant)),
         delay=delay, adversaries=adversaries, deliver_overrides=overrides,
-        policy=FairPolicy(spec=None), assume_noise_bound=False)
+        policy=policy, assume_noise_bound=False)
+
+
+SPECS = [None, NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0),
+         NoiseSpec(kind="bounded_laplace", epsilon=0.5, sensitivity=1.0, bound=1.5),
+         NoiseSpec(kind="uniform", epsilon=1.0, sensitivity=1.0, bound=1.0)]
 
 
 def reference(scenario, seed):
-    """Per request id: (delivery tick or None, the delayed request, its total)."""
-    eta, part = scenario.eta_feature, scenario.partition
+    """Per request id: (delivery tick or None, its issue tick, its key).
+
+    The key comes from the delayed request: under fcfs and fair only for a
+    request that is delivered (None otherwise).
+    """
+    eta, part, policy = scenario.eta_feature, scenario.partition, scenario.policy
     out = {}
     for r in scenario.build_requests():
+        delivered = r
         if r.id in scenario.deliver_overrides:
             tick = scenario.deliver_overrides[r.id]
         else:
             d = scenario.delay.sample(r.client_id, Stream(derive(seed, TAG_DELAY, r.id)))
-            tick, r = delayed(r, d, eta)
-        out[r.id] = (tick, r, score(r, part).total)
+            tick, delivered = delayed(r, d, eta)
+        if isinstance(policy, TtlPolicy):
+            key = (delivered.features[policy.deadline_feature], r.id)
+        elif tick is None:
+            key = None
+        elif isinstance(policy, FcfsPolicy):
+            key = (tick, r.id)
+        else:
+            noise = 0.0 if policy.spec is None else sample(
+                policy.spec, Stream(derive(seed, TAG_NOISE, r.id)))
+            key = score(delivered, part).total + noise
+            if policy.direction == "highest_first":
+                key = -key
+        out[r.id] = (tick, r.issue_tick, key)
     return out
+
+
+def key_bits(key):
+    """A key's exact value: its floats in ``float.hex``, its ints as they are."""
+    if key is None:
+        return None
+    parts = key if isinstance(key, tuple) else (key,)
+    return tuple(x.hex() if isinstance(x, float) else (type(x).__name__, x) for x in parts)
 
 
 def groups(scenario, want):
@@ -93,32 +134,31 @@ def groups(scenario, want):
             {t: sorted(ids) for t, ids in delivers.items()})
 
 
-def bits(r: Request):
-    return (r.id, r.client_id, [x.hex() for x in r.features], r.issue_tick, r.declared_tick)
-
-
 @settings(max_examples=300, deadline=None)
 @given(scenario=scenarios(), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
 def test_schedule_equals_the_reference(scenario, seeds):
     prep = prepare(scenario)
+    plan = {e.request.id: e.request for e in prep.plan}
     for seed in seeds:
-        sched = _schedule(prep, seed)
+        sched = _schedule(prep, derive(seed))
         want = reference(scenario, seed)
         issued = {r.id: r for group in sched.issues.values() for r in group}
         delivered = {r.id: (t, r) for t, group in sched.delivers.items() for r in group}
-        assert issued.keys() == want.keys() == sched.totals.keys()
-        for rid, (tick, r, total) in want.items():
-            assert bits(issued[rid]) == bits(r)
-            assert issued[rid] in sched.issues[r.issue_tick]
+        assert issued.keys() == want.keys()
+        assert sched.keys.keys() == {rid for rid, (_, _, key) in want.items() if key is not None}
+        for rid, (tick, issue_tick, key) in want.items():
+            # The groups hold the plan's requests, which no drawn delay rebuilds.
+            assert issued[rid] is plan[rid]
+            assert issued[rid] in sched.issues[issue_tick]
             if tick is None:
                 assert rid not in delivered
             else:
-                assert delivered[rid][0] == tick and bits(delivered[rid][1]) == bits(r)
-            assert sched.totals[rid].hex() == total.hex()
+                assert delivered[rid][0] == tick and delivered[rid][1] is issued[rid]
+            assert key_bits(sched.keys.get(rid)) == key_bits(key)
         issues, delivers = groups(scenario, want)
         assert {t: [r.id for r in g] for t, g in sched.issues.items()} == issues
         assert {t: [r.id for r in g] for t, g in sched.delivers.items()} == delivers
-        ticks = {r.issue_tick for _, r, _ in want.values()}
+        ticks = {issue_tick for _, issue_tick, _ in want.values()}
         ticks |= {t for t, _, _ in want.values() if t is not None}
         assert sched.ticks == tuple(sorted(ticks))
 

@@ -1,12 +1,11 @@
 import pytest
 
 from gen import random_scenario
-from fairorder.engine import (EngineState, PolicyRuntime, ProtocolError, TraceParseError,
-                              _apply_deliver, _apply_issue, fair_policy_step, is_stable,
-                              parse_trace, prepare, run, run_prepared, serialize_trace)
+from fairorder.engine import (EngineState, ProtocolError, TraceParseError, _apply_deliver,
+                              _apply_issue, fair_policy_step, is_stable, parse_trace, prepare,
+                              run, run_prepared, serialize_trace)
 from fairorder.adversary import DelayModel
 from fairorder.model import Request
-from fairorder.noise import NoiseSpec
 from fairorder.rng import Stream
 from fairorder.scenario import (FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy,
                                 two_request_gap_scenario)
@@ -93,8 +92,9 @@ class TestFairPolicy:
         assert got is a
 
     def test_highest_first_direction(self):
+        # A highest_first key is the negated adjusted score, so the higher score wins.
         a, b = req(0, relev=3.0), req(1, relev=5.0)
-        got = fair_policy_step([a, b], [3.0, 5.0], Stream(0), direction="highest_first")
+        got = fair_policy_step([a, b], [-3.0, -5.0], Stream(0))
         assert got is b
 
     def test_empty_pending_rejected(self):
@@ -123,13 +123,6 @@ class TestFairPolicy:
         scenario = make_scenario(reqs, policy=FairPolicy(spec=None))
         trace = run(scenario, seed=0)
         assert trace.final_order == (1, 2, 0)
-
-    def test_noise_cached_once_per_request(self):
-        spec = NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)
-        rt = PolicyRuntime(FairPolicy(spec=spec), seed=5, totals={0: 0.0})
-        r = req(0)
-        first = rt.noise_for(r)
-        assert rt.noise_for(r) == first
 
 
 class TestTtlPolicy:

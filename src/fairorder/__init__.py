@@ -14,8 +14,7 @@ from .checkers import (PolicyPredicate, Verdict, check_all, check_consistency,
                        check_monotonic_order, check_non_blocking,
                        check_order_determinism, check_policy_compliance,
                        check_strong_non_blocking, impossibility_harness)
-from .engine import (EngineState, Event, Trace, fair_policy_step, is_stable,
-                     parse_trace, run, serialize_trace, snapshots_from_events)
+from .engine import Event, Trace, parse_trace, run, serialize_trace, snapshots_from_events
 from .model import (FeaturePartition, Request, Score, adjacent, check_noise_bound,
                     k_distance, max_eta_gap, score)
 from .noise import (NoiseKind, NoiseSpec, dp_ratio_bound, laplace_order_probability,

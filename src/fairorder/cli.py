@@ -244,6 +244,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         if out.exists() and not out.is_dir():
             raise ConfigurationError(f"--out {args.out} is not a directory")
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigurationError(f"--jobs must be positive, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

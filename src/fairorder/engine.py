@@ -26,11 +26,14 @@ gating off models a server that must not wait (used to demonstrate the
 asynchronous impossibility).
 
 A run knows its policy only by one selection key per request, which
-``_schedule`` computes per seed from the plan, and it keeps one ready
-queue of the pending requests under those keys. Stability is monotone
-in the key, so a burst checks ``is_stable`` on the front only: O(N log N)
-for a burst of N. The README's "How a burst is selected" gives the keys
-and the tie rule. Loading keeps every perceived total finite, so no key is NaN.
+``_schedule`` computes per seed from the plan. Its one ``EngineState``
+holds ids only: issuing adds an id to the in-flight set, and delivering
+moves it onto a ready queue of the pending ids under their keys (a
+delivery of an id not in flight raises ProtocolError). Stability is
+monotone in the key, so a burst checks ``is_stable`` on the front only:
+O(N log N) for a burst of N. The README's "How a burst is selected"
+gives the keys and the tie rule. Loading keeps every perceived total
+finite, so no key is NaN.
 """
 
 from __future__ import annotations
@@ -80,21 +83,6 @@ class Event:
     at_tick: int
     kind: str
     rid: int
-
-
-@dataclass
-class EngineState:
-    """Server-side state: in-flight requests, pending set, output, delivery ticks."""
-
-    tick: int = 0
-    in_flight: dict[int, Request] = field(default_factory=dict)  # issued, not delivered
-    pending: dict[int, Request] = field(default_factory=dict)
-    output: list[int] = field(default_factory=list)
-    deliver_ticks: dict[int, int] = field(default_factory=dict)
-    keys: dict[int, Key] = field(default_factory=dict)  # the run's ``Schedule.keys``
-    # min-heap of the in-flight ttl keys: built by the first gated ttl stability
-    # check; a delivered request leaves it lazily
-    ttl_keys: list[tuple[float, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -153,30 +141,31 @@ def _fair_key(policy: FairPolicy, total: float, prefix: int, rid: int) -> float:
     return -adjusted if policy.direction == "highest_first" else adjusted
 
 
-class PolicyRuntime:
-    """Per-run policy context: the selection keys, tie-break stream, gating, ready queue."""
+@dataclass
+class EngineState:
+    """One run's state: what its issue, deliver and order transitions read.
 
-    def __init__(self, policy: Policy, pick_stream: Stream, keys: dict[int, Key],
-                 stability_gating: bool = True):
-        self.policy = policy
-        self.keys = keys
-        self.stability_gating = stability_gating
-        self.pick_stream = pick_stream
-        self._ready: list[tuple] = []  # heap of (key, delivery sequence, request)
-        self._tied: list[Request] = []  # fair: the front's equal-key group, off the heap
-        self._delivered = 0
+    ``keys`` is the run's ``Schedule.keys``. ``ready`` is a min-heap of
+    (key, delivery sequence, id) over the delivered ids not yet ordered;
+    under fair, ``tied`` holds the front's equal-key group, taken off the
+    heap. Between them they hold exactly the pending ids.
+    """
 
-    def push(self, r: Request) -> None:
-        """Queue a delivered request under its selection key."""
-        heappush(self._ready, (self.keys[r.id], self._delivered, r))
-        self._delivered += 1
+    policy: Policy
+    keys: dict[int, Key]
+    pick_stream: Stream  # drawn from only to break exact fair ties
+    stability_gating: bool = True
+    in_flight: set[int] = field(default_factory=set)  # issued, not delivered
+    output: list[int] = field(default_factory=list)
+    ready: list[tuple[Key, int, int]] = field(default_factory=list)
+    tied: list[int] = field(default_factory=list)  # in delivery order
+    delivered: int = 0  # the next delivery sequence number
+    # min-heap of the in-flight ttl keys: built by the first gated ttl stability
+    # check; a delivered request leaves it lazily
+    ttl_keys: list[tuple[float, int]] | None = None
 
-    def front(self) -> Request:
-        """The pending request the policy selects next, if it is stable."""
-        return self._tied[0] if self._tied else self._ready[0][2]
-
-    def pop(self) -> Request:
-        """Remove and return the next request; under fair, ties draw from the pick stream.
+    def pop(self) -> int:
+        """Remove and return the next id; under fair, ties draw from the pick stream.
 
         A fair burst always drains (its stability does not depend on the
         request), so a tie group taken off the heap is used up before the
@@ -184,21 +173,21 @@ class PolicyRuntime:
         popped without ``fair_policy_step``.
         """
         if not isinstance(self.policy, FairPolicy):
-            return heappop(self._ready)[2]
-        tied = self._tied
+            return heappop(self.ready)[2]
+        tied, ready = self.tied, self.ready
         if not tied:
-            key = self._ready[0][0]
-            while self._ready and self._ready[0][0] == key:
-                tied.append(heappop(self._ready)[2])
+            key = ready[0][0]
+            while ready and ready[0][0] == key:
+                tied.append(heappop(ready)[2])
         if len(tied) == 1:
             return tied.pop()
-        r = fair_policy_step(tied, [self.keys[q.id] for q in tied], self.pick_stream)
-        del tied[next(i for i, q in enumerate(tied) if q is r)]
-        return r
+        rid = fair_policy_step(tied, [self.keys[q] for q in tied], self.pick_stream)
+        tied.remove(rid)
+        return rid
 
 
-def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: bool = True) -> bool:
-    """True iff no in-flight request can still take priority over ``r``.
+def is_stable(rid: int, state: EngineState) -> bool:
+    """True iff no in-flight request can still take priority over ``rid``.
 
     Under fcfs a delivered request is immediately stable (later arrivals
     order later by definition). Under ttl, stability requires every
@@ -208,21 +197,22 @@ def is_stable(r: Request, state: EngineState, policy: Policy, stability_gating: 
     could end up ahead: stability requires an empty in-flight window.
     With gating disabled everything is immediately stable.
     """
-    if not stability_gating or isinstance(policy, FcfsPolicy):
+    policy = state.policy
+    if not state.stability_gating or isinstance(policy, FcfsPolicy):
         return True
     if isinstance(policy, TtlPolicy):
         if state.ttl_keys is None:
-            state.ttl_keys = [state.keys[rid] for rid in state.in_flight]
+            state.ttl_keys = [state.keys[q] for q in state.in_flight]
             heapify(state.ttl_keys)
         heap = state.ttl_keys
         while heap and heap[0][1] not in state.in_flight:
             heappop(heap)
-        return not heap or heap[0] > state.keys[r.id]
+        return not heap or heap[0] > state.keys[rid]
     return not state.in_flight
 
 
-def fair_policy_step(pending, keys, rng: Stream) -> Request:
-    """Select the next request: minimum fair key, ties uniform.
+def fair_policy_step(pending, keys, rng: Stream) -> int:
+    """Select the next id: minimum fair key, ties uniform.
 
     ``keys[i]`` is the fair key of ``pending[i]`` (``_fair_key``);
     ``rng`` (the pick stream) is drawn from only to break exact ties.
@@ -231,51 +221,51 @@ def fair_policy_step(pending, keys, rng: Stream) -> Request:
     if not pending:
         raise ProtocolError("fair policy step on an empty pending set")
     best = min(keys)
-    high_priority = [r for r, k in zip(pending, keys) if k == best]
+    high_priority = [rid for rid, k in zip(pending, keys) if k == best]
     if len(high_priority) == 1:
         return high_priority[0]
     return high_priority[rng.randrange(len(high_priority))]
 
 
-def _apply_issue(state: EngineState, r: Request) -> None:
-    state.in_flight[r.id] = r
+def _apply_issue(state: EngineState, rid: int) -> None:
+    state.in_flight.add(rid)
     if state.ttl_keys is not None:
-        heappush(state.ttl_keys, state.keys[r.id])
+        heappush(state.ttl_keys, state.keys[rid])
 
 
 def _apply_deliver(state: EngineState, rid: int) -> None:
-    if rid in state.deliver_ticks:
-        raise ProtocolError(f"request {rid} delivered twice")
-    r = state.in_flight.pop(rid, None)
-    if r is None:
-        raise ProtocolError(f"deliver of unknown request {rid}")
-    state.pending[rid] = r
-    state.deliver_ticks[rid] = state.tick
+    """Move ``rid`` from in flight onto the ready queue under its key."""
+    try:
+        state.in_flight.remove(rid)
+    except KeyError:
+        raise ProtocolError(f"deliver of request {rid}, which is not in flight") from None
+    heappush(state.ready, (state.keys[rid], state.delivered, rid))
+    state.delivered += 1
 
 
-def _emit_orders(state: EngineState, rt: PolicyRuntime) -> list[int]:
-    """Order pending requests from the front of the ready queue while it is stable."""
+def _emit_orders(state: EngineState) -> list[int]:
+    """Order pending ids from the front of the ready queue while it is stable."""
     emitted: list[int] = []
-    while state.pending:
-        if not is_stable(rt.front(), state, rt.policy, rt.stability_gating):
+    while state.ready or state.tied:
+        # the front: the pending id the policy selects next
+        if not is_stable(state.tied[0] if state.tied else state.ready[0][2], state):
             break
-        r = rt.pop()
-        del state.pending[r.id]
-        state.output.append(r.id)
-        emitted.append(r.id)
+        rid = state.pop()
+        state.output.append(rid)
+        emitted.append(rid)
     return emitted
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """One run's plan requests, grouped by issue and delivery tick, and their keys.
+    """One run's request ids, grouped by issue and delivery tick, and their keys.
 
-    Groups are sorted by id; ``ticks`` lists every tick with a group,
+    Groups are sorted ascending; ``ticks`` lists every tick with a group,
     ascending, and ``keys`` maps an id to its selection key (``_schedule``).
     """
 
-    issues: dict[int, list[Request]]
-    delivers: dict[int, list[Request]]
+    issues: dict[int, list[int]]
+    delivers: dict[int, list[int]]
     ticks: tuple[int, ...]
     keys: dict[int, Key]
 
@@ -354,14 +344,14 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
 
 
 def _schedule(prep: Prepared, root: int) -> Schedule:
-    """The schedule of the seed whose ``derive(seed)`` is ``root``: the plan's requests
+    """The schedule of the seed whose ``derive(seed)`` is ``root``: the plan's ids
     by tick, and each one's key (ttl: every request's; otherwise a delivered one's),
     with its drawn delay folded in as ``delayed`` folds it, bit for bit."""
     policy, eta, slot = prep.policy, prep.scenario.eta_feature, prep.eta_slot
     fair = isinstance(policy, FairPolicy)
     deadline = policy.deadline_feature if isinstance(policy, TtlPolicy) else None
-    issues: dict[int, list[Request]] = {}
-    delivers: dict[int, list[Request]] = {}
+    issues: dict[int, list[int]] = {}
+    delivers: dict[int, list[int]] = {}
     keys: dict[int, Key] = {}
     delay_prefix, noise_prefix = child(root, TAG_DELAY), child(root, TAG_NOISE)
     for e in prep.plan:
@@ -373,39 +363,37 @@ def _schedule(prep: Prepared, root: int) -> Schedule:
         if deadline is not None:
             feature = r.features[deadline]
             keys[rid] = (feature + d if d and deadline == eta else feature, rid)
-        issues.setdefault(r.issue_tick, []).append(r)
+        issues.setdefault(r.issue_tick, []).append(rid)
         if tick is not None:
-            delivers.setdefault(tick, []).append(r)
+            delivers.setdefault(tick, []).append(rid)
             if fair:
                 keys[rid] = _fair_key(policy, _total(e, d, slot), noise_prefix, rid)
             elif deadline is None:
                 keys[rid] = (tick, rid)
     for group in (*issues.values(), *delivers.values()):
-        group.sort(key=lambda r: r.id)
+        group.sort()
     return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), keys)
 
 
 def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
     root = derive(seed)
     sched = _schedule(prep, root)
-    rt = PolicyRuntime(prep.policy, Stream(child(root, TAG_PICK)), sched.keys,
-                       prep.scenario.stability_gating)
-    state = EngineState(keys=sched.keys)
+    state = EngineState(policy=prep.policy, keys=sched.keys,
+                        pick_stream=Stream(child(root, TAG_PICK)),
+                        stability_gating=prep.scenario.stability_gating)
     events: list[Event] = []
     # Stability depends only on the in-flight set, which changes only at
     # these ticks, so no other tick can emit an order.
     for t in sched.ticks:
-        state.tick = t
-        for r in sched.issues.get(t, ()):
-            _apply_issue(state, r)
+        for rid in sched.issues.get(t, ()):
+            _apply_issue(state, rid)
             if record:
-                events.append(Event(t, ISSUE, r.id))
-        for r in sched.delivers.get(t, ()):
-            _apply_deliver(state, r.id)
-            rt.push(r)
+                events.append(Event(t, ISSUE, rid))
+        for rid in sched.delivers.get(t, ()):
+            _apply_deliver(state, rid)
             if record:
-                events.append(Event(t, DELIVER, r.id))
-        for rid in _emit_orders(state, rt):
+                events.append(Event(t, DELIVER, rid))
+        for rid in _emit_orders(state):
             if record:
                 events.append(Event(t, ORDER, rid))
     horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain if record else -1

@@ -18,7 +18,7 @@ trace's ``history``, built once per trace.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -105,15 +105,22 @@ def check_prefix_consistency(view: QuorumView) -> Verdict:
 
     Outputs of the trace at ticks u <= v are prefixes of each other unless
     a tick in (u, v] reorders, so only view ticks whose servers straddle
-    such a tick are compared in full.
+    such a tick are compared in full: for a reordering tick r, the view
+    ticks in [r + least lag, r + greatest lag) over the correct servers.
+    An engine trace never reorders, so it visits no tick.
     """
     correct = sorted(view.correct)
     history = view.trace.history
     reorders = [step.tick for step in history.steps if step.reorders]
-    for t in sorted({view.lags[i] + step.tick for i in correct for step in history.steps}):
-        at = [min(t - view.lags[i], view.trace.horizon) for i in correct]
-        if bisect_right(reorders, min(at)) == bisect_right(reorders, max(at)):
-            continue
+    if not reorders:
+        return Verdict(PREFIX_CONSISTENCY, True)
+    lags = [view.lags[i] for i in correct]
+    lo, hi = min(lags), max(lags)
+    ticks = sorted({lag + step.tick for lag in set(lags) for step in history.steps})
+    straddle = {t for r in reorders
+                for t in ticks[bisect_left(ticks, r + lo):bisect_left(ticks, r + hi)]}
+    for t in sorted(straddle):
+        at = [min(t - lag, view.trace.horizon) for lag in lags]
         outputs = dict(zip(correct, map(history.output_at, at)))
         for i, j in combinations(correct, 2):
             shorter, longer = sorted((outputs[i], outputs[j]), key=len)

@@ -1,6 +1,7 @@
 """Independent numerical oracles used by unit and acceptance tests."""
 
 import math
+from heapq import heapify
 
 from scipy.integrate import quad
 
@@ -219,35 +220,39 @@ class PerTickView:
         return "\n".join(lines) + "\n"
 
 
-def emit_orders_by_rescan(state, rt):
-    """The burst loop as one rescan of the pending set per order: O(N^2) a burst.
+def emit_orders_by_rescan(state):
+    """The burst loop as one rescan of the pending ids per order: O(N^2) a burst.
 
-    Each step keeps the pending requests that ``is_stable`` accepts and
-    takes the policy's minimum among them; under fair, ``fair_policy_step``
-    breaks exact ties from the pick stream. A drop-in for the engine's
-    ``_emit_orders``.
+    The pending ids are the ready queue's, taken in delivery order (the
+    rescan never fills the tie group). Each step keeps the ids that
+    ``is_stable`` accepts and takes the policy's minimum among them; under
+    fair, ``fair_policy_step`` breaks exact ties from the pick stream. A
+    drop-in for the engine's ``_emit_orders``.
     """
+    pending = [rid for _, _, rid in sorted(state.ready, key=lambda entry: entry[1])]
     emitted = []
-    while state.pending:
-        stable = [r for r in state.pending.values()
-                  if is_stable(r, state, rt.policy, rt.stability_gating)]
+    while pending:
+        stable = [rid for rid in pending if is_stable(rid, state)]
         if not stable:
             break
-        r = _select_by_rescan(stable, state, rt)
-        del state.pending[r.id]
-        state.output.append(r.id)
-        emitted.append(r.id)
+        rid = _select_by_rescan(stable, state)
+        pending.remove(rid)
+        state.output.append(rid)
+        emitted.append(rid)
+    left = set(pending)
+    state.ready = [entry for entry in state.ready if entry[2] in left]
+    heapify(state.ready)
     return emitted
 
 
-def ttl_stable_by_scan(r, state):
+def ttl_stable_by_scan(rid, state):
     """Gated ttl stability as defined: every in-flight request has a later (deadline, id)
     key in the run's keys."""
     keys = state.keys
-    return all(keys[rid] > keys[r.id] for rid in state.in_flight)
+    return all(keys[q] > keys[rid] for q in state.in_flight)
 
 
-def _select_by_rescan(stable, state, rt):
-    if isinstance(rt.policy, FairPolicy):
-        return fair_policy_step(stable, [state.keys[r.id] for r in stable], rt.pick_stream)
-    return min(stable, key=lambda r: state.keys[r.id])
+def _select_by_rescan(stable, state):
+    if isinstance(state.policy, FairPolicy):
+        return fair_policy_step(stable, [state.keys[rid] for rid in stable], state.pick_stream)
+    return min(stable, key=state.keys.__getitem__)

@@ -1,8 +1,8 @@
 """Burst selection from the ready queue against a rescan of the pending set.
 
-The engine keeps the pending requests in a heap keyed by the policy's
+The engine keeps the pending ids in a heap keyed by the policy's
 selection key and checks stability on its front only. These tests hold
-it to ``oracles.emit_orders_by_rescan``, which rescans the pending set
+it to ``oracles.emit_orders_by_rescan``, which rescans the pending ids
 for every order: the same events, order ticks and final order, and the
 pick stream left in the same state. They also bound the number of
 stability checks a burst makes, and the in-flight entries those checks
@@ -40,15 +40,15 @@ def rounded_sample(spec, state):
 
 def run_with(emit, prep, seed):
     """(trace, next pick-stream draw) of one recorded run with ``emit`` as the burst loop."""
-    runtimes = []
+    states = []
 
-    def spy(state, rt):
-        runtimes.append(rt)
-        return emit(state, rt)
+    def spy(state):
+        states.append(state)
+        return emit(state)
 
     with mock.patch.object(engine, "_emit_orders", spy):
         trace = run_prepared(prep, seed, record=True)
-    return trace, runtimes[0].pick_stream.next_u64() if runtimes else None
+    return trace, states[0].pick_stream.next_u64() if states else None
 
 
 def outcome(emit, prep, seed):
@@ -122,9 +122,9 @@ def test_ttl_stability_matches_a_scan_of_the_in_flight_requests(scenario, deadli
                        stability_gating=True)
     checked = []
 
-    def is_stable(r, state, policy, stability_gating=True):
-        got = IS_STABLE(r, state, policy, stability_gating)
-        checked.append(got == ttl_stable_by_scan(r, state))
+    def is_stable(rid, state):
+        got = IS_STABLE(rid, state)
+        checked.append(got == ttl_stable_by_scan(rid, state))
         return got
 
     with mock.patch.object(engine, "is_stable", is_stable):
@@ -192,45 +192,25 @@ def burst_scenario(policy, n=2000, stragglers=0):
                           deliver_overrides=overrides, assume_noise_bound=False)
 
 
-class CountingDict(dict):
-    """A dict that counts the entries read from it, by lookup or by iteration."""
+class CountingSet(set):
+    """A set that counts the entries read from it, by lookup, removal or iteration."""
 
     def __init__(self):
         super().__init__()
         self.reads = 0
 
-    def _read(self, items):
-        for item in items:
-            self.reads += 1
-            yield item
-
-    def __contains__(self, key):
+    def __contains__(self, item):
         self.reads += 1
-        return super().__contains__(key)
+        return super().__contains__(item)
 
-    def __getitem__(self, key):
+    def remove(self, item):
         self.reads += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return super().get(key, default)
-
-    def pop(self, key, *default):
-        self.reads += 1
-        return super().pop(key, *default)
+        super().remove(item)
 
     def __iter__(self):
-        return self._read(super().__iter__())
-
-    def keys(self):
-        return self._read(super().keys())
-
-    def values(self):
-        return self._read(super().values())
-
-    def items(self):
-        return self._read(super().items())
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
 
 
 @pytest.mark.parametrize("policy,stragglers", [
@@ -241,7 +221,7 @@ class CountingDict(dict):
 def test_one_burst_checks_stability_a_linear_number_of_times(policy, stragglers):
     n = 2000
     prep = prepare(burst_scenario(policy, n, stragglers))
-    in_flight = CountingDict()
+    in_flight = CountingSet()
     make_state = engine.EngineState
     with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks, \
             mock.patch.object(engine, "EngineState",
@@ -273,8 +253,19 @@ def test_a_run_builds_no_request(policy):
                               policy=policy, assume_noise_bound=False)
     prep = prepare(scenario)
     post_init = Request.__post_init__
+    emit, held = engine._emit_orders, []
+
+    def spy(state):
+        held.extend(state.in_flight)
+        held.extend(entry[-1] for entry in state.ready)
+        held.extend(state.tied)
+        return emit(state)
+
     with mock.patch.object(Request, "__post_init__", autospec=True,
-                           side_effect=post_init) as built:
+                           side_effect=post_init) as built, \
+            mock.patch.object(engine, "_emit_orders", spy):
         trace = run_prepared(prep, 7, record=True)
     assert len(trace.final_order) == 200
     assert built.call_count == 0
+    # The run's state holds ids: its in-flight set and ready queue carry no Request.
+    assert held and all(type(rid) is int for rid in held)

@@ -529,3 +529,19 @@ def test_two_jobs_write_the_report_of_one(tmp_path, command, doc, capsys):
         code = main([command, "--config", config, "--out", str(out), "--jobs", jobs])
         reports.append((code, capsys.readouterr(), (out / "report.csv").read_bytes()))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command, doc", [
+    ("run", BASE_CONFIG),
+    ("certify", certify_config(n_trials=10)),
+    ("sweep", {"sweep": {"epsilons": [1.0], "gaps": [0.0], "n_trials": 10}}),
+    ("randomizer", {"randomizer": {"n": 4, "f": 1, "instances": 10}}),
+    ("quorum", dict(BASE_CONFIG, multi_server={"n": 4, "f": 1, "lags": [0, 1, 2, 0]})),
+])
+def test_non_positive_jobs_exit_two(tmp_path, command, doc, jobs, capsys):
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be positive, got {jobs}\n"
+    assert not out.exists()

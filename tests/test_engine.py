@@ -23,35 +23,35 @@ def req(rid, relev=0.0, eta=0.0, client=None, tick=0):
                    features=(relev, eta), issue_tick=tick)
 
 
+def fair_state(keys):
+    return EngineState(policy=FairPolicy(spec=None), keys=keys, pick_stream=Stream(0))
+
+
 class TestStep:
     """Single state transitions: ``_apply_issue`` and ``_apply_deliver``."""
 
     def setup_method(self):
-        self.state = EngineState()
-        self.r = req(0, relev=5.0)
+        self.state = fair_state({0: 5.0})
 
     def test_issue_adds_to_client_queue(self):
-        _apply_issue(self.state, self.r)
-        assert self.r.id in self.state.in_flight
-        assert self.r.id not in self.state.deliver_ticks
+        _apply_issue(self.state, 0)
+        assert self.state.in_flight == {0}
+        assert not self.state.ready
 
     def test_deliver_moves_to_server(self):
-        _apply_issue(self.state, self.r)
-        self.state.tick = 1
+        _apply_issue(self.state, 0)
         _apply_deliver(self.state, 0)
-        assert self.r.id in self.state.deliver_ticks
-        assert self.r.id in self.state.pending
-        assert self.state.deliver_ticks == {0: 1}
+        assert self.state.ready == [(5.0, 0, 0)]
         assert not self.state.in_flight
 
     def test_deliver_unknown_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="deliver of request 42, which is not in flight"):
             _apply_deliver(self.state, 42)
 
     def test_duplicate_deliver_is_protocol_error(self):
-        _apply_issue(self.state, self.r)
+        _apply_issue(self.state, 0)
         _apply_deliver(self.state, 0)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="deliver of request 0, which is not in flight"):
             _apply_deliver(self.state, 0)
 
 
@@ -83,31 +83,24 @@ class TestFcfsRuns:
 
 class TestFairPolicy:
     def test_single_pending_returned(self):
-        r = req(0)
-        assert fair_policy_step([r], [0.7], Stream(0)) is r
+        assert fair_policy_step([0], [0.7], Stream(0)) == 0
 
     def test_strict_minimum_wins(self):
-        a, b = req(0, relev=3.0), req(1, relev=5.0)
-        got = fair_policy_step([a, b], [3.0, 5.0], Stream(0))
-        assert got is a
+        assert fair_policy_step([0, 1], [3.0, 5.0], Stream(0)) == 0
 
     def test_highest_first_direction(self):
         # A highest_first key is the negated adjusted score, so the higher score wins.
-        a, b = req(0, relev=3.0), req(1, relev=5.0)
-        got = fair_policy_step([a, b], [-3.0, -5.0], Stream(0))
-        assert got is b
+        assert fair_policy_step([0, 1], [-3.0, -5.0], Stream(0)) == 1
 
     def test_empty_pending_rejected(self):
         with pytest.raises(ProtocolError):
             fair_policy_step([], [], Stream(0))
 
     def test_tied_scores_picked_uniformly(self):
-        a, b = req(0, relev=1.0), req(1, relev=1.0)
         wins = 0
         trials = 4000
         for seed in range(trials):
-            got = fair_policy_step([a, b], [1.0, 1.0], Stream(seed))
-            wins += got is a
+            wins += fair_policy_step([0, 1], [1.0, 1.0], Stream(seed)) == 0
         assert wins / trials == pytest.approx(0.5, abs=0.03)
 
     def test_adjacent_pair_splits_evenly_across_seeds(self):
@@ -161,17 +154,16 @@ class TestStability:
         assert trace.final_order == (1, 0)
 
     def test_is_stable_examples(self):
-        fair = FairPolicy(spec=None)
-        state = EngineState()
-        r0, r1 = req(0, relev=5.0), req(1, relev=1.0, tick=0)
-        _apply_issue(state, r0)
-        _apply_issue(state, r1)
+        state = fair_state({0: 5.0, 1: 1.0})
+        _apply_issue(state, 0)
+        _apply_issue(state, 1)
         _apply_deliver(state, 0)
-        assert not is_stable(r0, state, fair)          # r1 still in flight
-        state.tick = 2
+        assert not is_stable(0, state)                 # 1 still in flight
+        state.stability_gating = False
+        assert is_stable(0, state)
+        state.stability_gating = True
         _apply_deliver(state, 1)
-        assert is_stable(r0, state, fair)              # horizon passed, nothing in flight
-        assert is_stable(r0, state, fair, stability_gating=False)
+        assert is_stable(0, state)                     # nothing in flight
 
     def test_gating_off_orders_immediately(self):
         scenario = make_scenario(

@@ -237,7 +237,8 @@ def impossibility_harness(policy: Policy, pred: PolicyPredicate,
     so in the second execution either the required precedence or
     non-blocking fails. Pairs originated at a single client are trivial
     (the client could order them itself) and are reported
-    not-applicable.
+    not-applicable. Both executions run ``policy`` as their scenario's
+    policy, so a policy the loader would reject raises ConfigurationError.
     """
     by_id = {r.id: r for r in scenario.requests}
     pair: tuple[Request, Request] | None = None
@@ -251,11 +252,12 @@ def impossibility_harness(policy: Policy, pred: PolicyPredicate,
 
     base = replace(
         scenario,
+        policy=policy,
         stability_gating=False,
         deliver_overrides={**scenario.deliver_overrides, r1.id: None,
                            r2.id: r2.issue_tick},
     )
-    trace_r2 = run(base, policy, seed=scenario.trials.base_seed if scenario.trials else 0)
+    trace_r2 = run(base, seed=scenario.trials.base_seed if scenario.trials else 0)
     if r2.id not in trace_r2.order_ticks:
         raise ConfigurationError("policy is not non-blocking: r2 never ordered alone")
     t_prime = trace_r2.order_ticks[r2.id]
@@ -264,7 +266,7 @@ def impossibility_harness(policy: Policy, pred: PolicyPredicate,
         base,
         deliver_overrides={**base.deliver_overrides, r1.id: t_prime + 1},
     )
-    trace_both = run(both, policy, seed=trace_r2.seed)
+    trace_both = run(both, seed=trace_r2.seed)
 
     compliance = check_policy_compliance(trace_both, pred)
     liveness = check_non_blocking(trace_both)

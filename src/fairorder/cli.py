@@ -132,7 +132,7 @@ def cmd_certify(args) -> int:
         print(f"warning: {warning}")
     try:
         report = stats.estimate_order_probability(
-            scenario, scenario.policy, trials.pair, n_trials, seed,
+            scenario, trials.pair, n_trials, seed,
             confidence=trials.confidence, jobs=args.jobs,
         )
     except stats.LivenessError as exc:
@@ -160,8 +160,7 @@ def cmd_sweep(args) -> int:
     for cell, (epsilon, n) in enumerate(cells):
         scenario = two_request_gap_scenario(gap=n, epsilon=epsilon, lam=grid.lam)
         report = stats.estimate_order_probability(
-            scenario, scenario.policy, (0, 1), n_trials,
-            derive(base_seed, sweep_tag, cell), jobs=args.jobs)
+            scenario, (0, 1), n_trials, derive(base_seed, sweep_tag, cell), jobs=args.jobs)
         report = stats.certify_k_ordering_equality(report, epsilon, k=n)
         analytic = order_probability_at_gap(n, epsilon)[0]
         lines.append(

@@ -7,11 +7,11 @@ it costs O(events) whatever the horizon. ``Trace.history``, one pass
 over the rows, holds its tick maps and what the rows hold at each row
 tick, and rejects a second row of one kind for one request; the
 checkers and the quorum view read it.
-Everything is a pure function of (scenario, policy, seed): delays and
-noise samples are derived statelessly from the seed and the request
-id, so replaying a seed reproduces the trace bit for bit, and recording
-a full trace versus only the final order cannot change any sampled
-value.
+Everything is a pure function of (scenario, policy, seed), and the
+policy is the scenario's own (``scenario.policy``): delays and noise
+samples are derived statelessly from the seed and the request id, so
+replaying a seed reproduces the trace bit for bit, and recording a full
+trace versus only the final order cannot change any sampled value.
 
 Policies:
   fcfs  orders each request immediately on delivery (delivery tick,
@@ -314,7 +314,6 @@ class Prepared:
     """
 
     scenario: ScenarioConfig
-    policy: Policy
     drain: int
     plan: tuple[PlanEntry, ...]
     eta_slot: int
@@ -325,12 +324,12 @@ class Prepared:
         return all(e.delay_at is None for e in self.plan)
 
 
-def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
-    """Apply adversaries and compile the plan: deliveries and score parts, once."""
-    policy = policy if policy is not None else scenario.policy
+def prepare(scenario: ScenarioConfig) -> Prepared:
+    """Compile the plan of the scenario's reported requests (adversaries applied at
+    load): deliveries and score parts, once. A run orders by ``scenario.policy``."""
     part, delay, eta = scenario.partition, scenario.delay, scenario.eta_feature
     plan = []
-    for r in scenario.build_requests():
+    for r in scenario.reported:
         model, tick, delay_at = delay.for_client(r.client_id), None, None
         if r.id in scenario.deliver_overrides:
             tick = scenario.deliver_overrides[r.id]
@@ -340,14 +339,14 @@ def prepare(scenario: ScenarioConfig, policy: Policy | None = None) -> Prepared:
             delay_at = model.delay_at
         plan.append(PlanEntry(r, tick, delay_at, *score_parts(r, part)))
     slot = list(part.irrelevant).index(eta)  # in score's summation order
-    return Prepared(scenario, policy, scenario.drain(), tuple(plan), slot)
+    return Prepared(scenario, scenario.drain(), tuple(plan), slot)
 
 
 def _schedule(prep: Prepared, root: int) -> Schedule:
     """The schedule of the seed whose ``derive(seed)`` is ``root``: the plan's ids
     by tick, and each one's key (ttl: every request's; otherwise a delivered one's),
     with its drawn delay folded in as ``delayed`` folds it, bit for bit."""
-    policy, eta, slot = prep.policy, prep.scenario.eta_feature, prep.eta_slot
+    policy, eta, slot = prep.scenario.policy, prep.scenario.eta_feature, prep.eta_slot
     fair = isinstance(policy, FairPolicy)
     deadline = policy.deadline_feature if isinstance(policy, TtlPolicy) else None
     issues: dict[int, list[int]] = {}
@@ -378,7 +377,7 @@ def _schedule(prep: Prepared, root: int) -> Schedule:
 def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
     root = derive(seed)
     sched = _schedule(prep, root)
-    state = EngineState(policy=prep.policy, keys=sched.keys,
+    state = EngineState(policy=prep.scenario.policy, keys=sched.keys,
                         pick_stream=Stream(child(root, TAG_PICK)),
                         stability_gating=prep.scenario.stability_gating)
     events: list[Event] = []
@@ -435,7 +434,7 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     Every total is finite, so a fair key is finite or +-inf, never NaN,
     and the fair kernel serves every fair scenario.
     """
-    if isinstance(prep.policy, FairPolicy):
+    if isinstance(prep.scenario.policy, FairPolicy):
         return _fair_pair_count(prep, pair, range(seed_lo, seed_hi))
     if not prep.static:
         return _engine_count(prep, pair, range(seed_lo, seed_hi))
@@ -453,7 +452,7 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: f
     and runs through the engine.
     """
     a, b = pair
-    policy = prep.policy
+    policy = prep.scenario.policy
     count = 0
     for seed, root in zip(seeds, roots):
         prefix = child(root, TAG_NOISE)
@@ -565,10 +564,10 @@ def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int,
     return count, missing
 
 
-def run(scenario: ScenarioConfig, policy: Policy | None = None, seed: int = 0,
-        record: bool = True) -> Trace:
-    """Simulate one full run; identical inputs yield identical traces."""
-    return run_prepared(prepare(scenario, policy), seed, record)
+def run(scenario: ScenarioConfig, seed: int = 0, record: bool = True) -> Trace:
+    """Simulate one full run under the scenario's policy; identical inputs yield
+    identical traces."""
+    return run_prepared(prepare(scenario), seed, record)
 
 
 class Step(NamedTuple):

@@ -6,7 +6,9 @@ client, the delay model, adversary specs, the noise mechanism, the
 policy, and the optional multi-server and trials blocks. Scenarios are
 plain JSON on disk. On load, a document is checked against one table per
 block (the types are in ``fairorder.schema``), and the dataclasses it
-builds check the ranges and the rules that span keys.
+builds check the ranges and the rules that span keys. A scenario applies
+its adversaries' bribes and misreports once, when it is built
+(``ScenarioConfig.reported``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .adversary import ByzantineClientSpec, DelayKind, DelayModel
+from .adversary import ByzantineClientSpec, DelayKind, DelayModel, apply_bribe, misreport_time
 from .model import (FeaturePartition, ParameterError, Request, check_noise_bound, is_finite,
                     max_eta_gap, score)
 from .noise import ConfigurationError, NoiseKind, NoiseSpec
@@ -134,8 +136,17 @@ class ScenarioConfig:
     multi_server: MultiServerBlock | None = None
     trials: TrialsBlock | None = None
 
+    # Built at load from the fields above: the partition, and the requests as the
+    # server receives them, with each client's bribe and misreport applied (pre-delay).
+    partition: FeaturePartition = field(init=False, repr=False, compare=False)
+    reported: tuple[Request, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        part = self.partition  # validates relevant indices
+        try:
+            part = FeaturePartition.from_relevant(self.relevant, self.feature_count)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        object.__setattr__(self, "partition", part)
         if not is_finite(self.lam):
             raise ConfigurationError(f"lambda must be a finite number, got {self.lam!r}")
         if self.lam <= 0:
@@ -144,14 +155,6 @@ class ScenarioConfig:
             raise ConfigurationError("eta_feature index out of range")
         if self.eta_feature in part.relevant:
             raise ConfigurationError("eta_feature must be an irrelevant index")
-        ids = [r.id for r in self.requests]
-        if len(ids) != len(set(ids)):
-            raise ConfigurationError("request ids must be unique")
-        for r in self.requests:
-            if len(r.features) != self.feature_count:
-                raise ConfigurationError(f"request {r.id} has wrong feature count")
-            if not all(map(math.isfinite, r.features)):
-                raise ConfigurationError(f"request {r.id} has a non-finite feature")
         if isinstance(self.policy, TtlPolicy) and not (
             0 <= self.policy.deadline_feature < self.feature_count
         ):
@@ -178,22 +181,26 @@ class ScenarioConfig:
                 raise ConfigurationError(f"trials pair must be two distinct ids, got {list(pair)}")
         if self.drain_ticks is not None and self.drain_ticks < 0:
             raise ConfigurationError(f"drain_ticks must be non-negative, got {self.drain_ticks}")
-        unknown = {o for o in self.deliver_overrides} - set(ids)
-        if unknown:
-            raise ConfigurationError(f"deliver_overrides reference unknown ids {sorted(unknown)}")
-        issue_by_id = {r.id: r.issue_tick for r in self.requests}
-        for rid, tick in self.deliver_overrides.items():
-            if tick is not None and tick < issue_by_id[rid]:
-                raise ConfigurationError(
-                    f"request {rid} cannot be delivered at tick {tick} before its issue "
-                    f"tick {issue_by_id[rid]}"
-                )
-        # A perceived total is at most the |features| after bribes and misreports plus
-        # the largest delay (an override adds none); twice that must be finite. Then no
-        # adjusted score is NaN: noise is finite or +-inf, and finite plus +-inf is +-inf.
+        by_client = {a.client_id: a for a in self.adversaries}
         max_delay = {cid: m.max_delay() for cid, m in self.delay.per_client.items()}
         root_max_delay = self.delay.max_delay()
-        for r in self.build_requests():
+        issue_by_id: dict[int, int] = {}
+        reported = []
+        for r in self.requests:
+            if r.id in issue_by_id:
+                raise ConfigurationError("request ids must be unique")
+            issue_by_id[r.id] = r.issue_tick
+            if len(r.features) != self.feature_count:
+                raise ConfigurationError(f"request {r.id} has wrong feature count")
+            if not all(map(math.isfinite, r.features)):
+                raise ConfigurationError(f"request {r.id} has a non-finite feature")
+            adv = by_client.get(r.client_id)
+            if adv is not None:
+                r = misreport_time(apply_bribe(r, adv, self.eta_feature), adv, self.eta_feature)
+            reported.append(r)
+            # A perceived total is at most the |features| after bribes and misreports plus
+            # the largest delay (an override adds none); twice that must be finite. Then no
+            # adjusted score is NaN: noise is finite or +-inf, and finite plus +-inf is +-inf.
             bound = sum(map(abs, r.features))
             if r.id not in self.deliver_overrides:
                 bound += max_delay.get(r.client_id, root_max_delay)
@@ -202,27 +209,16 @@ class ScenarioConfig:
                     f"request {r.id}'s perceived score can overflow: its |features| after "
                     f"bribes and misreports plus its largest delay is {bound:g}, over half "
                     "the float range")
-
-    @property
-    def partition(self) -> FeaturePartition:
-        try:
-            return FeaturePartition.from_relevant(self.relevant, self.feature_count)
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from exc
-
-    def build_requests(self) -> tuple[Request, ...]:
-        """Requests with adversary bribes and misreports applied (pre-delay)."""
-        from .adversary import apply_bribe, misreport_time
-
-        by_client = {a.client_id: a for a in self.adversaries}
-        out = []
-        for r in self.requests:
-            adv = by_client.get(r.client_id)
-            if adv is not None:
-                r = apply_bribe(r, adv, self.eta_feature)
-                r = misreport_time(r, adv, self.eta_feature)
-            out.append(r)
-        return tuple(out)
+        object.__setattr__(self, "reported", tuple(reported))
+        unknown = self.deliver_overrides.keys() - issue_by_id.keys()
+        if unknown:
+            raise ConfigurationError(f"deliver_overrides reference unknown ids {sorted(unknown)}")
+        for rid, tick in self.deliver_overrides.items():
+            if tick is not None and tick < issue_by_id[rid]:
+                raise ConfigurationError(
+                    f"request {rid} cannot be delivered at tick {tick} before its issue "
+                    f"tick {issue_by_id[rid]}"
+                )
 
     def drain(self) -> int:
         if self.drain_ticks is not None:
@@ -267,8 +263,7 @@ def lint_scenario(config: ScenarioConfig) -> list[str]:
     lambda.
     """
     warnings: list[str] = []
-    part = config.partition
-    reqs = config.build_requests()
+    part, reqs = config.partition, config.reported
     if config.assume_noise_bound and not check_noise_bound(reqs, part, config.lam):
         warnings.append(
             "assumption-violation: adjacent eta gap exceeds lambda "

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from .engine import Prepared, pair_count, prepare
 from .engine import run_prepared  # noqa: F401  (bench/tracing.py wraps stats.run_prepared)
 from .model import ParameterError, check_noise_bound, k_distance, score
-from .scenario import Policy, ScenarioConfig
+from .scenario import ScenarioConfig
 
 PASS = "pass"
 FAIL = "fail"
@@ -101,11 +101,12 @@ def reports_csv(reports) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
 
 
-def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
-                               pair: tuple[int, int], n_trials: int, base_seed: int,
+def estimate_order_probability(scenario: ScenarioConfig, pair: tuple[int, int],
+                               n_trials: int, base_seed: int,
                                confidence: float = DEFAULT_CONFIDENCE,
                                jobs: int = 1) -> FairnessReport:
-    """Estimate Pr[pair[0] precedes pair[1]] over seeds base_seed..base_seed+n-1.
+    """Estimate Pr[pair[0] precedes pair[1]] over seeds base_seed..base_seed+n-1,
+    each run under the scenario's policy.
 
     Deterministic for fixed inputs; trials may be split across at most
     ``os.cpu_count()`` worker processes since counts merge by addition.
@@ -114,7 +115,7 @@ def estimate_order_probability(scenario: ScenarioConfig, policy: Policy | None,
     """
     if n_trials <= 0:
         raise ParameterError("n_trials must be positive")
-    prep = prepare(scenario, policy)
+    prep = prepare(scenario)
     pre_mechanism = _pre_mechanism_requests(prep)
     if pair[0] not in pre_mechanism or pair[1] not in pre_mechanism:
         raise ParameterError(f"pair {pair} not found in scenario requests")

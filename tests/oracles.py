@@ -5,6 +5,7 @@ from heapq import heapify
 
 from scipy.integrate import quad
 
+from fairorder.adversary import apply_bribe, misreport_time
 from fairorder.engine import DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable
 from fairorder.model import adjacent, score
 from fairorder.scenario import FairPolicy
@@ -40,6 +41,20 @@ def order_probability_oracle(mu_x, mu_y, b):
         quad(integrand, lo, hi, epsabs=1e-11, limit=200)[0]
         for lo, hi in zip(bounds, bounds[1:])
     )
+
+
+def reported_requests(scenario):
+    """The requests with each client's bribe and then its misreport applied, one request
+    at a time, in the scenario's request order: the reference for ``scenario.reported``."""
+    by_client = {a.client_id: a for a in scenario.adversaries}
+    out = []
+    for r in scenario.requests:
+        adv = by_client.get(r.client_id)
+        if adv is not None:
+            r = apply_bribe(r, adv, scenario.eta_feature)
+            r = misreport_time(r, adv, scenario.eta_feature)
+        out.append(r)
+    return tuple(out)
 
 
 def pairwise_noise_bound(requests, part, lam):

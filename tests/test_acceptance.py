@@ -98,7 +98,7 @@ def test_04_end_to_end_monte_carlo():
     for gap, expected in ((0.0, 0.5), (1.0, 0.7240904)):
         scenario = two_request_gap_scenario(gap=gap, epsilon=1.0)
         rep = estimate_order_probability(
-            scenario, None, (0, 1), 10**6,
+            scenario, (0, 1), 10**6,
             derive(BASE_SEED, tag("e2e"), int(gap)), jobs=JOBS)
         results.append((gap, rep.p_hat, expected))
     elapsed = time.perf_counter() - start
@@ -115,13 +115,13 @@ def test_05_k_certification_sweep():
         for n in (0.0, 1.0, 2.0, 4.0):
             scenario = two_request_gap_scenario(gap=n, epsilon=epsilon)
             rep = estimate_order_probability(
-                scenario, None, (0, 1), 10**5,
+                scenario, (0, 1), 10**5,
                 derive(BASE_SEED, tag("sweep"), int(10 * epsilon), int(n)), jobs=JOBS)
             rep = certify_k_ordering_equality(rep, epsilon, k=n)
             cells.append((epsilon, n, rep.verdict))
     wrong = two_request_gap_scenario(gap=2.0, epsilon=1.0)
     wrong_rep = estimate_order_probability(
-        wrong, None, (0, 1), 10**5, derive(BASE_SEED, tag("wrong-k")), jobs=JOBS)
+        wrong, (0, 1), 10**5, derive(BASE_SEED, tag("wrong-k")), jobs=JOBS)
     wrong_rep = certify_k_ordering_equality(wrong_rep, 1.0, k=1.0)
     elapsed = time.perf_counter() - start
     all_pass = all(v == PASS for _, _, v in cells)
@@ -137,7 +137,7 @@ def test_06_uniform_noise_delta():
     scenario = two_request_gap_scenario(
         gap=0.0, epsilon=1.0, lam=5.0, kind="uniform", bound=100.0, eta_b=5.0)
     rep = estimate_order_probability(
-        scenario, None, (0, 1), 10**6, derive(BASE_SEED, tag("uniform")), jobs=JOBS)
+        scenario, (0, 1), 10**6, derive(BASE_SEED, tag("uniform")), jobs=JOBS)
     certified = certify_additive(rep, 0.0, delta)
     gap = abs(2 * rep.p_hat - 1)
     ok = gap <= delta + 3 * RADIUS_1E6 and certified.verdict == PASS
@@ -267,13 +267,13 @@ def test_11_bribery_application():
     scenario = fee_scenario(bribe=5.0)
     assert lint_scenario(scenario) == []
     rep = estimate_order_probability(
-        scenario, None, (0, 1), 10**6, derive(BASE_SEED, tag("bribe")), jobs=JOBS)
+        scenario, (0, 1), 10**6, derive(BASE_SEED, tag("bribe")), jobs=JOBS)
     win = rep.p_hat
     bound = 0.7241 + 3 * RADIUS_1E6
     oversized = fee_scenario(bribe=15.0)
     warnings = lint_scenario(oversized)
     flagged = any("assumption-violation" in w for w in warnings)
-    rep_out = estimate_order_probability(oversized, None, (0, 1), 100,
+    rep_out = estimate_order_probability(oversized, (0, 1), 100,
                                          derive(BASE_SEED, tag("bribe3")))
     ok = win <= bound and rep.in_contract and flagged and not rep_out.in_contract
     report(11, "bounded bribery stays within the worst-case adjacent odds", ok,

@@ -273,3 +273,12 @@ class TestImpossibilityHarness:
         pred = PolicyPredicate([(0, 1)])
         result = impossibility_harness(FcfsPolicy(), pred, self.scenario(same_client=True))
         assert not result.applicable
+
+    @pytest.mark.parametrize("deadline_feature", [5, -1])
+    def test_out_of_range_ttl_policy_is_rejected_as_at_load(self, deadline_feature):
+        # The harness runs its policy as the scenario's, so the loader's range check
+        # applies: no IndexError at 5, and no silent ordering by another feature at -1.
+        pred = PolicyPredicate([(0, 1)])
+        with pytest.raises(ConfigurationError, match="ttl deadline feature out of range"):
+            impossibility_harness(TtlPolicy(deadline_feature=deadline_feature), pred,
+                                  self.scenario())

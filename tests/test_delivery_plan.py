@@ -2,10 +2,11 @@
 
 ``prepare`` decides each request's delivery and score parts once, and
 ``_schedule`` draws each delay and computes each selection key from
-them. The reference rebuilds every request per seed instead: the delay
-is ``DelayModel.sample(client, Stream(derive(seed, TAG_DELAY, rid)))``,
-put through ``delayed``, and the key is read off the delayed request
-(its deadline feature, or its ``score`` plus its noise ``sample``).
+them. The reference rebuilds every request per seed instead, from the
+adversary fold of ``oracles.reported_requests``: the delay is
+``DelayModel.sample(client, Stream(derive(seed, TAG_DELAY, rid)))``, put
+through ``delayed``, and the key is read off the delayed request (its
+deadline feature, or its ``score`` plus its noise ``sample``).
 These tests hold the two equal bit for bit: the delivery tick, each
 key, the ids each tick lists, and the order it lists them in.
 """
@@ -18,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 from fairorder.adversary import ByzantineClientSpec, DelayModel, delayed
 from fairorder.engine import (TAG_DELAY, TAG_NOISE, _engine_count, _schedule, pair_count,
                               prepare, run)
-from fairorder.model import Request, score
+from fairorder.model import FeaturePartition, Request, score
 from fairorder.noise import NoiseSpec, sample
 from fairorder.rng import Stream, derive
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
+from oracles import reported_requests
 
 # Values whose float sum depends on the order, and -0.0, which adding 0.0 would turn to 0.0.
 VALUES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 3.0, 1e16, -1e16])
@@ -90,7 +92,7 @@ def reference(scenario, seed):
     """
     eta, part, policy = scenario.eta_feature, scenario.partition, scenario.policy
     out = {}
-    for r in scenario.build_requests():
+    for r in reported_requests(scenario):
         delivered = r
         if r.id in scenario.deliver_overrides:
             tick = scenario.deliver_overrides[r.id]
@@ -125,7 +127,7 @@ def groups(scenario, want):
     """Per tick, the ids issued and the ids delivered, gathered in request order and
     then listed by id, as the engine lists each tick's group."""
     issues, delivers = {}, {}
-    for r in scenario.build_requests():
+    for r in reported_requests(scenario):
         tick, _, _ = want[r.id]
         issues.setdefault(r.issue_tick, []).append(r.id)
         if tick is not None:
@@ -155,6 +157,25 @@ def test_schedule_equals_the_reference(scenario, seeds):
         ticks = {issue_tick for _, issue_tick, _ in want.values()}
         ticks |= {t for t, _, _ in want.values() if t is not None}
         assert sched.ticks == tuple(sorted(ticks))
+
+
+def request_bits(requests):
+    """Requests with each feature in ``float.hex``, so that -0.0 and 0.0 differ."""
+    return [(r.id, r.client_id, tuple(x.hex() for x in r.features), r.issue_tick,
+             r.declared_tick) for r in requests]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios())
+def test_reported_requests_equal_the_oracle(scenario):
+    # Bribes of 0, 0.5 and 1e16, misreports from -2 to 2, clients with no adversary.
+    assert request_bits(scenario.reported) == request_bits(reported_requests(scenario))
+    assert scenario.partition == FeaturePartition.from_relevant(scenario.relevant,
+                                                                scenario.feature_count)
+    # replace builds a new config, which applies its own adversaries and partition.
+    honest = replace(scenario, adversaries=(), relevant=())
+    assert request_bits(honest.reported) == request_bits(scenario.requests)
+    assert honest.partition == FeaturePartition.from_relevant((), scenario.feature_count)
 
 
 def out_of_order_scenario(delay, gating):

@@ -105,7 +105,7 @@ class TestFairPolicy:
 
     def test_adjacent_pair_splits_evenly_across_seeds(self):
         scenario = two_request_gap_scenario(gap=0.0, epsilon=1.0)
-        prep = prepare(scenario, None)
+        prep = prepare(scenario)
         n = 20_000
         first = sum(run_prepared(prep, s, record=False).final_order[0] == 0
                     for s in range(n))
@@ -196,7 +196,7 @@ class TestRunInvariants:
         gen = Stream(99)
         for _ in range(25):
             scenario = random_scenario(gen, policy_kind)
-            prep = prepare(scenario, None)
+            prep = prepare(scenario)
             seed = gen.randrange(10_000)
             full = run_prepared(prep, seed, record=True)
             lite = run_prepared(prep, seed, record=False)

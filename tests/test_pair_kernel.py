@@ -102,7 +102,7 @@ def test_undelivered_request_still_raises_liveness_error():
     assert pair_count(prep, (0, 1), 40, 90) == (0, 40) == engine_pair_count(
         prep, (0, 1), 40, 90)
     with pytest.raises(LivenessError, match="seed 40"):
-        estimate_order_probability(scenario, None, (0, 1), 50, 40)
+        estimate_order_probability(scenario, (0, 1), 50, 40)
 
 
 def test_kernel_skips_the_engine_unless_scores_tie():
@@ -392,7 +392,7 @@ def test_undelivered_request_issued_first_blocks_a_gated_pair():
     prep = prepare(scenario)
     assert pair_count(prep, (0, 1), 40, 90) == (0, 40) == engine_pair_count(prep, (0, 1), 40, 90)
     with pytest.raises(LivenessError, match="seed 40"):
-        estimate_order_probability(scenario, None, (0, 1), 50, 40)
+        estimate_order_probability(scenario, (0, 1), 50, 40)
     ungated = prepare(delay_scenario(deliver_overrides={2: None}, stability_gating=False))
     count, missing = pair_count(ungated, (0, 1), 40, 90)
     assert missing is None and (count, missing) == engine_pair_count(ungated, (0, 1), 40, 90)

@@ -47,14 +47,14 @@ class TestHoeffdingRadius:
 class TestEstimator:
     def test_deterministic_reports(self):
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
-        a = estimate_order_probability(scenario, None, (0, 1), 2000, base_seed=5)
-        b = estimate_order_probability(scenario, None, (0, 1), 2000, base_seed=5)
+        a = estimate_order_probability(scenario, (0, 1), 2000, base_seed=5)
+        b = estimate_order_probability(scenario, (0, 1), 2000, base_seed=5)
         assert a == b
 
     def test_parallel_jobs_match_serial(self):
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
-        serial = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=1)
-        parallel = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=2)
+        serial = estimate_order_probability(scenario, (0, 1), 3000, 11, jobs=1)
+        parallel = estimate_order_probability(scenario, (0, 1), 3000, 11, jobs=2)
         assert serial == parallel
 
     def test_parallel_jobs_match_serial_on_random_delays(self):
@@ -65,8 +65,8 @@ class TestEstimator:
             feature_count=2, relevant=(0,), lam=1.0, requests=reqs, eta_feature=1,
             delay=DelayModel(kind="uniform", lo=0.0, hi=3.0),
             policy=FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)))
-        serial = estimate_order_probability(scenario, None, (0, 2), 3000, 11, jobs=1)
-        parallel = estimate_order_probability(scenario, None, (0, 2), 3000, 11, jobs=2)
+        serial = estimate_order_probability(scenario, (0, 2), 3000, 11, jobs=1)
+        parallel = estimate_order_probability(scenario, (0, 2), 3000, 11, jobs=2)
         assert serial == parallel
 
     def test_jobs_are_capped_at_the_cpu_count(self):
@@ -87,23 +87,23 @@ class TestEstimator:
                 return map(fn, *iterables)
 
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
-        serial = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=1)
+        serial = estimate_order_probability(scenario, (0, 1), 3000, 11, jobs=1)
         with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", SerialPool), \
                 mock.patch.object(stats.os, "cpu_count", return_value=3):
-            capped = estimate_order_probability(scenario, None, (0, 1), 3000, 11, jobs=100_000)
+            capped = estimate_order_probability(scenario, (0, 1), 3000, 11, jobs=100_000)
         assert pools == [3] and capped == serial
 
     def test_agrees_with_closed_form(self):
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
         n = 20_000
-        report = estimate_order_probability(scenario, None, (0, 1), n, 101)
+        report = estimate_order_probability(scenario, (0, 1), n, 101)
         expected = order_probability_at_gap(1.0, 1.0)[0]
         assert report.p_hat == pytest.approx(expected, abs=3 * report.confidence_radius)
 
     def test_swapping_pair_complements_p_hat(self):
         scenario = two_request_gap_scenario(gap=1.0, epsilon=1.0)
-        fwd = estimate_order_probability(scenario, None, (0, 1), 2000, 7)
-        rev = estimate_order_probability(scenario, None, (1, 0), 2000, 7)
+        fwd = estimate_order_probability(scenario, (0, 1), 2000, 7)
+        rev = estimate_order_probability(scenario, (1, 0), 2000, 7)
         assert fwd.count_first + rev.count_first == 2000
         assert fwd.k == rev.k
         v_fwd = certify_k_ordering_equality(fwd, 1.0)
@@ -112,7 +112,7 @@ class TestEstimator:
 
     def test_k_comes_from_pre_mechanism_scores(self):
         scenario = two_request_gap_scenario(gap=2.0, epsilon=1.0, lam=3.0, eta_b=1.5)
-        report = estimate_order_probability(scenario, None, (0, 1), 10, 0)
+        report = estimate_order_probability(scenario, (0, 1), 10, 0)
         # score gap = 2*lam + 1.5 = 7.5; k = 7.5/3; relev-only diagnostic = 2
         assert report.k == pytest.approx(2.5)
         assert report.k_relev == pytest.approx(2.0)
@@ -135,12 +135,12 @@ class TestEstimator:
             eta_feature=1, delay=DelayModel(per_client=per_client),
             policy=FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)),
         )
-        report = estimate_order_probability(scenario, None, (0, 1), 10, 0)
+        report = estimate_order_probability(scenario, (0, 1), 10, 0)
         assert report.k == (3.0 if second.kind == "constant" else 0.0)
 
     def test_single_trial_is_degenerate(self):
         scenario = two_request_gap_scenario(gap=0.0, epsilon=1.0)
-        report = estimate_order_probability(scenario, None, (0, 1), 1, 3)
+        report = estimate_order_probability(scenario, (0, 1), 1, 3)
         assert report.p_hat in (0.0, 1.0)
         certified = certify_ordering_equality(report, 1.0)
         assert certified.verdict == INCONCLUSIVE
@@ -154,12 +154,12 @@ class TestEstimator:
             deliver_overrides={1: None},
         )
         with pytest.raises(LivenessError):
-            estimate_order_probability(scenario, None, (0, 1), 10, 0)
+            estimate_order_probability(scenario, (0, 1), 10, 0)
 
     def test_unknown_pair_rejected(self):
         scenario = two_request_gap_scenario()
         with pytest.raises(ParameterError):
-            estimate_order_probability(scenario, None, (0, 9), 10, 0)
+            estimate_order_probability(scenario, (0, 9), 10, 0)
 
     def test_bribe_beyond_lambda_is_out_of_contract(self):
         scenario = ScenarioConfig(
@@ -169,7 +169,7 @@ class TestEstimator:
             adversaries=(ByzantineClientSpec(client_id=1, bribe=3.0),),
             policy=FairPolicy(spec=NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=1.0)),
         )
-        report = estimate_order_probability(scenario, None, (0, 1), 100, 0)
+        report = estimate_order_probability(scenario, (0, 1), 100, 0)
         assert not report.in_contract
 
 
@@ -254,7 +254,7 @@ class TestInContractCertificationNeverFails:
     def test_derived_k_certifies_engine_runs(self, epsilon, gap):
         """Runs honoring the noise bound always certify at their own k."""
         scenario = two_request_gap_scenario(gap=gap, epsilon=epsilon)
-        report = estimate_order_probability(scenario, None, (0, 1), 20_000,
+        report = estimate_order_probability(scenario, (0, 1), 20_000,
                                             base_seed=int(1000 * (gap + 10 * epsilon)))
         certified = certify_k_ordering_equality(report, epsilon)
         assert certified.k == pytest.approx(gap)

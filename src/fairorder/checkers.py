@@ -237,9 +237,11 @@ def impossibility_harness(policy: Policy, pred: PolicyPredicate,
     so in the second execution either the required precedence or
     non-blocking fails. Pairs originated at a single client are trivial
     (the client could order them itself) and are reported
-    not-applicable. Both executions run ``policy`` as their scenario's
-    policy, so a policy the loader would reject raises ConfigurationError.
+    not-applicable. ``policy`` becomes the scenario's policy before the
+    pair search, so a policy the loader would reject raises
+    ConfigurationError, applicable or not.
     """
+    scenario = replace(scenario, policy=policy)
     by_id = {r.id: r for r in scenario.requests}
     pair: tuple[Request, Request] | None = None
     for a, b in sorted(pred.pairs):
@@ -252,7 +254,6 @@ def impossibility_harness(policy: Policy, pred: PolicyPredicate,
 
     base = replace(
         scenario,
-        policy=policy,
         stability_gating=False,
         deliver_overrides={**scenario.deliver_overrides, r1.id: None,
                            r2.id: r2.issue_tick},

@@ -308,8 +308,8 @@ class Prepared:
 
     ``plan`` has one entry per request, in the scenario's request order, and
     ``eta_slot`` is the eta feature's place in each entry's ``values``.
-    ``_schedule`` and the fair kernel both read them and draw and total
-    with ``_draw_delay`` and ``_total``. Loading rejects a scenario
+    ``_schedule`` and the pair kernel both read them and draw and key
+    with ``_draw_delay`` and ``_key_of``. Loading rejects a scenario
     whose perceived totals could overflow.
     """
 
@@ -317,11 +317,6 @@ class Prepared:
     drain: int
     plan: tuple[PlanEntry, ...]
     eta_slot: int
-
-    @property
-    def static(self) -> bool:
-        """True when no delivery draws: every seed gives the same schedule."""
-        return all(e.delay_at is None for e in self.plan)
 
 
 def prepare(scenario: ScenarioConfig) -> Prepared:
@@ -342,13 +337,30 @@ def prepare(scenario: ScenarioConfig) -> Prepared:
     return Prepared(scenario, scenario.drain(), tuple(plan), slot)
 
 
+def _key_of(prep: Prepared) -> Callable[[PlanEntry, float, float], Key]:
+    """Each policy's key, written once: ``key(e, d, tick)`` for a plan entry with drawn
+    delay ``d`` (0.0: none), delivered at ``tick``. fcfs: ``(tick, id)``. ttl:
+    ``(deadline, id)``, with ``d`` folded into the deadline as ``delayed`` folds it
+    when the deadline feature is eta. fair: the perceived total, which ``_fair_key``
+    turns into the key. Built per call: the ``--jobs`` pool pickles ``Prepared``."""
+    policy = prep.scenario.policy
+    if isinstance(policy, FairPolicy):
+        slot = prep.eta_slot
+        return lambda e, d, tick: _total(e, d, slot)
+    if isinstance(policy, FcfsPolicy):
+        return lambda e, d, tick: (tick, e.request.id)
+    f, bump = policy.deadline_feature, policy.deadline_feature == prep.scenario.eta_feature
+    return lambda e, d, tick: (e.request.features[f] + d if d and bump else e.request.features[f],
+                               e.request.id)
+
+
 def _schedule(prep: Prepared, root: int) -> Schedule:
     """The schedule of the seed whose ``derive(seed)`` is ``root``: the plan's ids
-    by tick, and each one's key (ttl: every request's; otherwise a delivered one's),
-    with its drawn delay folded in as ``delayed`` folds it, bit for bit."""
-    policy, eta, slot = prep.scenario.policy, prep.scenario.eta_feature, prep.eta_slot
-    fair = isinstance(policy, FairPolicy)
-    deadline = policy.deadline_feature if isinstance(policy, TtlPolicy) else None
+    by tick, and each one's key (``_key_of``; ttl: every request's, since stability
+    reads in-flight keys; otherwise a delivered one's)."""
+    policy = prep.scenario.policy
+    fair, ttl = isinstance(policy, FairPolicy), isinstance(policy, TtlPolicy)
+    key = _key_of(prep)
     issues: dict[int, list[int]] = {}
     delivers: dict[int, list[int]] = {}
     keys: dict[int, Key] = {}
@@ -359,16 +371,12 @@ def _schedule(prep: Prepared, root: int) -> Schedule:
         if e.delay_at is not None:
             d = _draw_delay(e.delay_at, delay_prefix, rid)
             tick = r.issue_tick + math.ceil(d)
-        if deadline is not None:
-            feature = r.features[deadline]
-            keys[rid] = (feature + d if d and deadline == eta else feature, rid)
         issues.setdefault(r.issue_tick, []).append(rid)
         if tick is not None:
             delivers.setdefault(tick, []).append(rid)
-            if fair:
-                keys[rid] = _fair_key(policy, _total(e, d, slot), noise_prefix, rid)
-            elif deadline is None:
-                keys[rid] = (tick, rid)
+        if tick is not None or ttl:
+            k = key(e, d, tick)
+            keys[rid] = _fair_key(policy, k, noise_prefix, rid) if fair else k
     for group in (*issues.values(), *delivers.values()):
         group.sort()
     return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), keys)
@@ -400,19 +408,6 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
                  horizon=horizon)
 
 
-def _engine_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
-    """(count, first missing seed) from one engine run per seed."""
-    a, b = pair
-    count, missing = 0, None
-    for seed in seeds:
-        order = run_prepared(prep, seed, record=False).final_order
-        if a in order and b in order:
-            count += order.index(a) < order.index(b)
-        elif missing is None:
-            missing = seed
-    return count, missing
-
-
 def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
                seed_hi: int) -> tuple[int, int | None]:
     """Count the seeds in [seed_lo, seed_hi) whose run orders pair[0] before pair[1].
@@ -420,26 +415,70 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     Exact shortcut for the engine: the result equals running
     ``run_prepared(prep, seed, record=False)`` for every seed. Returns
     (count, missing), where ``missing`` is the first seed whose final
-    order lacks either request, or None.
+    order lacks either request, or None. One rule decides every policy
+    (``_decide``), and only a fair seed whose two keys tie exactly runs
+    the engine.
 
-    The fair policy goes to ``_fair_pair_count``: two requests ordered
-    at different ticks are ordered by tick, and two ordered in one burst
-    by their fair keys, which two noise draws decide (``_burst_count``).
-    It reads ``prep.plan`` and, per seed, draws and totals as
-    ``_schedule`` does, without building a ``Request``. Gated,
-    a seed that delivers both pair requests at or after the last issue
-    tick orders them in the final burst, so it draws only their delays. fcfs
-    and ttl draw nothing, so on a static schedule one engine run decides
-    every seed; with random delays every seed runs through the engine.
-    Every total is finite, so a fair key is finite or +-inf, never NaN,
-    and the fair kernel serves every fair scenario.
+    It sorts ``prep.plan`` by issue tick once per call (ties in request
+    order). Per seed, a drawn delivery tick is the issue tick plus the
+    ``_draw_delay`` delay rounded up, and a drawn request's key comes from
+    ``_key_of``, as in ``_schedule``. When requests block (gated fair or
+    ttl), a seed draws every drawn entry; otherwise only the pair's own.
+    When no request that matters draws, the range is decided at once.
+
+    A seed draws the pair's own delays first. Gated fair, with every
+    request delivered at some tick, a pair delivered at or after the last
+    issue tick L is ordered in the final burst: from any t >= L the
+    fixpoint reads the latest delivery of all, M >= t, and before M the
+    request delivered at M is in flight. Such a seed goes to
+    ``_burst_count`` without the other draws, which cannot change its count.
+    Every total is finite, so a fair key is finite or +-inf, never NaN.
     """
-    if isinstance(prep.scenario.policy, FairPolicy):
-        return _fair_pair_count(prep, pair, range(seed_lo, seed_hi))
-    if not prep.static:
-        return _engine_count(prep, pair, range(seed_lo, seed_hi))
-    count, missing = _engine_count(prep, pair, (seed_lo,))
-    return count * (seed_hi - seed_lo), missing
+    policy = prep.scenario.policy
+    fair = isinstance(policy, FairPolicy)
+    blocked = prep.scenario.stability_gating and not isinstance(policy, FcfsPolicy)
+    key = _key_of(prep)
+    plan = sorted(prep.plan, key=lambda e: e.request.issue_tick)
+    issue_ticks = [e.request.issue_tick for e in plan]
+    place = {e.request.id: i for i, e in enumerate(plan)}
+    at = (place[pair[0]], place[pair[1]])
+    # Every delivery tick (inf: never) and key, by issue tick; a drawn one is set per seed.
+    ticks = [math.inf if e.tick is None else e.tick for e in plan]
+    keys = [key(e, 0.0, t) for e, t in zip(plan, ticks)]
+    drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e)
+             for i, e in enumerate(plan) if e.delay_at is not None and (blocked or i in at)]
+    seeds = range(seed_lo, seed_hi)
+    if not drawn:
+        return _decide(prep, pair, ticks, keys, at, issue_ticks, blocked, seeds, map(derive, seeds))
+    own = [d for d in drawn if d[0] in at]
+    rest = [d for d in drawn if d[0] not in at]
+    # The final burst needs a latest delivery: no request may be never delivered.
+    final = blocked and fair and all(e.tick is not None or e.delay_at is not None for e in plan)
+    last_issue, (ia, ib) = issue_ticks[-1], at
+    ceil = math.ceil
+    count, missing = 0, None
+    for seed in seeds:
+        # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
+        root = derive(seed)
+        prefix = child(root, TAG_DELAY)
+        for i, issue, delay_at, rid, e in own:
+            d = _draw_delay(delay_at, prefix, rid)
+            ticks[i] = issue + ceil(d)
+            keys[i] = key(e, d, ticks[i])
+        if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
+            count += _burst_count(prep, pair, (seed,), (root,), keys[ia], keys[ib])
+            continue
+        for i, issue, delay_at, rid, e in rest:
+            d = _draw_delay(delay_at, prefix, rid)
+            ticks[i] = issue + ceil(d)
+            if not fair:  # only gated ttl reads another request's key: its blockers'
+                keys[i] = key(e, d, ticks[i])
+        seed_count, seed_missing = _decide(prep, pair, ticks, keys, at, issue_ticks, blocked,
+                                           (seed,), (root,))
+        count += seed_count
+        if missing is None:
+            missing = seed_missing
+    return count, missing
 
 
 def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: float,
@@ -448,8 +487,8 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: f
 
     ``roots`` gives each seed's ``derive(seed)``, in step with ``seeds``.
     The burst is emitted in key order, so the two ``_fair_key``s decide
-    a seed unless they tie; a tied seed also depends on the pick stream
-    and runs through the engine.
+    a seed unless they tie; a tied seed also depends on the pick stream,
+    so it runs through the engine.
     """
     a, b = pair
     policy = prep.scenario.policy
@@ -461,107 +500,51 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: f
         if key_a < key_b:
             count += 1
         elif key_a == key_b:
-            count += _engine_count(prep, pair, (seed,))[0]
+            order = run_prepared(prep, seed, record=False).final_order
+            count += order.index(a) < order.index(b)
     return count
 
 
-def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, at: tuple[int, int],
-            issue_ticks: list[int], seeds, roots,
-            totals: dict[int, float]) -> tuple[int, int | None]:
-    """(count, missing) over ``seeds``, which all give these delivery ticks;
-    ``roots`` gives each seed's ``derive(seed)``, in step with ``seeds``.
+def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, keys: list, at: tuple[int, int],
+            issue_ticks: list[int], blocked: bool, seeds, roots) -> tuple[int, int | None]:
+    """(count, missing) over ``seeds``, which all give these delivery ticks (inf: never)
+    and keys, listed by issue tick with the pair at ``at``; ``roots`` gives each
+    seed's ``derive(seed)``, in step with ``seeds``.
 
-    ``ticks`` lists every request's delivery tick by issue tick (inf:
-    never) and ``at`` gives the pair's places in it. With gating off a
-    request is ordered at its delivery tick. With gating on it is
-    ordered at the first tick t >= its delivery after which nothing is
-    in flight: the fixpoint of t <- the latest delivery among the
-    requests issued by t. A request issued by then that is never
-    delivered stays in flight for good, and the pair is missing. Two
-    requests ordered at one tick share a burst, which ``_burst_count``
-    decides.
+    A pair request is ordered at the first tick at or after its delivery
+    at which none of its blockers is in flight (``_order_tick``). When
+    ``blocked`` (gating on, not fcfs), every request blocks under fair
+    and a request with a lesser key under ttl; otherwise none does (an
+    in-flight fcfs request always has a later key). Two requests ordered
+    at one tick go in key order: a fair burst, which ``_burst_count`` decides.
     """
-    ta, tb = ticks[at[0]], ticks[at[1]]
-    if prep.scenario.stability_gating and ta != math.inf and tb != math.inf:
-        latest_by = list(accumulate(ticks, max))
-        ta, tb = _order_tick(ta, issue_ticks, latest_by), _order_tick(tb, issue_ticks, latest_by)
+    fair = isinstance(prep.scenario.policy, FairPolicy)
+    ia, ib = at
+    ta, tb = ticks[ia], ticks[ib]
+    if blocked and ta != math.inf and tb != math.inf:
+        if fair:
+            latest_a = latest_b = list(accumulate(ticks, max))
+        else:
+            latest_a, latest_b = (list(accumulate(
+                (t if k < keys[i] else -math.inf for t, k in zip(ticks, keys)), max)) for i in at)
+        ta, tb = _order_tick(ta, issue_ticks, latest_a), _order_tick(tb, issue_ticks, latest_b)
     if ta == math.inf or tb == math.inf:
         return 0, seeds[0] if seeds else None
     if ta != tb:
         return len(seeds) * (ta < tb), None
-    return _burst_count(prep, pair, seeds, roots, totals[pair[0]], totals[pair[1]]), None
+    if fair:
+        return _burst_count(prep, pair, seeds, roots, keys[ia], keys[ib]), None
+    return len(seeds) * (keys[ia] < keys[ib]), None
 
 
 def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> float:
-    """The gated order tick of a request delivered at t.
-
-    ``latest_by[k]`` is the latest delivery among the first k + 1
-    requests by issue tick, which is never earlier than t, since it
-    covers the request delivered at t.
-    """
-    while True:
-        latest = latest_by[bisect_right(issue_ticks, t) - 1]
-        if latest == t or latest == math.inf:
-            return latest
+    """The first tick at or after t, a request's delivery, at which none of its blockers
+    is in flight (issued, not delivered): the fixpoint of t <- the latest delivery among
+    its blockers issued by t. inf: one of them is never delivered. ``latest_by[k]`` is
+    the latest delivery among the blockers within the first k + 1 requests (-inf: none)."""
+    while (latest := latest_by[bisect_right(issue_ticks, t) - 1]) > t:
         t = latest
-
-
-def _fair_pair_count(prep: Prepared, pair: tuple[int, int], seeds) -> tuple[int, int | None]:
-    """``pair_count`` for the fair policy, on a static schedule or with random delays.
-
-    It sorts ``prep.plan`` by issue tick once per call (ties in request
-    order). Per seed, a drawn delivery tick is the issue tick plus the
-    ``_draw_delay`` delay rounded up, and a drawn pair request's total
-    comes from ``_total``, as in ``_schedule``. ``_decide`` turns the
-    delivery ticks into a count. When no request that matters draws, the
-    ticks are the same on every seed and are decided once for the whole range.
-
-    A seed draws the pair's own delays first. Gated, with every request
-    delivered at some tick, a pair delivered at or after the last issue
-    tick L is ordered in the final burst: from any t >= L the fixpoint
-    reads the latest delivery of all, M >= t, and before M the request
-    delivered at M is in flight. Such a seed goes to ``_burst_count``
-    without the other draws, which cannot change its count.
-    """
-    plan = sorted(prep.plan, key=lambda e: e.request.issue_tick)
-    gating, slot = prep.scenario.stability_gating, prep.eta_slot
-    issue_ticks = [e.request.issue_tick for e in plan]
-    place = {e.request.id: i for i, e in enumerate(plan)}
-    at = (place[pair[0]], place[pair[1]])
-    # Every delivery tick (inf: never), a drawn one set per seed: every drawn one when
-    # gated, only the pair's own when not. A drawn pair request's total is set per seed.
-    fixed = [math.inf if e.tick is None else e.tick for e in plan]
-    drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e)
-             for i, e in enumerate(plan) if e.delay_at is not None and (gating or i in at)]
-    totals = {plan[i].request.id: _total(plan[i], 0, slot) for i in at if plan[i].delay_at is None}
-    if not drawn:
-        return _decide(prep, pair, fixed, at, issue_ticks, seeds, map(derive, seeds), totals)
-    own = [d for d in drawn if d[0] in at]
-    rest = [d for d in drawn if d[0] not in at]
-    # The final burst needs a latest delivery: no request may be never delivered.
-    final = gating and all(e.tick is not None or e.delay_at is not None for e in plan)
-    last_issue, (ia, ib), (a, b) = issue_ticks[-1], at, pair
-    ceil = math.ceil
-    count, missing = 0, None
-    for seed in seeds:
-        ticks = fixed.copy()
-        root = derive(seed)
-        prefix = child(root, TAG_DELAY)
-        for i, issue, delay_at, rid, e in own:
-            d = _draw_delay(delay_at, prefix, rid)
-            ticks[i] = issue + ceil(d)
-            totals[rid] = _total(e, d, slot)
-        if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
-            count += _burst_count(prep, pair, (seed,), (root,), totals[a], totals[b])
-            continue
-        for i, issue, delay_at, rid, _ in rest:
-            ticks[i] = issue + ceil(_draw_delay(delay_at, prefix, rid))
-        seed_count, seed_missing = _decide(prep, pair, ticks, at, issue_ticks, (seed,), (root,),
-                                           totals)
-        count += seed_count
-        if missing is None:
-            missing = seed_missing
-    return count, missing
+    return t
 
 
 def run(scenario: ScenarioConfig, seed: int = 0, record: bool = True) -> Trace:

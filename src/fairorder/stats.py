@@ -3,9 +3,8 @@
 The estimator counts, over a contiguous block of seeds, how often one
 request of a pair precedes the other in the engine's final order. It
 counts with the engine's exact pair kernel (``pair_count``): per seed,
-the pair's order ticks decide, or else two noise draws do, and the
-engine runs only for seeds the kernel cannot decide that way (tied
-scores, random delays under fcfs or ttl).
+the pair's order ticks decide, or else its two keys do, and the engine
+runs only for a fair seed whose two keys tie exactly.
 Certifiers then compare the estimate against a fairness bound:
 
   multiplicative   Pr[r before r'] <= B * Pr[r' before r],

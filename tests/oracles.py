@@ -6,7 +6,8 @@ from heapq import heapify
 from scipy.integrate import quad
 
 from fairorder.adversary import apply_bribe, misreport_time
-from fairorder.engine import DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable
+from fairorder.engine import (DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable,
+                              run_prepared)
 from fairorder.model import adjacent, score
 from fairorder.scenario import FairPolicy
 
@@ -55,6 +56,20 @@ def reported_requests(scenario):
             r = misreport_time(r, adv, scenario.eta_feature)
         out.append(r)
     return tuple(out)
+
+
+def engine_pair_count(prep, pair, seed_lo, seed_hi):
+    """(count, first missing seed) from one full engine run per seed: the reference for
+    ``pair_count``."""
+    a, b = pair
+    count, missing = 0, None
+    for seed in range(seed_lo, seed_hi):
+        order = run_prepared(prep, seed, record=False).final_order
+        if a in order and b in order:
+            count += order.index(a) < order.index(b)
+        elif missing is None:
+            missing = seed
+    return count, missing
 
 
 def pairwise_noise_bound(requests, part, lam):

@@ -274,11 +274,15 @@ class TestImpossibilityHarness:
         result = impossibility_harness(FcfsPolicy(), pred, self.scenario(same_client=True))
         assert not result.applicable
 
-    @pytest.mark.parametrize("deadline_feature", [5, -1])
-    def test_out_of_range_ttl_policy_is_rejected_as_at_load(self, deadline_feature):
+    @pytest.mark.parametrize("deadline_feature,same_client", [
+        pytest.param(5, False, id="5"), pytest.param(-1, False, id="-1"),
+        pytest.param(5, True, id="5-same_client"), pytest.param(-1, True, id="-1-same_client")])
+    def test_out_of_range_ttl_policy_is_rejected_as_at_load(self, deadline_feature,
+                                                            same_client):
         # The harness runs its policy as the scenario's, so the loader's range check
-        # applies: no IndexError at 5, and no silent ordering by another feature at -1.
+        # applies: no IndexError at 5, and no silent ordering by another feature at -1,
+        # also when no pair is applicable.
         pred = PolicyPredicate([(0, 1)])
         with pytest.raises(ConfigurationError, match="ttl deadline feature out of range"):
             impossibility_harness(TtlPolicy(deadline_feature=deadline_feature), pred,
-                                  self.scenario())
+                                  self.scenario(same_client=same_client))

@@ -17,13 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairorder.adversary import ByzantineClientSpec, DelayModel, delayed
-from fairorder.engine import (TAG_DELAY, TAG_NOISE, _engine_count, _schedule, pair_count,
-                              prepare, run)
+from fairorder.engine import TAG_DELAY, TAG_NOISE, _schedule, pair_count, prepare, run
 from fairorder.model import FeaturePartition, Request, score
 from fairorder.noise import NoiseSpec, sample
 from fairorder.rng import Stream, derive
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
-from oracles import reported_requests
+from oracles import engine_pair_count, reported_requests
 
 # Values whose float sum depends on the order, and -0.0, which adding 0.0 would turn to 0.0.
 VALUES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 3.0, 1e16, -1e16])
@@ -211,4 +210,4 @@ def test_tied_burst_of_out_of_order_clients_keeps_its_runs(delay, gating):
     prep = prepare(scenario)
     for pair, count in TIED_COUNTS.items():
         assert pair_count(prep, pair, 0, 200) == (count, None)
-        assert _engine_count(prep, pair, range(200)) == (count, None)
+        assert engine_pair_count(prep, pair, 0, 200) == (count, None)

@@ -20,19 +20,12 @@ from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.rng import Stream
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
 from fairorder.stats import LivenessError, estimate_order_probability
+from oracles import engine_pair_count
 
 
-def engine_pair_count(prep, pair, seed_lo, seed_hi):
-    """(count, first missing seed) from one full engine run per seed."""
-    a, b = pair
-    count, missing = 0, None
-    for seed in range(seed_lo, seed_hi):
-        order = run_prepared(prep, seed, record=False).final_order
-        if a in order and b in order:
-            count += order.index(a) < order.index(b)
-        elif missing is None:
-            missing = seed
-    return count, missing
+def is_static(prep):
+    """True when no delivery draws: every seed gives the same schedule."""
+    return all(e.delay_at is None for e in prep.plan)
 
 
 SPECS = {
@@ -84,7 +77,7 @@ def static_scenarios(draw):
        n_seeds=st.integers(1, 40))
 def test_kernel_count_equals_engine_loop(scenario, data, seed_lo, n_seeds):
     prep = prepare(scenario)
-    assert prep.static
+    assert is_static(prep)
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
@@ -117,20 +110,27 @@ def test_kernel_skips_the_engine_unless_scores_tie():
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 500)
 
 
-@pytest.mark.parametrize("policy", [FcfsPolicy(), TtlPolicy(deadline_feature=0)],
-                         ids=["fcfs", "ttl"])
-def test_static_fcfs_and_ttl_run_the_engine_once(policy):
-    # They draw nothing, so the run at the block's first seed decides every seed.
-    reqs = tuple(Request(id=i, client_id=i, features=(float(2 - i), 0.0), issue_tick=i % 2)
+KEY_ORDERED = {"fcfs": FcfsPolicy(), "ttl": TtlPolicy(deadline_feature=0),
+               "ttl_eta": TtlPolicy(deadline_feature=1)}
+
+
+@pytest.mark.parametrize("delay", [DelayModel(), DelayModel(kind="uniform", lo=0.0, hi=3.0)],
+                         ids=["static", "random"])
+@pytest.mark.parametrize("gating", [True, False], ids=["gated", "ungated"])
+@pytest.mark.parametrize("policy", KEY_ORDERED.values(), ids=KEY_ORDERED.keys())
+def test_fcfs_and_ttl_never_run_the_engine(policy, gating, delay):
+    # Their keys never tie, so the order ticks and the keys decide every seed.
+    reqs = tuple(Request(id=i, client_id=i, features=(float(2 - i), float(i % 2)),
+                         issue_tick=i % 2)
                  for i in range(3))
     scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
-                              eta_feature=1, policy=policy)
+                              eta_feature=1, policy=policy, delay=delay,
+                              stability_gating=gating)
     prep = prepare(scenario)
-    assert prep.static
     for pair in [(0, 1), (1, 0), (0, 2), (2, 1)]:
         with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
             count, missing = pair_count(prep, pair, 30, 230)
-        assert runs.call_count == 1
+        assert runs.call_count == 0
         assert (count, missing) == engine_pair_count(prep, pair, 30, 230)
 
 
@@ -151,7 +151,7 @@ def test_non_finite_scores_run_every_seed_through_the_engine():
     with pytest.raises(ConfigurationError, match="request 2's perceived score can overflow"):
         overflow_scenario(1e308)
     prep = prepare(overflow_scenario(1e307))
-    assert prep.static
+    assert is_static(prep)
     for pair in [(0, 1), (0, 2), (2, 1)]:
         assert pair_count(prep, pair, 0, 100) == engine_pair_count(prep, pair, 0, 100)
 
@@ -187,7 +187,7 @@ def random_delays():
 
 
 @st.composite
-def random_scenarios(draw):
+def random_scenarios(draw, kinds=("fair",) * 8 + ("fcfs", "ttl")):
     n = draw(st.integers(2, 7))
     requests = tuple(
         Request(id=i, client_id=draw(st.integers(0, 3)),
@@ -205,7 +205,7 @@ def random_scenarios(draw):
     for r in requests:
         if draw(st.integers(0, 5)) == 0:
             overrides[r.id] = draw(st.one_of(st.none(), st.integers(r.issue_tick, 7)))
-    kind = draw(st.sampled_from(["fair"] * 8 + ["fcfs", "ttl"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "fair":
         policy = FairPolicy(spec=SPECS[draw(st.sampled_from(sorted(SPECS)))],
                             direction=draw(st.sampled_from(["lowest_first", "highest_first"])))
@@ -227,13 +227,30 @@ def random_scenarios(draw):
        n_seeds=st.integers(1, 30))
 def test_kernel_count_equals_engine_loop_on_random_delays(scenario, data, seed_lo, n_seeds):
     prep = prepare(scenario)
-    assume(not prep.static)
+    assume(not is_static(prep))
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
     seed_hi = seed_lo + n_seeds
     assert (pair_count(prep, (a, b), seed_lo, seed_hi)
             == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=random_scenarios(kinds=("fcfs", "ttl")), data=st.data(),
+       seed_lo=st.integers(0, 10**9), n_seeds=st.integers(1, 20))
+def test_fcfs_and_ttl_count_as_the_engine_seed_for_seed(scenario, data, seed_lo, n_seeds):
+    # Uniform, capped heavy-tail and per-client constant delays, a deadline at a
+    # relevant feature or at eta (1), gated or not, fixed and never-delivered overrides,
+    # and either request of the pair first.
+    prep = prepare(scenario)
+    ids = [r.id for r in scenario.requests]
+    pair = tuple(data.draw(st.permutations(ids))[:2])
+    for seed in range(seed_lo, seed_lo + n_seeds):
+        with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+            result = pair_count(prep, pair, seed, seed + 1)
+        assert runs.call_count == 0
+        assert result == engine_pair_count(prep, pair, seed, seed + 1)
 
 
 @st.composite
@@ -279,7 +296,7 @@ def multi_feature_scenarios(draw):
 def test_kernel_count_equals_engine_loop_on_multi_feature_delays(scenario, data, seed_lo,
                                                                  n_seeds):
     prep = prepare(scenario)
-    assume(not prep.static)
+    assume(not is_static(prep))
     ids = [r.id for r in scenario.requests]
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
@@ -333,7 +350,7 @@ def test_rounded_noise_sends_tied_seeds_to_the_engine(delay):
                               eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
                               delay=delay)
     prep = prepare(scenario)
-    assert prep.static == (delay.kind == "constant")
+    assert is_static(prep) == (delay.kind == "constant")
     with mock.patch.object(engine, "sample_state", rounded_sample_state):
         with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
             count, missing = pair_count(prep, (0, 1), 0, 300)
@@ -405,7 +422,7 @@ def test_non_finite_totals_run_every_random_seed_through_the_engine():
     with pytest.raises(ConfigurationError, match="request 2's perceived score can overflow"):
         overflow_scenario(1e308, delay=delay)
     prep = prepare(overflow_scenario(1e307, delay=delay))
-    assert not prep.static
+    assert not is_static(prep)
     for pair in [(0, 1), (0, 2), (2, 1)]:
         assert pair_count(prep, pair, 0, 100) == engine_pair_count(prep, pair, 0, 100)
 
@@ -459,7 +476,7 @@ def final_burst_scenarios(draw):
 def test_kernel_count_equals_engine_loop_in_the_final_burst(scenario, reverse, seed_lo,
                                                             n_seeds):
     prep = prepare(scenario)
-    assume(not prep.static)
+    assume(not is_static(prep))
     pair = (1, 0) if reverse else (0, 1)
     seed_hi = seed_lo + n_seeds
     assert (pair_count(prep, pair, seed_lo, seed_hi)
@@ -488,6 +505,22 @@ def test_final_burst_draws_only_the_pairs_delays():
         count, missing = pair_count(prep, (0, 1), 0, 400)
     assert draws.call_count == 2 * 400
     assert {call.args[2] for call in draws.call_args_list} == {0, 1}
+    assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 400)
+
+
+@pytest.mark.parametrize("policy", KEY_ORDERED.values(), ids=KEY_ORDERED.keys())
+@pytest.mark.parametrize("gating", [True, False], ids=["gated", "ungated"])
+def test_fcfs_and_ttl_draw_the_pair_unless_gated_ttl(policy, gating):
+    # Nothing blocks under fcfs or ungated, so a seed draws the pair's two delays. Gated,
+    # a ttl request waits on every in-flight request with a lesser key, so a seed draws
+    # all eight delivery ticks (with the deadline at eta, the delays set the keys too).
+    prep = prepare(replace(certify_shaped(lambda i: i % 2), policy=policy,
+                           stability_gating=gating))
+    with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
+        count, missing = pair_count(prep, (0, 1), 0, 400)
+    drawn = 8 if gating and isinstance(policy, TtlPolicy) else 2
+    assert draws.call_count == drawn * 400
+    assert {call.args[2] for call in draws.call_args_list} == set(range(drawn))
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 400)
 
 

@@ -14,10 +14,11 @@ from itertools import product
 import pytest
 
 from fairorder.checkers import CONSISTENCY, MONOTONIC_ORDER, ORDER_DETERMINISM, check_all
-from fairorder.engine import _engine_count, pair_count, prepare, run_prepared
+from fairorder.engine import pair_count, prepare, run_prepared
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
+from oracles import engine_pair_count
 
 SAFETY = {CONSISTENCY, MONOTONIC_ORDER, ORDER_DETERMINISM}
 OFFSETS = (1, 2, 3, None)  # None: never delivered
@@ -55,5 +56,5 @@ def test_every_schedule_is_safe_and_counted_as_the_engine_runs(policy, gating):
         if None not in offsets:
             assert not failed, (offsets, verdicts)
         for pair in PAIRS:
-            assert pair_count(prep, pair, 0, 8) == _engine_count(prep, pair, range(8)), \
+            assert pair_count(prep, pair, 0, 8) == engine_pair_count(prep, pair, 0, 8), \
                 (offsets, pair)

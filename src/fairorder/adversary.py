@@ -30,7 +30,7 @@ _CONSTANT, _UNIFORM = DelayKind.CONSTANT, DelayKind.UNIFORM
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Per-request network delay distribution, with per-client overrides.
+    """Per-request network delay distribution, with per-client overrides, one level deep.
 
     constant: always ``d`` ticks. uniform: real delay in [lo, hi].
     capped_heavy_tail: exponential with the given scale, clamped at cap.
@@ -52,6 +52,8 @@ class DelayModel:
             raise ParameterError("delays must be non-negative and scale positive")
         if self.kind is DelayKind.UNIFORM and self.hi < self.lo:
             raise ParameterError("uniform delay needs lo <= hi")
+        if any(m.per_client for m in self.per_client.values()):
+            raise ParameterError("a per-client delay model cannot have its own per_client")
 
     def for_client(self, client_id: int) -> "DelayModel":
         return self.per_client.get(client_id, self)

@@ -195,13 +195,13 @@ def check_strong_non_blocking(trace: Trace) -> Verdict:
     Optional utilization-style check; gated policies legitimately fail
     it while they wait for stability.
     """
-    history, pending, ordered = trace.history, set(), set()
-    for t, received, new_ordered, _ in history.steps:
+    steps, pending, ordered = trace.history.steps, set(), set()
+    for (t, received, new_ordered, _), nxt in zip(steps, (*steps[1:], None)):
         ordered.update(new_ordered)
         pending.update(rid for rid in received if rid not in ordered)
         pending.difference_update(new_ordered)
         # a row tick's state lasts until the next, so it stalls first there
-        if pending and t < trace.horizon and t + 1 not in history.orders:
+        if pending and t < trace.horizon and not (nxt and nxt.tick == t + 1 and nxt.ordered):
             return Verdict(STRONG_NON_BLOCKING, False, (t, min(pending)))
     return Verdict(STRONG_NON_BLOCKING, True)
 

@@ -2,16 +2,15 @@
 
 A run visits the ticks that carry issue and delivery events and lets
 the active policy move requests from the pending set into the output
-order. A recorded trace is its event rows, final order and horizon, so
-it costs O(events) whatever the horizon. ``Trace.history``, one pass
-over the rows, holds its tick maps and what the rows hold at each row
-tick, and rejects a second row of one kind for one request; the
-checkers and the quorum view read it.
+order. Every run records its trace: its event rows, final order and
+horizon, so it costs O(events) whatever the horizon. ``Trace.history``,
+one pass over the rows, holds its tick maps and what the rows hold at
+each row tick, and rejects a second row of one kind for one request;
+the checkers and the quorum view read it.
 Everything is a pure function of (scenario, policy, seed), and the
 policy is the scenario's own (``scenario.policy``): delays and noise
 samples are derived statelessly from the seed and the request id, so
-replaying a seed reproduces the trace bit for bit, and recording a full
-trace versus only the final order cannot change any sampled value.
+replaying a seed reproduces the trace bit for bit.
 
 Policies:
   fcfs  orders each request immediately on delivery (delivery tick,
@@ -76,8 +75,7 @@ DELIVER = "deliver"
 ORDER = "order"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One trace row: the tick, the kind (issue, deliver or order), the request id."""
 
     at_tick: int
@@ -94,13 +92,13 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete timed record of one run: its event rows up to ``horizon``, and the
-    final order, which is the rows' output at the horizon.
+    """Complete timed record of one run: its event rows up to ``horizon`` (>= 0), and
+    the final order, which is the rows' output at the horizon.
 
     A request has at most one row of each kind. The tick maps are read off
     ``history``, whose one pass over the rows raises ProtocolError on a
-    second row. A run recorded without events (``record=False``) keeps
-    only its final order, has horizon -1 and cannot be serialized.
+    second row. ``final_order`` is kept as a field: a run has it without
+    building ``history``.
     """
 
     events: tuple[Event, ...]
@@ -382,7 +380,7 @@ def _schedule(prep: Prepared, root: int) -> Schedule:
     return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), keys)
 
 
-def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
+def run_prepared(prep: Prepared, seed: int) -> Trace:
     root = derive(seed)
     sched = _schedule(prep, root)
     state = EngineState(policy=prep.scenario.policy, keys=sched.keys,
@@ -394,16 +392,13 @@ def run_prepared(prep: Prepared, seed: int, record: bool = True) -> Trace:
     for t in sched.ticks:
         for rid in sched.issues.get(t, ()):
             _apply_issue(state, rid)
-            if record:
-                events.append(Event(t, ISSUE, rid))
+            events.append(Event(t, ISSUE, rid))
         for rid in sched.delivers.get(t, ()):
             _apply_deliver(state, rid)
-            if record:
-                events.append(Event(t, DELIVER, rid))
+            events.append(Event(t, DELIVER, rid))
         for rid in _emit_orders(state):
-            if record:
-                events.append(Event(t, ORDER, rid))
-    horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain if record else -1
+            events.append(Event(t, ORDER, rid))
+    horizon = (sched.ticks[-1] if sched.ticks else 0) + prep.drain
     return Trace(events=tuple(events), final_order=tuple(state.output), seed=seed,
                  horizon=horizon)
 
@@ -412,8 +407,8 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
                seed_hi: int) -> tuple[int, int | None]:
     """Count the seeds in [seed_lo, seed_hi) whose run orders pair[0] before pair[1].
 
-    Exact shortcut for the engine: the result equals running
-    ``run_prepared(prep, seed, record=False)`` for every seed. Returns
+    Exact shortcut for the engine: the result equals reading
+    ``run_prepared(prep, seed).final_order`` for every seed. Returns
     (count, missing), where ``missing`` is the first seed whose final
     order lacks either request, or None. One rule decides every policy
     (``_decide``), and only a fair seed whose two keys tie exactly runs
@@ -488,7 +483,7 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: f
     ``roots`` gives each seed's ``derive(seed)``, in step with ``seeds``.
     The burst is emitted in key order, so the two ``_fair_key``s decide
     a seed unless they tie; a tied seed also depends on the pick stream,
-    so it runs through the engine.
+    so it runs through the engine and reads the run's final order.
     """
     a, b = pair
     policy = prep.scenario.policy
@@ -500,7 +495,7 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: f
         if key_a < key_b:
             count += 1
         elif key_a == key_b:
-            order = run_prepared(prep, seed, record=False).final_order
+            order = run_prepared(prep, seed).final_order
             count += order.index(a) < order.index(b)
     return count
 
@@ -547,10 +542,10 @@ def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> flo
     return t
 
 
-def run(scenario: ScenarioConfig, seed: int = 0, record: bool = True) -> Trace:
+def run(scenario: ScenarioConfig, seed: int = 0) -> Trace:
     """Simulate one full run under the scenario's policy; identical inputs yield
     identical traces."""
-    return run_prepared(prepare(scenario), seed, record)
+    return run_prepared(prepare(scenario), seed)
 
 
 class Step(NamedTuple):
@@ -574,20 +569,18 @@ class History:
     lists the order rows at ticks <= t in row order (negative ticks count
     as 0, rows past the horizon are ignored). ``steps`` has one entry per
     tick with such a row, since no other tick changes the received set or
-    the output. ``orders`` maps each row tick to its positions among the
-    order rows, whose ids are ``order_rids``.
+    the output. ``order_rows`` holds each order row that counts as
+    (tick, id), in row order, its tick clamped at 0.
     """
 
     steps: tuple[Step, ...]
-    orders: dict[int, list[int]]
-    order_rids: list[int]
+    order_rows: tuple[tuple[int, int], ...]
     ticks: dict[str, dict[int, int]]
 
     def output_at(self, u: int) -> tuple[int, ...]:
         """The output at tick u, rebuilt from all the order rows: callers rebuild it only
         at a tick that reorders."""
-        rows = sorted(row for t, at in self.orders.items() if t <= u for row in at)
-        return tuple(self.order_rids[row] for row in rows)
+        return tuple(rid for t, rid in self.order_rows if t <= u)
 
 
 def history_of(events, horizon: int) -> History:
@@ -599,29 +592,29 @@ def history_of(events, horizon: int) -> History:
     """
     ticks: dict[str, dict[int, int]] = {ISSUE: {}, DELIVER: {}, ORDER: {}}
     delivers: dict[int, list[int]] = {}
-    orders: dict[int, list[int]] = {}
-    order_rids: list[int] = []
-    for ev in events:
-        if ev.rid in (kind_ticks := ticks[ev.kind]):
-            raise ProtocolError(f"request {ev.rid} has a second {ev.kind} row")
-        kind_ticks[ev.rid] = ev.at_tick
-        t = max(ev.at_tick, 0)
+    orders: dict[int, list[int]] = {}  # row tick -> its order rows' places in order_rows
+    order_rows: list[tuple[int, int]] = []
+    for at_tick, kind, rid in events:
+        if rid in (kind_ticks := ticks[kind]):
+            raise ProtocolError(f"request {rid} has a second {kind} row")
+        kind_ticks[rid] = at_tick
+        t = max(at_tick, 0)
         if t > horizon:
             continue
-        if ev.kind == DELIVER:
-            delivers.setdefault(t, []).append(ev.rid)
-        elif ev.kind == ORDER:
-            orders.setdefault(t, []).append(len(order_rids))
-            order_rids.append(ev.rid)
+        if kind == DELIVER:
+            delivers.setdefault(t, []).append(rid)
+        elif kind == ORDER:
+            orders.setdefault(t, []).append(len(order_rows))
+            order_rows.append((t, rid))
     steps, last = [], -1  # last: the latest order row applied
     for t in sorted(delivers.keys() | orders):
         rows = orders.get(t, ())
         steps.append(Step(t, tuple(sorted(delivers.get(t, ()))),
-                          tuple(order_rids[row] for row in rows),
+                          tuple(order_rows[row][1] for row in rows),
                           bool(rows) and rows[0] < last))
         if rows:
             last = max(last, rows[-1])
-    return History(tuple(steps), orders, order_rids, ticks)
+    return History(tuple(steps), tuple(order_rows), ticks)
 
 
 def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
@@ -635,8 +628,7 @@ def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
     received, pending, ordered = set(), set(), set()
     for t, new_received, new_ordered, reorders in history.steps:
         snapshots.extend([snap] * (t - len(snapshots)))
-        output = history.output_at(t) if reorders else snap.output + tuple(
-            history.order_rids[row] for row in history.orders.get(t, ()))
+        output = history.output_at(t) if reorders else snap.output + new_ordered
         received.update(new_received)
         ordered.update(new_ordered)
         pending.update(rid for rid in new_received if rid not in ordered)
@@ -649,11 +641,9 @@ def snapshots_from_events(events, horizon: int) -> tuple[Snapshot, ...]:
 
 def serialize_trace(trace: Trace) -> str:
     """Line format: "tick,event_kind,request_id" rows, then the final order."""
-    if trace.horizon < 0:
-        raise ValueError("cannot serialize a trace run with record=False: it has no event rows")
     lines = [f"# fairorder-trace v1 seed={trace.seed} horizon={trace.horizon}"]
-    for ev in trace.events:
-        lines.append(f"{ev.at_tick},{ev.kind},{ev.rid}")
+    for t, kind, rid in trace.events:
+        lines.append(f"{t},{kind},{rid}")
     lines.append("order:" + ",".join(str(i) for i in trace.final_order))
     return "\n".join(lines) + "\n"
 

@@ -322,9 +322,9 @@ def _values(enum) -> tuple[str, ...]:
 # number as written, since report.csv prints it.
 NOISE = Table(NoiseSpec, {"kind": _values(NoiseKind), "epsilon": NUMBER, "sensitivity": NUMBER,
                           "bound": NUMBER, "delta": NUMBER})
-DELAY = Table(DelayModel, {"kind": _values(DelayKind), "d": NUMBER, "lo": NUMBER, "hi": NUMBER,
-                           "scale": NUMBER, "cap": NUMBER})
-DELAY.keys["per_client"] = {int: DELAY}
+CLIENT_DELAY = Table(DelayModel, {"kind": _values(DelayKind), "d": NUMBER, "lo": NUMBER,
+                                  "hi": NUMBER, "scale": NUMBER, "cap": NUMBER})
+DELAY = Table(DelayModel, {**CLIENT_DELAY.keys, "per_client": {int: CLIENT_DELAY}})
 POLICY = {"fcfs": Table(FcfsPolicy, {}), "ttl": Table(TtlPolicy, {"deadline_feature": int}),
           "fair": Table(FairPolicy, {"noise": NOISE, "direction": DIRECTIONS}, {"noise": "spec"})}
 REQUEST = Table(_request, {"id": int, "features": [float], "issue_tick": int}, of=Request)

@@ -1,15 +1,19 @@
 """Independent numerical oracles used by unit and acceptance tests."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 from heapq import heapify
+from itertools import product
 
 from scipy.integrate import quad
 
-from fairorder.adversary import apply_bribe, misreport_time
-from fairorder.engine import (DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable,
+from fairorder.adversary import DelayKind, apply_bribe, misreport_time
+from fairorder.checkers import CONSISTENCY, MONOTONIC_ORDER, ORDER_DETERMINISM, check_all
+from fairorder.engine import (DELIVER, ISSUE, ORDER, Snapshot, fair_policy_step, is_stable, run,
                               run_prepared)
 from fairorder.model import adjacent, score
-from fairorder.scenario import FairPolicy
+from fairorder.scenario import FairPolicy, FcfsPolicy, TtlPolicy
 
 
 def laplace_pdf(x, mu, b):
@@ -64,12 +68,66 @@ def engine_pair_count(prep, pair, seed_lo, seed_hi):
     a, b = pair
     count, missing = 0, None
     for seed in range(seed_lo, seed_hi):
-        order = run_prepared(prep, seed, record=False).final_order
+        order = run_prepared(prep, seed).final_order
         if a in order and b in order:
             count += order.index(a) < order.index(b)
         elif missing is None:
             missing = seed
     return count, missing
+
+
+SAFETY = (CONSISTENCY, MONOTONIC_ORDER, ORDER_DETERMINISM)
+
+
+def delay_buckets(model):
+    """[(k, Pr[ceil(d) = k])] for a delay d drawn from a constant or uniform ``model``,
+    exact. A uniform draw lies in (lo, hi), so the bucket (k - 1, k] has probability
+    |(k - 1, k] & [lo, hi]| / (hi - lo); a model with lo == hi has one bucket."""
+    if model.kind is DelayKind.CONSTANT:
+        return [(math.ceil(model.d), Fraction(1))]
+    assert model.kind is DelayKind.UNIFORM, model
+    lo, hi = Fraction(model.lo), Fraction(model.hi)
+    if lo == hi:
+        return [(math.ceil(lo), Fraction(1))]
+    widths = [(k, min(hi, k) - max(lo, k - 1)) for k in range(math.ceil(lo), math.ceil(hi) + 1)]
+    return [(k, w / (hi - lo)) for k, w in widths if w > 0]
+
+
+def exact_pair_probability(scenario, pair):
+    """Pr[pair[0] is ordered before pair[1]] over the drawn delays, as a Fraction.
+
+    For fcfs, or ttl whose deadline feature is not eta, with constant or
+    uniform delays and at most 6 requests that draw. There a key does not
+    depend on the delay, so every combination of delivery buckets
+    (``delay_buckets``) is one engine run with those ticks as
+    ``deliver_overrides``: an order rule apart from the pair kernel. Every
+    enumerated trace passes the safety verdicts of ``check_all``, and all
+    four when every request is delivered.
+    """
+    policy = scenario.policy
+    assert isinstance(policy, FcfsPolicy) or (
+        isinstance(policy, TtlPolicy) and policy.deadline_feature != scenario.eta_feature)
+    outcomes = [[(r.id, r.issue_tick + k, q)
+                 for k, q in delay_buckets(scenario.delay.for_client(r.client_id))]
+                for r in scenario.reported if r.id not in scenario.deliver_overrides]
+    assert sum(len(choices) > 1 for choices in outcomes) <= 6
+    a, b = pair
+    p = Fraction(0)
+    for combo in product(*outcomes):
+        overrides = dict(scenario.deliver_overrides)
+        weight = Fraction(1)
+        for rid, tick, q in combo:
+            overrides[rid] = tick
+            weight *= q
+        trace = run(replace(scenario, deliver_overrides=overrides))
+        delivered = None not in overrides.values()
+        failed = [v for v in check_all(trace)
+                  if not v.passed and (delivered or v.property in SAFETY)]
+        assert not failed, (overrides, failed)
+        order = trace.final_order
+        if a in order and b in order and order.index(a) < order.index(b):
+            p += weight
+    return p
 
 
 def pairwise_noise_bound(requests, part, lam):

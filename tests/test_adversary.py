@@ -42,6 +42,12 @@ class TestDelays:
         tick, _ = apply_delay(req(client=7), model, Stream(0), 1)
         assert tick == 4
 
+    def test_per_client_model_cannot_have_its_own_overrides(self):
+        inner = DelayModel(kind="constant", d=1.0,
+                           per_client={0: DelayModel(kind="constant", d=100.0)})
+        with pytest.raises(ParameterError, match="its own per_client"):
+            DelayModel(per_client={0: inner})
+
     def test_delay_lands_in_eta_not_relev(self):
         _, bumped = apply_delay(req(relev=9.0), DelayModel(kind="constant", d=2.0),
                                 Stream(0), eta_feature=1)

@@ -35,11 +35,10 @@ def test_every_wrapped_attribute_exists():
     assert missing == []
 
 
-def test_only_recorded_runs_carry_snapshots():
+def test_every_run_carries_snapshots():
     # The traced pass counts events and horizon ticks of runs whose snapshots are truthy.
     scenario = two_request_gap_scenario(gap=1.0)
     assert run(scenario, seed=3).snapshots
-    assert not run(scenario, seed=3, record=False).snapshots
 
 
 def test_setup_probe_loads_and_lints_a_scenario_and_builds_a_sweep(tmp_path, capsys):

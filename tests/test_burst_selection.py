@@ -47,7 +47,7 @@ def run_with(emit, prep, seed):
         return emit(state)
 
     with mock.patch.object(engine, "_emit_orders", spy):
-        trace = run_prepared(prep, seed, record=True)
+        trace = run_prepared(prep, seed)
     return trace, states[0].pick_stream.next_u64() if states else None
 
 
@@ -226,7 +226,7 @@ def test_one_burst_checks_stability_a_linear_number_of_times(policy, stragglers)
     with mock.patch.object(engine, "is_stable", wraps=engine.is_stable) as checks, \
             mock.patch.object(engine, "EngineState",
                               lambda **kw: make_state(in_flight=in_flight, **kw)):
-        trace = run_prepared(prep, 7, record=True)
+        trace = run_prepared(prep, 7)
     assert {trace.order_ticks[i] for i in range(n)} == {n}
     assert len(trace.final_order) == n + stragglers
     # One failed check per delivery tick before the burst, one per order in it;
@@ -264,7 +264,7 @@ def test_a_run_builds_no_request(policy):
     with mock.patch.object(Request, "__post_init__", autospec=True,
                            side_effect=post_init) as built, \
             mock.patch.object(engine, "_emit_orders", spy):
-        trace = run_prepared(prep, 7, record=True)
+        trace = run_prepared(prep, 7)
     assert len(trace.final_order) == 200
     assert built.call_count == 0
     # The run's state holds ids: its in-flight set and ready queue carry no Request.

@@ -421,6 +421,10 @@ INVALID_FIELDS = {
     "gating_as_text": ("run", {"stability_gating": "false"},
                        'stability_gating: expected a boolean, got "false"'),
     "misspelled_key": ("run", {"stabilty_gating": False}, "stabilty_gating: unknown key"),
+    # A per-client model is one level deep.
+    "nested_per_client": ("run", {"delay": {"kind": "constant", "d": 0, "per_client": {
+        "0": {"kind": "constant", "d": 1, "per_client": {"0": {"kind": "constant", "d": 100}}}}}},
+                          "delay.per_client.0.per_client: unknown key"),
     "fractional_issue_tick": ("run", _one_request(issue_tick=2.7),
                               "clients[0].requests[0].issue_tick: expected an integer, got 2.7"),
     "lambda_as_bool": ("run", {"lambda": True}, "lambda: expected a number, got true"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gen import random_scenario
@@ -107,7 +109,7 @@ class TestFairPolicy:
         scenario = two_request_gap_scenario(gap=0.0, epsilon=1.0)
         prep = prepare(scenario)
         n = 20_000
-        first = sum(run_prepared(prep, s, record=False).final_order[0] == 0
+        first = sum(run_prepared(prep, s).final_order[0] == 0
                     for s in range(n))
         assert first / n == pytest.approx(0.5, abs=0.012)
 
@@ -191,16 +193,17 @@ class TestRunInvariants:
             # drained run: everything delivered got ordered
             assert set(trace.final_order) == set(trace.deliver_ticks)
 
+    @pytest.mark.parametrize("gating", [True, False])
     @pytest.mark.parametrize("policy_kind", ["fcfs", "ttl", "fair"])
-    def test_lite_mode_matches_recorded_mode(self, policy_kind):
+    def test_every_run_records_a_trace_that_round_trips(self, policy_kind, gating):
+        # final_order is kept as a field; it must be what the rows say.
         gen = Stream(99)
         for _ in range(25):
-            scenario = random_scenario(gen, policy_kind)
-            prep = prepare(scenario)
-            seed = gen.randrange(10_000)
-            full = run_prepared(prep, seed, record=True)
-            lite = run_prepared(prep, seed, record=False)
-            assert full.final_order == lite.final_order
+            scenario = replace(random_scenario(gen, policy_kind), stability_gating=gating)
+            trace = run(scenario, seed=gen.randrange(10_000))
+            assert trace.horizon >= 0
+            assert parse_trace(serialize_trace(trace)) == trace
+            assert trace.final_order == trace.history.output_at(trace.horizon)
 
     def test_pure_function_of_inputs(self):
         gen = Stream(5)

@@ -101,14 +101,6 @@ def test_rows_at_negative_ticks_only_end_at_tick_0():
     assert again.snapshots[0].received == {0}
 
 
-def test_an_unrecorded_trace_cannot_be_serialized():
-    # record=False keeps no rows and horizon -1, which parse_trace would reject.
-    trace = run(random_scenario(Stream(3), "fair"), seed=3, record=False)
-    assert trace.horizon == -1
-    with pytest.raises(ValueError, match="record=False"):
-        serialize_trace(trace)
-
-
 @settings(max_examples=200, deadline=None)
 @given(rows=hand_written_rows(), data=st.data())
 def test_a_row_past_the_header_horizon_is_rejected(rows, data):

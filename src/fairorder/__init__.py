@@ -23,11 +23,11 @@ from .quorum import (QuorumView, check_prefix_consistency, global_ordered,
                      global_received, replicate_trace)
 from .randomizer import (ByzantineStrategy, RandomizerOutcome, ReplicaSet,
                          check_agreement, run_randomizer)
-from .scenario import (FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy,
+from .scenario import (FairPolicy, FcfsPolicy, ScenarioConfig, TrialsBlock, TtlPolicy,
                        lint_scenario, load_scenario, scenario_from_dict,
                        two_request_gap_scenario)
 from .stats import (FairnessReport, certify_additive, certify_k_ordering_equality,
-                    certify_ordering_equality, estimate_order_probability,
+                    certify_ordering_equality, certify_scenario, estimate_order_probability,
                     hoeffding_radius)
 
 __version__ = "0.1.0"

@@ -18,14 +18,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import checkers, quorum, randomizer, stats
 from .engine import parse_trace, run, serialize_trace
 from .model import ParameterError
-from .noise import ConfigurationError, order_probability_at_gap, uniform_delta
+from .noise import ConfigurationError, order_probability_at_gap
 from .rng import derive, tag
-from .scenario import (FairPolicy, ScenarioConfig, lint_scenario, load_scenario,
+from .scenario import (ScenarioConfig, TrialsBlock, lint_scenario, load_scenario,
                        randomizer_from_dict, read_input, sweep_from_dict,
                        two_request_gap_scenario)
 
@@ -100,45 +101,20 @@ def cmd_check(args) -> int:
     return _report(args, checkers.check_all(read_input(args.trace, "trace", parse_trace)))
 
 
-def _certify_report(scenario: ScenarioConfig, report: stats.FairnessReport):
-    """Pick the certifier matching the scenario's mechanism."""
-    noise = scenario.noise
-    if isinstance(scenario.policy, FairPolicy) and scenario.policy.spec is not None:
-        noise = scenario.policy.spec
-    force_k = scenario.trials.force_k if scenario.trials else None
-    if noise is not None and noise.kind.value == "uniform":
-        delta = noise.delta
-        if delta is None:
-            delta = uniform_delta(scenario.lam, noise.bound)
-        return stats.certify_additive(report, 0.0, delta)
-    epsilon = noise.epsilon if noise is not None else 1.0
-    if force_k is not None:
-        return stats.certify_k_ordering_equality(report, epsilon, k=force_k)
-    if report.k_relev == 0:
-        return stats.certify_ordering_equality(report, epsilon)
-    return stats.certify_k_ordering_equality(report, epsilon)
-
-
 def cmd_certify(args) -> int:
     scenario = load_scenario(args.config)
     if scenario.trials is None or scenario.trials.pair is None:
         print("error: certify needs a trials block with a pair", file=sys.stderr)
         return EXIT_CONFIG
-    trials = scenario.trials
-    n_trials = _trial_count(args, trials.n_trials)
+    n_trials = _trial_count(args, scenario.trials.n_trials)
     seed = _resolve_seed(args, scenario)
-    warnings = lint_scenario(scenario)
-    for warning in warnings:
+    for warning in lint_scenario(scenario):
         print(f"warning: {warning}")
     try:
-        report = stats.estimate_order_probability(
-            scenario, trials.pair, n_trials, seed,
-            confidence=trials.confidence, jobs=args.jobs,
-        )
+        report = stats.certify_scenario(scenario, n_trials, seed, jobs=args.jobs)
     except stats.LivenessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIVENESS
-    report = _certify_report(scenario, report)
     _write(args, "report.csv", stats.reports_csv([report]))
     status = report.verdict
     if not report.in_contract:
@@ -158,10 +134,10 @@ def cmd_sweep(args) -> int:
     sweep_tag = tag("sweep")
     cells = [(e, n) for e in grid.epsilons for n in grid.gaps]
     for cell, (epsilon, n) in enumerate(cells):
-        scenario = two_request_gap_scenario(gap=n, epsilon=epsilon, lam=grid.lam)
-        report = stats.estimate_order_probability(
-            scenario, (0, 1), n_trials, derive(base_seed, sweep_tag, cell), jobs=args.jobs)
-        report = stats.certify_k_ordering_equality(report, epsilon, k=n)
+        seed = derive(base_seed, sweep_tag, cell)
+        scenario = replace(two_request_gap_scenario(gap=n, epsilon=epsilon, lam=grid.lam),
+                           trials=TrialsBlock(n_trials, seed, pair=(0, 1), force_k=n))
+        report = stats.certify_scenario(scenario, n_trials, seed, jobs=args.jobs)
         analytic = order_probability_at_gap(n, epsilon)[0]
         lines.append(
             f"{epsilon},{n},{analytic},{report.p_hat},{report.ratio_hat},"

@@ -46,7 +46,6 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 
-from .adversary import DelayKind, delayed
 from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
 from .model import Request, score_parts
 from .noise import sample_state
@@ -278,7 +277,7 @@ class PlanEntry(NamedTuple):
 
     request: Request
     tick: int | None
-    delay_at: Callable[[float], float] | None  # the client's resolved delay model
+    delay_at: Callable[[float], float] | None  # its client model's, one per model
     relev: float
     values: tuple[float, ...]
 
@@ -318,21 +317,14 @@ class Prepared:
 
 
 def prepare(scenario: ScenarioConfig) -> Prepared:
-    """Compile the plan of the scenario's reported requests (adversaries applied at
-    load): deliveries and score parts, once. A run orders by ``scenario.policy``."""
-    part, delay, eta = scenario.partition, scenario.delay, scenario.eta_feature
-    plan = []
-    for r in scenario.reported:
-        model, tick, delay_at = delay.for_client(r.client_id), None, None
-        if r.id in scenario.deliver_overrides:
-            tick = scenario.deliver_overrides[r.id]
-        elif model.kind is DelayKind.CONSTANT:
-            tick, r = delayed(r, model.d, eta)
-        else:
-            delay_at = model.delay_at
-        plan.append(PlanEntry(r, tick, delay_at, *score_parts(r, part)))
-    slot = list(part.irrelevant).index(eta)  # in score's summation order
-    return Prepared(scenario, scenario.drain(), tuple(plan), slot)
+    """Compile the plan of the scenario's ``deliveries`` (adversaries applied at load,
+    constant delays folded in) with their score parts, once. A run orders by
+    ``scenario.policy``."""
+    part = scenario.partition
+    plan = tuple([PlanEntry(r, tick, delay_at, *score_parts(r, part))
+                  for r, tick, delay_at in scenario.deliveries()])
+    slot = list(part.irrelevant).index(scenario.eta_feature)  # in score's summation order
+    return Prepared(scenario, scenario.drain(), plan, slot)
 
 
 def _key_of(prep: Prepared) -> Callable[[PlanEntry, float, float], Key]:

@@ -25,7 +25,6 @@ from itertools import combinations
 from .checkers import Verdict
 from .engine import Trace
 from .model import ParameterError
-from .noise import ConfigurationError
 from .randomizer import ReplicaSet
 
 PREFIX_CONSISTENCY = "prefix_consistency"
@@ -40,10 +39,7 @@ class QuorumView:
     lags: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.lags) != self.n:
-            raise ConfigurationError("need one lag per server")
-        if any(lag < 0 for lag in self.lags):
-            raise ConfigurationError("lags must be non-negative")
+        self.replicas.check_lags(self.lags)
 
     @property
     def n(self) -> int:

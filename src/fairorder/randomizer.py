@@ -59,6 +59,13 @@ class ReplicaSet:
     def correct_ids(self) -> frozenset[int]:
         return frozenset(range(self.n)) - self.byzantine_ids
 
+    def check_lags(self, lags) -> None:
+        """A quorum view's lags, for the view and the loader: one per server, none negative."""
+        if len(lags) != self.n:
+            raise ConfigurationError("need one lag per server")
+        if any(lag < 0 for lag in lags):
+            raise ConfigurationError("lags must be non-negative")
+
 
 @dataclass(frozen=True)
 class RandomizerOutcome:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .adversary import ByzantineClientSpec, DelayKind, DelayModel, apply_bribe, misreport_time
+from .adversary import (ByzantineClientSpec, DelayKind, DelayModel, apply_bribe, delayed,
+                        misreport_time)
 from .model import (FeaturePartition, ParameterError, Request, check_noise_bound, is_finite,
                     max_eta_gap, score)
 from .noise import ConfigurationError, NoiseKind, NoiseSpec
@@ -132,7 +134,6 @@ class ScenarioConfig:
     assume_noise_bound: bool = True
     deliver_overrides: dict[int, int | None] = field(default_factory=dict)
     fee_mode: bool = False
-    fee_gap_lint_multiplier: float = 10.0
     multi_server: MultiServerBlock | None = None
     trials: TrialsBlock | None = None
 
@@ -161,11 +162,7 @@ class ScenarioConfig:
             raise ConfigurationError("ttl deadline feature out of range")
         if self.multi_server is not None:
             ms = self.multi_server
-            ReplicaSet(ms.n, ms.f, ms.byzantine_servers)  # validates n, f and the Byzantine ids
-            if len(ms.lags) != ms.n:
-                raise ConfigurationError("need one lag per server")
-            if any(lag < 0 for lag in ms.lags):
-                raise ConfigurationError("lags must be non-negative")
+            ReplicaSet(ms.n, ms.f, ms.byzantine_servers).check_lags(ms.lags)  # checks every field
         if self.trials is not None:
             if self.trials.n_trials <= 0:
                 raise ConfigurationError("n_trials must be positive")
@@ -225,6 +222,24 @@ class ScenarioConfig:
             return self.drain_ticks
         return math.ceil(self.delay.max_delay()) + 1
 
+    def deliveries(self) -> list[tuple[Request, int | None, Callable[[float], float] | None]]:
+        """Each reported request as the server perceives it before the noise mechanism,
+        with its delivery tick (None: never, or drawn) and its client model's ``delay_at``
+        to draw with (one bound method per model), for ``prepare`` and the lint. A constant
+        delay is folded into eta (``delayed``); a drawn one varies by trial, so it is not."""
+        delay, eta, out = self.delay, self.eta_feature, []
+        draw, draw_root = {cid: m.delay_at for cid, m in delay.per_client.items()}, delay.delay_at
+        for r in self.reported:
+            model = delay.for_client(r.client_id)
+            if r.id in self.deliver_overrides:
+                out.append((r, self.deliver_overrides[r.id], None))
+            elif model.kind is DelayKind.CONSTANT:
+                tick, r = delayed(r, model.d, eta)
+                out.append((r, tick, None))
+            else:
+                out.append((r, None, draw.get(r.client_id, draw_root)))
+        return out
+
 
 def two_request_gap_scenario(gap: float = 0.0, epsilon: float = 1.0, lam: float = 1.0,
                              kind: str = "laplace", bound: float | None = None,
@@ -257,34 +272,30 @@ def two_request_gap_scenario(gap: float = 0.0, epsilon: float = 1.0, lam: float 
 def lint_scenario(config: ScenarioConfig) -> list[str]:
     """Non-fatal scenario diagnostics.
 
-    Flags a broken noise-bound assumption (adversary magnitudes or
-    declared eta gaps beyond lambda) and, in fee mode, relevant-fee
-    classes that sit closer together than the configured multiple of
-    lambda.
+    Flags a broken noise-bound assumption: an eta gap beyond lambda between
+    adjacent requests as the server perceives them before the mechanism
+    (``deliveries``: bribes, misreports and constant delays folded in, which
+    is what a report's ``in_contract`` reads), or a delay model that can
+    spread eta beyond lambda. In fee mode it also flags relevant-fee classes
+    that sit closer together than 10 lambda.
     """
     warnings: list[str] = []
-    part, reqs = config.partition, config.reported
+    part, reqs = config.partition, [r for r, _, _ in config.deliveries()]
     if config.assume_noise_bound and not check_noise_bound(reqs, part, config.lam):
         warnings.append(
             "assumption-violation: adjacent eta gap exceeds lambda "
             f"(max eta gap over all pairs {max_eta_gap(reqs, part):.6g}, lambda {config.lam:.6g})"
         )
-    if config.assume_noise_bound:
-        delay_spread = config.delay.max_delay() - config.delay.min_delay()
-        if delay_spread > config.lam:
-            warnings.append(
-                f"assumption-violation: delay model can spread eta by {delay_spread:.6g}, "
-                f"beyond lambda {config.lam:.6g}"
-            )
+    delay_spread = config.delay.max_delay() - config.delay.min_delay()
+    if config.assume_noise_bound and delay_spread > config.lam:
+        warnings.append(
+            f"assumption-violation: delay model can spread eta by {delay_spread:.6g}, "
+            f"beyond lambda {config.lam:.6g}"
+        )
     if config.fee_mode:
         fees = sorted({score(r, part).relev for r in reqs})
-        floor = config.fee_gap_lint_multiplier * config.lam
-        for a, b in zip(fees, fees[1:]):
-            if 0 < b - a < floor:
-                warnings.append(
-                    f"fee-gap: distinct fee classes {a:g} and {b:g} differ by less than "
-                    f"{config.fee_gap_lint_multiplier:g}x lambda"
-                )
+        warnings += [f"fee-gap: distinct fee classes {a:g} and {b:g} differ by less than "
+                     "10x lambda" for a, b in zip(fees, fees[1:]) if 0 < b - a < 10 * config.lam]
     return warnings
 
 
@@ -338,8 +349,8 @@ SCENARIO = Table(_scenario, {
     "feature_count": int, "relevant": [int], "lambda": float, "clients": [CLIENT],
     "eta_feature": int, "delay": DELAY, "adversaries": [ADVERSARY], "noise": NOISE,
     "policy": POLICY, "drain_ticks": int, "stability_gating": bool, "assume_noise_bound": bool,
-    "deliver_overrides": {int: Nullable(int)}, "fee_mode": bool, "fee_gap_lint_multiplier": float,
-    "multi_server": MULTI_SERVER, "trials": TRIALS,
+    "deliver_overrides": {int: Nullable(int)}, "fee_mode": bool, "multi_server": MULTI_SERVER,
+    "trials": TRIALS,
 }, {"lambda": "lam", "clients": "requests"}, of=ScenarioConfig)
 SWEEP = Table(SweepBlock, {"epsilons": [float], "gaps": [float], "n_trials": int,
                            "base_seed": int, "lambda": float}, {"lambda": "lam"})

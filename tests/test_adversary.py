@@ -1,10 +1,15 @@
+import json
+
 import pytest
 
 from fairorder.adversary import (ByzantineClientSpec, DelayModel, apply_bribe,
                                  apply_delay, misreport_time)
+from fairorder.cli import main
 from fairorder.model import FeaturePartition, ParameterError, Request, check_noise_bound, score
+from fairorder.noise import NoiseSpec
 from fairorder.rng import Stream
-from fairorder.scenario import ScenarioConfig, lint_scenario
+from fairorder.scenario import FairPolicy, ScenarioConfig, TrialsBlock, lint_scenario
+from fairorder.stats import certify_scenario
 
 PART = FeaturePartition.from_relevant([0], feature_count=2)
 
@@ -171,3 +176,45 @@ class TestScenarioLint:
         ok = replace(self.scenario(bribe=0.0),
                      delay=DelayModel(kind="uniform", lo=0.0, hi=5.0))
         assert lint_scenario(ok) == []
+
+    def test_fee_gap_warning_is_at_ten_lambda(self):
+        assert lint_scenario(self.scenario(bribe=0.0, fee_gap=49.0)) == [
+            "fee-gap: distinct fee classes 100 and 149 differ by less than 10x lambda"]
+        assert lint_scenario(self.scenario(bribe=0.0, fee_gap=50.0)) == []
+
+    def test_the_fee_gap_multiplier_is_not_a_key(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({
+            "feature_count": 2, "relevant": [0], "lambda": 1.0, "eta_feature": 1,
+            "clients": [], "fee_mode": True, "fee_gap_lint_multiplier": 3.0}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: fee_gap_lint_multiplier: unknown key\n"
+
+
+# Lambda 5, two adjacent same-tick requests under a fair policy, each client's constant
+# delay and bribe as given: lint and a report's in_contract read the same requests, the
+# reported ones with each one's constant delay folded into eta.
+CONSTANT_DELAY_CASES = {
+    # client 1's delay 4 and bribe 2: eta gap 6 once the delay is folded in, 2 without
+    "A": ({1: 4.0}, 2.0, False),
+    # client 0's delay 4 against client 1's bribe 6: the perceived gap is 2
+    "B": ({0: 4.0}, 6.0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_DELAY_CASES))
+def test_lint_and_in_contract_give_one_answer(case):
+    delays, bribe, in_contract = CONSTANT_DELAY_CASES[case]
+    noise = NoiseSpec("laplace", 1.0, sensitivity=5.0)
+    scenario = ScenarioConfig(
+        feature_count=2, relevant=(0,), lam=5.0,
+        requests=(req(0, relev=1.0, client=0), req(1, relev=1.0, client=1)), eta_feature=1,
+        delay=DelayModel(per_client={c: DelayModel(d=d) for c, d in delays.items()}),
+        adversaries=(ByzantineClientSpec(client_id=1, bribe=bribe),),
+        noise=noise, policy=FairPolicy(noise),
+        trials=TrialsBlock(200, pair=(0, 1)))
+    report = certify_scenario(scenario, 200, 0)
+    assert report.in_contract is in_contract
+    warning = ("assumption-violation: adjacent eta gap exceeds lambda "
+               "(max eta gap over all pairs 6, lambda 5)")
+    assert lint_scenario(scenario) == ([] if in_contract else [warning])

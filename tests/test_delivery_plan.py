@@ -211,3 +211,23 @@ def test_tied_burst_of_out_of_order_clients_keeps_its_runs(delay, gating):
     for pair, count in TIED_COUNTS.items():
         assert pair_count(prep, pair, 0, 200) == (count, None)
         assert engine_pair_count(prep, pair, 0, 200) == (count, None)
+
+
+def test_entries_of_one_client_model_share_one_delay_callable():
+    # Clients 0 and 2 draw from the root model, client 1 from its own, client 3 is
+    # constant; request 1, client 0's second, has an override. Two requests per client.
+    delay = DelayModel(kind="uniform", lo=0.0, hi=3.0,
+                       per_client={1: DelayModel(kind="capped_heavy_tail", scale=1.0, cap=4.0),
+                                   3: DelayModel(d=2.0)})
+    reqs = tuple(Request(id=2 * c + k, client_id=c, features=(1.0, 0.0), issue_tick=k)
+                 for c in range(4) for k in range(2))
+    scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                              eta_feature=1, delay=delay, deliver_overrides={1: 3})
+    calls = {}
+    for e in prepare(scenario).plan:
+        calls.setdefault(e.request.client_id, []).append(e.delay_at)
+    assert calls[3] == [None, None] and calls[0][1] is None
+    root, own = calls[0][0], calls[1][0]
+    assert all(f is root for f in calls[2]) and all(f is own for f in calls[1])
+    assert root is not own
+    assert root.__self__ is delay and own.__self__ is delay.per_client[1]

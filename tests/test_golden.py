@@ -485,6 +485,10 @@ GOLDEN_TRACES = {
                 ),
             },
             (
+                # Lint reads the requests with constant delays folded in: client 0's delay
+                # of 0 against the others' 1.5 breaks the adjacent eta bound of lambda 1.
+                'warning: assumption-violation: adjacent eta gap exceeds lambda '
+                '(max eta gap over all pairs 1.5, lambda 1)\n'
                 'warning: assumption-violation: delay model can spread eta by 1.5, beyond lambda 1\n'
                 'order_determinism,pass,\n'
                 'non_blocking,pass,\n'

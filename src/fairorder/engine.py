@@ -48,14 +48,17 @@ from typing import NamedTuple
 
 from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
 from .model import Request, score_parts
-from .noise import sample_state
+from .noise import value_at
 from .noise import sample  # noqa: F401  (bench/tracing.py wraps engine.sample)
-from .rng import Stream, child, derive, first_random, tag
+from .rng import Lanes, Stream, child, derive, first_random, tag
 from .scenario import FairPolicy, FcfsPolicy, Policy, ScenarioConfig, TtlPolicy
 
 TAG_DELAY = tag("delay")
 TAG_NOISE = tag("noise")
 TAG_PICK = tag("pick")
+
+BLOCK = 1024  # seeds whose streams ``pair_count`` derives at once, as ``rng.Lanes``
+BURST = "burst"  # ``_decide``: the pair is ordered in one fair burst
 
 # A selection key, least first: (delivery tick, id), (deadline, id) or ``_fair_key``.
 Key = tuple[float, int] | float
@@ -132,9 +135,14 @@ class Trace:
 def _fair_key(policy: FairPolicy, total: float, prefix: int, rid: int) -> float:
     """A fair request's key: its perceived total plus its noise sample, negated for
     ``highest_first``, so the least key goes first either way. ``prefix`` is
-    ``child(derive(seed), TAG_NOISE)``, so the noise is ``derive(seed, TAG_NOISE, rid)``'s."""
+    ``child(derive(seed), TAG_NOISE)``, so the noise is ``derive(seed, TAG_NOISE, rid)``'s:
+    ``value_at`` its first draw, as ``_burst_count`` takes it from lanes."""
     spec = policy.spec
-    adjusted = total + (0.0 if spec is None else sample_state(spec, child(prefix, rid)))
+    if spec is None:
+        adjusted = total + 0.0
+    else:
+        state = child(prefix, rid)
+        adjusted = total + value_at(spec, first_random(state), state)
     return -adjusted if policy.direction == "highest_first" else adjusted
 
 
@@ -322,7 +330,7 @@ def prepare(scenario: ScenarioConfig) -> Prepared:
     ``scenario.policy``."""
     part = scenario.partition
     plan = tuple([PlanEntry(r, tick, delay_at, *score_parts(r, part))
-                  for r, tick, delay_at in scenario.deliveries()])
+                  for r, tick, delay_at in scenario.deliveries])
     slot = list(part.irrelevant).index(scenario.eta_feature)  # in score's summation order
     return Prepared(scenario, scenario.drain(), plan, slot)
 
@@ -412,6 +420,8 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     ``_key_of``, as in ``_schedule``. When requests block (gated fair or
     ttl), a seed draws every drawn entry; otherwise only the pair's own.
     When no request that matters draws, the range is decided at once.
+    The seeds go in blocks of ``BLOCK``, and each block takes its roots,
+    delay prefixes and pair noise draws (``_pair_noise``) from ``rng.Lanes``.
 
     A seed draws the pair's own delays first. Gated fair, with every
     request delivered at some tick, a pair delivered at or after the last
@@ -436,7 +446,14 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
              for i, e in enumerate(plan) if e.delay_at is not None and (blocked or i in at)]
     seeds = range(seed_lo, seed_hi)
     if not drawn:
-        return _decide(prep, pair, ticks, keys, at, issue_ticks, blocked, seeds, map(derive, seeds))
+        first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
+        if first is None:
+            return 0, seeds[0] if seeds else None
+        if first is not BURST:
+            return len(seeds) * first, None
+        total_a, total_b = keys[at[0]], keys[at[1]]
+        return sum(_burst_count(prep, pair, block, _pair_noise(policy, pair, Lanes.derive(block)),
+                                total_a, total_b) for block in _blocks(seeds)), None
     own = [d for d in drawn if d[0] in at]
     rest = [d for d in drawn if d[0] not in at]
     # The final burst needs a latest delivery: no request may be never delivered.
@@ -444,66 +461,100 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     last_issue, (ia, ib) = issue_ticks[-1], at
     ceil = math.ceil
     count, missing = 0, None
-    for seed in seeds:
-        # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
-        root = derive(seed)
-        prefix = child(root, TAG_DELAY)
-        for i, issue, delay_at, rid, e in own:
-            d = _draw_delay(delay_at, prefix, rid)
-            ticks[i] = issue + ceil(d)
-            keys[i] = key(e, d, ticks[i])
-        if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
-            count += _burst_count(prep, pair, (seed,), (root,), keys[ia], keys[ib])
-            continue
-        for i, issue, delay_at, rid, e in rest:
-            d = _draw_delay(delay_at, prefix, rid)
-            ticks[i] = issue + ceil(d)
-            if not fair:  # only gated ttl reads another request's key: its blockers'
+    for block in _blocks(seeds):
+        roots = Lanes.derive(block)
+        prefixes = roots.child(TAG_DELAY).values()
+        noise = _pair_noise(policy, pair, roots) if fair else None
+        for j, seed in enumerate(block):
+            # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
+            prefix = prefixes[j]
+            for i, issue, delay_at, rid, e in own:
+                d = _draw_delay(delay_at, prefix, rid)
+                ticks[i] = issue + ceil(d)
                 keys[i] = key(e, d, ticks[i])
-        seed_count, seed_missing = _decide(prep, pair, ticks, keys, at, issue_ticks, blocked,
-                                           (seed,), (root,))
-        count += seed_count
-        if missing is None:
-            missing = seed_missing
+            if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
+                first = BURST
+            else:
+                for i, issue, delay_at, rid, e in rest:
+                    d = _draw_delay(delay_at, prefix, rid)
+                    ticks[i] = issue + ceil(d)
+                    if not fair:  # only gated ttl reads another request's key: its blockers'
+                        keys[i] = key(e, d, ticks[i])
+                first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
+            if first is BURST:
+                draws = None if noise is None else [column[j:j + 1] for column in noise]
+                count += _burst_count(prep, pair, (seed,), draws, keys[ia], keys[ib])
+            elif first is None:
+                if missing is None:
+                    missing = seed
+            else:
+                count += first
     return count, missing
 
 
-def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, roots, total_a: float,
+def _blocks(seeds: range):
+    """``seeds`` in consecutive ranges of ``BLOCK``, the last one shorter."""
+    return (seeds[k:k + BLOCK] for k in range(0, len(seeds), BLOCK))
+
+
+def _pair_noise(policy: FairPolicy, pair: tuple[int, int], roots: Lanes) -> tuple | None:
+    """The pair's noise draws in each lane of roots ``derive(seed)``, as four columns
+    ``(u_a, state_a, u_b, state_b)``: ``state_a`` is ``derive(seed, TAG_NOISE, pair[0])``
+    and ``u_a`` its ``first_random``, and likewise for pair[1]. None when the policy
+    adds no noise."""
+    if policy.spec is None:
+        return None
+    prefix = roots.child(TAG_NOISE)
+    a, b = prefix.child(pair[0]), prefix.child(pair[1])
+    return a.first_random(), a.values(), b.first_random(), b.values()
+
+
+def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, noise, total_a: float,
                  total_b: float) -> int:
     """Seeds on which pair[0] precedes pair[1], both ordered in one fair burst.
 
-    ``roots`` gives each seed's ``derive(seed)``, in step with ``seeds``.
-    The burst is emitted in key order, so the two ``_fair_key``s decide
-    a seed unless they tie; a tied seed also depends on the pick stream,
-    so it runs through the engine and reads the run's final order.
+    ``noise`` holds the pair's noise draws (``_pair_noise``), each column
+    in step with ``seeds``. The burst is emitted in key order, so the two
+    ``_fair_key``s, taken seed by seed from the draws, decide a seed
+    unless they tie; a tied seed also depends on the pick stream, so it
+    runs through the engine and reads the run's final order.
     """
-    a, b = pair
     policy = prep.scenario.policy
+    spec, high = policy.spec, policy.direction == "highest_first"
+    if spec is None:  # every seed's keys are the two totals
+        if total_a != total_b:
+            return len(seeds) * ((total_a > total_b) if high else (total_a < total_b))
+        return sum(_engine_first(prep, pair, seed) for seed in seeds)
     count = 0
-    for seed, root in zip(seeds, roots):
-        prefix = child(root, TAG_NOISE)
-        key_a = _fair_key(policy, total_a, prefix, a)
-        key_b = _fair_key(policy, total_b, prefix, b)
-        if key_a < key_b:
+    for seed, u_a, state_a, u_b, state_b in zip(seeds, *noise):
+        adj_a = total_a + value_at(spec, u_a, state_a)
+        adj_b = total_b + value_at(spec, u_b, state_b)
+        if adj_a == adj_b:
+            count += _engine_first(prep, pair, seed)
+        elif (adj_a > adj_b) if high else (adj_a < adj_b):  # _fair_key's negation, exactly
             count += 1
-        elif key_a == key_b:
-            order = run_prepared(prep, seed).final_order
-            count += order.index(a) < order.index(b)
     return count
 
 
-def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, keys: list, at: tuple[int, int],
-            issue_ticks: list[int], blocked: bool, seeds, roots) -> tuple[int, int | None]:
-    """(count, missing) over ``seeds``, which all give these delivery ticks (inf: never)
-    and keys, listed by issue tick with the pair at ``at``; ``roots`` gives each
-    seed's ``derive(seed)``, in step with ``seeds``.
+def _engine_first(prep: Prepared, pair: tuple[int, int], seed: int) -> bool:
+    """Whether the seed's engine run orders pair[0] before pair[1]."""
+    order = run_prepared(prep, seed).final_order
+    return order.index(pair[0]) < order.index(pair[1])
+
+
+def _decide(prep: Prepared, ticks: list, keys: list, at: tuple[int, int],
+            issue_ticks: list[int], blocked: bool) -> int | str | None:
+    """Whether pair[0] goes first on a seed that gives these delivery ticks (inf: never)
+    and keys, listed by issue tick with the pair at ``at``: 1 or 0; None if either is
+    never ordered; ``BURST`` if both are ordered in one fair burst, where the seed's
+    noise decides (``_burst_count``).
 
     A pair request is ordered at the first tick at or after its delivery
     at which none of its blockers is in flight (``_order_tick``). When
     ``blocked`` (gating on, not fcfs), every request blocks under fair
     and a request with a lesser key under ttl; otherwise none does (an
     in-flight fcfs request always has a later key). Two requests ordered
-    at one tick go in key order: a fair burst, which ``_burst_count`` decides.
+    at one tick go in key order.
     """
     fair = isinstance(prep.scenario.policy, FairPolicy)
     ia, ib = at
@@ -516,12 +567,12 @@ def _decide(prep: Prepared, pair: tuple[int, int], ticks: list, keys: list, at: 
                 (t if k < keys[i] else -math.inf for t, k in zip(ticks, keys)), max)) for i in at)
         ta, tb = _order_tick(ta, issue_ticks, latest_a), _order_tick(tb, issue_ticks, latest_b)
     if ta == math.inf or tb == math.inf:
-        return 0, seeds[0] if seeds else None
+        return None
     if ta != tb:
-        return len(seeds) * (ta < tb), None
+        return int(ta < tb)
     if fair:
-        return _burst_count(prep, pair, seeds, roots, keys[ia], keys[ib]), None
-    return len(seeds) * (keys[ia] < keys[ib]), None
+        return BURST
+    return int(keys[ia] < keys[ib])
 
 
 def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> float:

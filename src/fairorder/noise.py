@@ -5,9 +5,10 @@ bounded Laplace (rejection until the draw fits the truncation window),
 and symmetric uniform. Laplace sampling uses the inverse CDF on a
 single uniform draw so that a stream position maps to exactly one
 output value and runs replay bit-identically. ``sample`` draws from a
-Stream; ``sample_state`` takes a derived state and returns what
-``sample`` returns on a fresh Stream of it. Both map a uniform through
-the one per-kind inverse CDF, ``_inverse_cdf``.
+Stream; ``value_at(spec, u, state)`` returns what ``sample`` returns on
+a fresh Stream of ``state`` whose first draw is ``u``, and
+``sample_state`` is ``value_at`` at that first draw. Both map a uniform
+through the one per-kind inverse CDF, ``_inverse_cdf``.
 
 The analytic side gives Pr[X < Y] for two equal-scale Laplace
 variables, the same probability expressed at a normalized score gap,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .model import ParameterError, is_finite
 from .rng import Stream, first_random
@@ -91,9 +93,9 @@ class NoiseSpec:
         if self.delta is not None and not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError("delta must lie in [0, 1]")
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        """Laplace scale b = sensitivity / epsilon."""
+        """Laplace scale b = sensitivity / epsilon, computed once: each draw reads it."""
         return self.sensitivity / self.epsilon
 
 
@@ -105,14 +107,20 @@ def sample(spec: NoiseSpec, rng: Stream) -> float:
             return y
 
 
-def sample_state(spec: NoiseSpec, state: int) -> float:
-    """``sample(spec, Stream(state))``, computing the first draw without a Stream.
+def value_at(spec: NoiseSpec, u: float, state: int) -> float:
+    """``sample(spec, Stream(state))``, given ``u = first_random(state)``: the inverse
+    CDF at ``u``, with no Stream.
 
     Only a bounded-Laplace first draw that is rejected builds the Stream:
     ``sample`` then rejects that draw again and keeps drawing after it.
     """
-    y = _inverse_cdf(spec, first_random(state))
+    y = _inverse_cdf(spec, u)
     return sample(spec, Stream(state)) if y is None else y
+
+
+def sample_state(spec: NoiseSpec, state: int) -> float:
+    """``sample(spec, Stream(state))``, computing the first draw without a Stream."""
+    return value_at(spec, first_random(state), state)
 
 
 def _inverse_cdf(spec: NoiseSpec, u: float) -> float | None:

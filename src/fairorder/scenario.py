@@ -17,6 +17,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from .adversary import (ByzantineClientSpec, DelayKind, DelayModel, apply_bribe, delayed,
@@ -222,11 +223,14 @@ class ScenarioConfig:
             return self.drain_ticks
         return math.ceil(self.delay.max_delay()) + 1
 
-    def deliveries(self) -> list[tuple[Request, int | None, Callable[[float], float] | None]]:
+    @cached_property
+    def deliveries(self) -> tuple[tuple[Request, int | None, Callable[[float], float] | None],
+                                  ...]:
         """Each reported request as the server perceives it before the noise mechanism,
         with its delivery tick (None: never, or drawn) and its client model's ``delay_at``
         to draw with (one bound method per model), for ``prepare`` and the lint. A constant
-        delay is folded into eta (``delayed``); a drawn one varies by trial, so it is not."""
+        delay is folded into eta (``delayed``); a drawn one varies by trial, so it is not.
+        Built on first use and kept; a config made by ``replace`` builds its own."""
         delay, eta, out = self.delay, self.eta_feature, []
         draw, draw_root = {cid: m.delay_at for cid, m in delay.per_client.items()}, delay.delay_at
         for r in self.reported:
@@ -238,7 +242,7 @@ class ScenarioConfig:
                 out.append((r, tick, None))
             else:
                 out.append((r, None, draw.get(r.client_id, draw_root)))
-        return out
+        return tuple(out)
 
 
 def two_request_gap_scenario(gap: float = 0.0, epsilon: float = 1.0, lam: float = 1.0,
@@ -280,7 +284,7 @@ def lint_scenario(config: ScenarioConfig) -> list[str]:
     that sit closer together than 10 lambda.
     """
     warnings: list[str] = []
-    part, reqs = config.partition, [r for r, _, _ in config.deliveries()]
+    part, reqs = config.partition, [r for r, _, _ in config.deliveries]
     if config.assume_noise_bound and not check_noise_bound(reqs, part, config.lam):
         warnings.append(
             "assumption-violation: adjacent eta gap exceeds lambda "

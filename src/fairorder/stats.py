@@ -1,10 +1,11 @@
 """Monte Carlo estimation and certification of ordering equality.
 
-The estimator counts, over a contiguous block of seeds, how often one
+The estimator counts, over a contiguous range of seeds, how often one
 request of a pair precedes the other in the engine's final order. It
-counts with the engine's exact pair kernel (``pair_count``): per seed,
-the pair's order ticks decide, or else its two keys do, and the engine
-runs only for a fair seed whose two keys tie exactly.
+counts with the engine's exact pair kernel (``pair_count``), which
+derives the streams of 1,024 seeds at once (``rng.Lanes``) and decides
+each seed by the pair's order ticks, or else by its two keys; the
+engine runs only for a fair seed whose two keys tie exactly.
 Certifiers then compare the estimate against a fairness bound:
 
   multiplicative   Pr[r before r'] <= B * Pr[r' before r],

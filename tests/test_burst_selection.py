@@ -30,12 +30,12 @@ SPECS = {
     "none": None,
 }
 
-SAMPLE_STATE = engine.sample_state
+VALUE_AT = engine.value_at
 
 
-def rounded_sample(spec, state):
+def rounded_value_at(spec, u, state):
     """Noise rounded to whole units, so that adjusted scores tie in groups."""
-    return float(round(SAMPLE_STATE(spec, state)))
+    return float(round(VALUE_AT(spec, u, state)))
 
 
 def run_with(emit, prep, seed):
@@ -105,7 +105,7 @@ def scenarios(draw):
 @given(scenario=scenarios(), seed=st.integers(0, 10**9), quantized=st.booleans())
 def test_ready_queue_matches_the_rescan(scenario, seed, quantized):
     prep = prepare(scenario)
-    with mock.patch.object(engine, "sample_state", rounded_sample if quantized else SAMPLE_STATE):
+    with mock.patch.object(engine, "value_at", rounded_value_at if quantized else VALUE_AT):
         assert (outcome(engine._emit_orders, prep, seed)
                 == outcome(emit_orders_by_rescan, prep, seed))
 

@@ -3,10 +3,12 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from fairorder.cli import main
+from fairorder.scenario import ScenarioConfig
 
 BASE_CONFIG = {
     "feature_count": 2,
@@ -519,6 +521,19 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", BASE_CONFIG),
+    ("certify", certify_config(n_trials=50, delay={"kind": "uniform", "lo": 0.0, "hi": 3.0})),
+    ("quorum", dict(BASE_CONFIG, multi_server={"n": 4, "f": 1, "lags": [0, 1, 2, 0]})),
+])
+def test_a_command_builds_the_deliveries_once(tmp_path, command, doc, capsys):
+    # The lint and prepare both read the list that the loaded config builds on first use.
+    build = ScenarioConfig.__dict__["deliveries"]
+    with mock.patch.object(build, "func", wraps=build.func) as builds:
+        main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path)])
+    assert builds.call_count == 1
 
 
 @pytest.mark.parametrize("command, doc", [

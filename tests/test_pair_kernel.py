@@ -7,6 +7,7 @@ on static schedules and on schedules with random delays.
 """
 
 from dataclasses import replace
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fairorder import engine, noise
 from fairorder.adversary import ByzantineClientSpec, DelayModel
-from fairorder.engine import pair_count, prepare, run_prepared
+from fairorder.engine import BLOCK, pair_count, prepare, run_prepared
 from fairorder.model import Request
 from fairorder.noise import ConfigurationError, NoiseSpec
 from fairorder.rng import Stream
-from fairorder.scenario import FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy
+from fairorder.scenario import (FairPolicy, FcfsPolicy, ScenarioConfig, TtlPolicy,
+                                two_request_gap_scenario)
 from fairorder.stats import LivenessError, estimate_order_probability
 from oracles import engine_pair_count
 
@@ -318,12 +320,12 @@ def test_drawn_pair_totals_sum_in_score_order(eta):
     assert pair_count(prep, (0, 1), 0, 50) == (50, None) == engine_pair_count(prep, (0, 1), 0, 50)
 
 
-SAMPLE_STATE = engine.sample_state
+VALUE_AT = engine.value_at
 
 
-def rounded_sample_state(spec, state):
+def rounded_value_at(spec, u, state):
     """Noise rounded to whole units, at the call both the kernel and the engine make."""
-    return float(round(SAMPLE_STATE(spec, state)))
+    return float(round(VALUE_AT(spec, u, state)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,7 +337,7 @@ def test_kernel_count_equals_engine_loop_on_rounded_noise(scenario, data, seed_l
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
     seed_hi = seed_lo + n_seeds
-    with mock.patch.object(engine, "sample_state", rounded_sample_state):
+    with mock.patch.object(engine, "value_at", rounded_value_at):
         assert (pair_count(prep, (a, b), seed_lo, seed_hi)
                 == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
@@ -351,7 +353,7 @@ def test_rounded_noise_sends_tied_seeds_to_the_engine(delay):
                               delay=delay)
     prep = prepare(scenario)
     assert is_static(prep) == (delay.kind == "constant")
-    with mock.patch.object(engine, "sample_state", rounded_sample_state):
+    with mock.patch.object(engine, "value_at", rounded_value_at):
         with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
             count, missing = pair_count(prep, (0, 1), 0, 300)
         assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 300)
@@ -549,3 +551,45 @@ def test_a_never_delivered_request_keeps_every_draw_and_the_missing_seed():
         result = pair_count(prep, (0, 1), 40, 90)
     assert draws.call_count == 7 * 50
     assert result == (0, 40) == engine_pair_count(prep, (0, 1), 40, 90)
+
+
+# Pairs whose seeds span several blocks: a static fair pair, and the certify-shaped pair
+# with a drawn delay of width 0, so that its totals stay 2 apart and rounded noise ties.
+BLOCK_PAIRS = {
+    "static": lambda: two_request_gap_scenario(),
+    "delay": lambda: replace(certify_shaped(lambda i: i % 2),
+                             delay=DelayModel(kind="uniform", lo=1.0, hi=1.0)),
+}
+SEED_LO, SEED_HI = 77, 77 + 2 * BLOCK + 5
+
+
+@cache
+def rounded_block_count(name, seed_lo, seed_hi):
+    """(pair_count, engine runs it made) over the seeds, with rounded noise."""
+    prep = prepare(BLOCK_PAIRS[name]())
+    with mock.patch.object(engine, "value_at", rounded_value_at), \
+            mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+        return pair_count(prep, (0, 1), seed_lo, seed_hi), runs.call_count
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PAIRS))
+def test_kernel_equals_the_engine_loop_over_several_blocks(name):
+    result, runs = rounded_block_count(name, SEED_LO, SEED_HI)
+    assert runs > 50  # tied seeds went to the engine
+    with mock.patch.object(engine, "value_at", rounded_value_at):
+        assert result == engine_pair_count(prepare(BLOCK_PAIRS[name]()), (0, 1), SEED_LO,
+                                           SEED_HI)
+
+
+@pytest.mark.parametrize("offset", [1, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK],
+                         ids=["start", "inside", "before-edge", "edge", "after-edge",
+                              "second-edge"])
+@pytest.mark.parametrize("name", sorted(BLOCK_PAIRS))
+def test_a_split_range_counts_the_sum_of_its_parts(name, offset):
+    # --jobs counts chunks of a range apart and adds them up.
+    split = SEED_LO + offset
+    (count, missing), _ = rounded_block_count(name, SEED_LO, SEED_HI)
+    (left, left_missing), _ = rounded_block_count(name, SEED_LO, split)
+    (right, right_missing), _ = rounded_block_count(name, split, SEED_HI)
+    assert missing is left_missing is right_missing is None
+    assert count == left + right

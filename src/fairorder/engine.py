@@ -43,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
@@ -58,6 +58,7 @@ TAG_NOISE = tag("noise")
 TAG_PICK = tag("pick")
 
 BLOCK = 1024  # seeds whose streams ``pair_count`` derives at once, as ``rng.Lanes``
+BLOCK_DRAWS = 1 << 14  # delay uniforms a ``pair_count`` block holds at most, about
 BURST = "burst"  # ``_decide``: the pair is ordered in one fair burst
 
 # A selection key, least first: (delivery tick, id), (deadline, id) or ``_fair_key``.
@@ -290,13 +291,6 @@ class PlanEntry(NamedTuple):
     values: tuple[float, ...]
 
 
-def _draw_delay(delay_at: Callable[[float], float], prefix: int, rid: int) -> float:
-    """``DelayModel.sample(client, Stream(child(prefix, rid)))`` with no Stream, from a
-    plan entry's ``delay_at``: a delay model draws at most one uniform. ``prefix`` is
-    ``derive(seed, TAG_DELAY)``."""
-    return delay_at(first_random(child(prefix, rid)))
-
-
 def _total(e: PlanEntry, delay: float, slot: int) -> float:
     """``score`` of ``delayed(e.request, delay, eta_feature)`` bit for bit, with no
     Request; ``slot`` is eta's place in ``e.values``. A zero delay keeps the total."""
@@ -313,9 +307,9 @@ class Prepared:
 
     ``plan`` has one entry per request, in the scenario's request order, and
     ``eta_slot`` is the eta feature's place in each entry's ``values``.
-    ``_schedule`` and the pair kernel both read them and draw and key
-    with ``_draw_delay`` and ``_key_of``. Loading rejects a scenario
-    whose perceived totals could overflow.
+    ``_schedule`` and the pair kernel both read them: a drawn delay is
+    ``delay_at`` of its state's first draw, and a key is ``_key_of``'s.
+    Loading rejects a scenario whose perceived totals could overflow.
     """
 
     scenario: ScenarioConfig
@@ -367,7 +361,7 @@ def _schedule(prep: Prepared, root: int) -> Schedule:
         r, tick, d = e.request, e.tick, 0.0
         rid = r.id
         if e.delay_at is not None:
-            d = _draw_delay(e.delay_at, delay_prefix, rid)
+            d = e.delay_at(first_random(child(delay_prefix, rid)))  # a delay draws one uniform
             tick = r.issue_tick + math.ceil(d)
         issues.setdefault(r.issue_tick, []).append(rid)
         if tick is not None:
@@ -415,13 +409,18 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     the engine.
 
     It sorts ``prep.plan`` by issue tick once per call (ties in request
-    order). Per seed, a drawn delivery tick is the issue tick plus the
-    ``_draw_delay`` delay rounded up, and a drawn request's key comes from
-    ``_key_of``, as in ``_schedule``. When requests block (gated fair or
-    ttl), a seed draws every drawn entry; otherwise only the pair's own.
-    When no request that matters draws, the range is decided at once.
-    The seeds go in blocks of ``BLOCK``, and each block takes its roots,
-    delay prefixes and pair noise draws (``_pair_noise``) from ``rng.Lanes``.
+    order). When requests block (gated fair or ttl), every drawn entry
+    matters; otherwise only the pair's own. When none that matters
+    draws, the range is decided at once and its bursts counted block by
+    block. Otherwise the seeds go in blocks of ``BLOCK``, or fewer when
+    more than ``BLOCK_DRAWS // BLOCK`` entries draw, and every random
+    quantity of a block comes from its lanes (``rng.Lanes``): a
+    drawn entry's delay uniform is ``roots.child(TAG_DELAY).child(rid)``'s
+    first draw, fed to ``delay_at`` as ``_schedule`` feeds it, and a
+    drawn request's key comes from ``_key_of``. The pair's own uniforms
+    are derived in every block, the others' once per block, by its
+    first seed that reads them. A block's burst seeds are counted by one
+    ``_burst_count`` call.
 
     A seed draws the pair's own delays first. Gated fair, with every
     request delivered at some tick, a pair delivered at or after the last
@@ -445,15 +444,18 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e)
              for i, e in enumerate(plan) if e.delay_at is not None and (blocked or i in at)]
     seeds = range(seed_lo, seed_hi)
+    # A block holds at most about BLOCK_DRAWS delay uniforms, and at least one seed.
+    size = max(1, min(BLOCK, BLOCK_DRAWS // max(len(drawn), 1)))
+    blocks = (seeds[k:k + size] for k in range(0, len(seeds), size))
     if not drawn:
         first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
         if first is None:
             return 0, seeds[0] if seeds else None
         if first is not BURST:
             return len(seeds) * first, None
-        total_a, total_b = keys[at[0]], keys[at[1]]
-        return sum(_burst_count(prep, pair, block, _pair_noise(policy, pair, Lanes.derive(block)),
-                                total_a, total_b) for block in _blocks(seeds)), None
+        totals = repeat(keys[at[0]]), repeat(keys[at[1]])
+        return sum(_burst_count(prep, pair, block, Lanes.derive(block),
+                                zip(range(len(block)), *totals)) for block in blocks), None
     own = [d for d in drawn if d[0] in at]
     rest = [d for d in drawn if d[0] not in at]
     # The final burst needs a latest delivery: no request may be never delivered.
@@ -461,76 +463,68 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     last_issue, (ia, ib) = issue_ticks[-1], at
     ceil = math.ceil
     count, missing = 0, None
-    for block in _blocks(seeds):
+    for block in blocks:
         roots = Lanes.derive(block)
-        prefixes = roots.child(TAG_DELAY).values()
-        noise = _pair_noise(policy, pair, roots) if fair else None
-        for j, seed in enumerate(block):
+        delays = roots.child(TAG_DELAY)
+        own_u = [delays.child(rid).first_random() for _, _, _, rid, _ in own]
+        rest_u = None  # derived by the block's first seed that misses the final burst
+        bursts = []  # (lane, total_a, total_b)
+        for j in range(len(block)):
             # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
-            prefix = prefixes[j]
-            for i, issue, delay_at, rid, e in own:
-                d = _draw_delay(delay_at, prefix, rid)
+            for (i, issue, delay_at, _, e), u in zip(own, own_u):
+                d = delay_at(u[j])
                 ticks[i] = issue + ceil(d)
                 keys[i] = key(e, d, ticks[i])
             if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
                 first = BURST
             else:
-                for i, issue, delay_at, rid, e in rest:
-                    d = _draw_delay(delay_at, prefix, rid)
+                if rest_u is None:
+                    rest_u = [delays.child(rid).first_random() for _, _, _, rid, _ in rest]
+                for (i, issue, delay_at, _, e), u in zip(rest, rest_u):
+                    d = delay_at(u[j])
                     ticks[i] = issue + ceil(d)
                     if not fair:  # only gated ttl reads another request's key: its blockers'
                         keys[i] = key(e, d, ticks[i])
                 first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
             if first is BURST:
-                draws = None if noise is None else [column[j:j + 1] for column in noise]
-                count += _burst_count(prep, pair, (seed,), draws, keys[ia], keys[ib])
+                bursts.append((j, keys[ia], keys[ib]))
             elif first is None:
                 if missing is None:
-                    missing = seed
+                    missing = block[j]
             else:
                 count += first
+        if bursts:
+            count += _burst_count(prep, pair, block, roots, bursts)
     return count, missing
 
 
-def _blocks(seeds: range):
-    """``seeds`` in consecutive ranges of ``BLOCK``, the last one shorter."""
-    return (seeds[k:k + BLOCK] for k in range(0, len(seeds), BLOCK))
-
-
-def _pair_noise(policy: FairPolicy, pair: tuple[int, int], roots: Lanes) -> tuple | None:
-    """The pair's noise draws in each lane of roots ``derive(seed)``, as four columns
-    ``(u_a, state_a, u_b, state_b)``: ``state_a`` is ``derive(seed, TAG_NOISE, pair[0])``
-    and ``u_a`` its ``first_random``, and likewise for pair[1]. None when the policy
-    adds no noise."""
-    if policy.spec is None:
-        return None
-    prefix = roots.child(TAG_NOISE)
-    a, b = prefix.child(pair[0]), prefix.child(pair[1])
-    return a.first_random(), a.values(), b.first_random(), b.values()
-
-
-def _burst_count(prep: Prepared, pair: tuple[int, int], seeds, noise, total_a: float,
-                 total_b: float) -> int:
+def _burst_count(prep: Prepared, pair: tuple[int, int], seeds: range, roots: Lanes,
+                 bursts) -> int:
     """Seeds on which pair[0] precedes pair[1], both ordered in one fair burst.
 
-    ``noise`` holds the pair's noise draws (``_pair_noise``), each column
-    in step with ``seeds``. The burst is emitted in key order, so the two
-    ``_fair_key``s, taken seed by seed from the draws, decide a seed
-    unless they tie; a tied seed also depends on the pick stream, so it
-    runs through the engine and reads the run's final order.
+    ``roots`` holds ``derive(seed)`` of each of ``seeds``, and ``bursts``
+    lists (lane, total_a, total_b): the pair's perceived totals on the
+    seed of that lane. The pair's noise states are ``roots``'
+    ``child(TAG_NOISE).child(rid)``, and ``value_at`` maps their first
+    draws as ``_fair_key`` does. The burst is emitted in key order, so
+    the two keys decide a seed unless they tie; a tied seed also depends
+    on the pick stream, so it runs through the engine and reads the
+    run's final order.
     """
     policy = prep.scenario.policy
     spec, high = policy.spec, policy.direction == "highest_first"
-    if spec is None:  # every seed's keys are the two totals
-        if total_a != total_b:
-            return len(seeds) * ((total_a > total_b) if high else (total_a < total_b))
-        return sum(_engine_first(prep, pair, seed) for seed in seeds)
+    if spec is not None:
+        prefix = roots.child(TAG_NOISE)
+        a, b = prefix.child(pair[0]), prefix.child(pair[1])
+        u_a, u_b = a.first_random(), b.first_random()
+        state_a, state_b = a.values().tolist(), b.values().tolist()  # a list indexes faster
     count = 0
-    for seed, u_a, state_a, u_b, state_b in zip(seeds, *noise):
-        adj_a = total_a + value_at(spec, u_a, state_a)
-        adj_b = total_b + value_at(spec, u_b, state_b)
+    for j, adj_a, adj_b in bursts:
+        if spec is not None:
+            adj_a += value_at(spec, u_a[j], state_a[j])
+            adj_b += value_at(spec, u_b[j], state_b[j])
         if adj_a == adj_b:
-            count += _engine_first(prep, pair, seed)
+            count += _engine_first(prep, pair, seeds[j])
         elif (adj_a > adj_b) if high else (adj_a < adj_b):  # _fair_key's negation, exactly
             count += 1
     return count

@@ -6,9 +6,10 @@ and symmetric uniform. Laplace sampling uses the inverse CDF on a
 single uniform draw so that a stream position maps to exactly one
 output value and runs replay bit-identically. ``sample`` draws from a
 Stream; ``value_at(spec, u, state)`` returns what ``sample`` returns on
-a fresh Stream of ``state`` whose first draw is ``u``, and
-``sample_state`` is ``value_at`` at that first draw. Both map a uniform
-through the one per-kind inverse CDF, ``_inverse_cdf``.
+a fresh Stream of ``state`` whose first draw is ``u``, so a caller that
+has the first draw (``rng.first_random``, or a block of them from
+``rng.Lanes``) needs no Stream. Both map a uniform through the one
+per-kind inverse CDF, ``_inverse_cdf``.
 
 The analytic side gives Pr[X < Y] for two equal-scale Laplace
 variables, the same probability expressed at a normalized score gap,
@@ -24,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 
 from .model import ParameterError, is_finite
-from .rng import Stream, first_random
+from .rng import Stream
 
 DEFAULT_EPSILON = 2.0  # common production choice when a scenario leaves it unset
 # Bounded Laplace keeps a draw with probability 1 - exp(-bound / scale) and rejects the
@@ -116,11 +117,6 @@ def value_at(spec: NoiseSpec, u: float, state: int) -> float:
     """
     y = _inverse_cdf(spec, u)
     return sample(spec, Stream(state)) if y is None else y
-
-
-def sample_state(spec: NoiseSpec, state: int) -> float:
-    """``sample(spec, Stream(state))``, computing the first draw without a Stream."""
-    return value_at(spec, first_random(state), state)
 
 
 def _inverse_cdf(spec: NoiseSpec, u: float) -> float | None:

@@ -1,13 +1,14 @@
 """The per-seed prefix and the Stream-free first draw against the plain derivation.
 
-`pair_count` and the engine derive each request's noise as
-``sample_state(spec, child(derive(seed, TAG_NOISE), rid))`` instead of
-``sample(spec, Stream(derive(seed, TAG_NOISE, rid)))``. Each delay comes
-from the client's model resolved once in ``Prepared.plan``: a drawing
-model's ``delay_at(first_random(state))``, or a constant already folded
-into the request, instead of ``DelayModel.sample(client, Stream(state))``.
-These tests hold the two forms equal bit for bit, so no count, trace or
-report can move.
+The engine derives a request's noise as ``value_at(spec, first_random(state),
+state)`` with ``state = child(derive(seed, TAG_NOISE), rid)``, and
+`pair_count` takes the same states and first draws from a block's
+``rng.Lanes``, instead of ``sample(spec, Stream(derive(seed, TAG_NOISE,
+rid)))``. Each delay comes from the client's model resolved once in
+``Prepared.plan``: a drawing model's ``delay_at`` of its state's first
+draw, or a constant already folded into the request, instead of
+``DelayModel.sample(client, Stream(state))``. These tests hold the forms
+equal bit for bit, so no count, trace or report can move.
 """
 
 from unittest import mock
@@ -16,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from fairorder import noise
 from fairorder.adversary import DelayModel, delayed
-from fairorder.engine import _draw_delay, prepare
+from fairorder.engine import prepare
 from fairorder.model import Request
-from fairorder.noise import NoiseSpec, sample, sample_state
-from fairorder.rng import Stream, child, derive, first_random
+from fairorder.noise import NoiseSpec, sample, value_at
+from fairorder.rng import Lanes, Stream, child, derive, first_random
 from fairorder.scenario import ScenarioConfig
 
 # Full 64-bit values, negative ones and ones past 64 bits, which derivation masks.
@@ -61,9 +62,9 @@ def test_first_random_is_the_first_draw_of_the_stream(state):
 
 @settings(max_examples=300)
 @given(kind=st.sampled_from(sorted(SPECS)), state=INTS)
-def test_sample_state_equals_sample_on_a_fresh_stream(kind, state):
+def test_value_at_the_first_draw_equals_sample_on_a_fresh_stream(kind, state):
     spec = SPECS[kind]
-    assert sample_state(spec, state).hex() == sample(spec, Stream(state)).hex()
+    assert value_at(spec, first_random(state), state).hex() == sample(spec, Stream(state)).hex()
 
 
 def draws_of(spec, state):
@@ -77,9 +78,11 @@ def test_bounded_laplace_rejection_continues_on_the_same_stream():
     rejected = next(s for s in range(10_000) if draws_of(spec, s) >= 3)
     accepted = next(s for s in range(10_000) if draws_of(spec, s) == 1)
     with mock.patch.object(noise, "Stream", wraps=Stream) as streams:
-        assert sample_state(spec, rejected).hex() == sample(spec, Stream(rejected)).hex()
+        assert (value_at(spec, first_random(rejected), rejected).hex()
+                == sample(spec, Stream(rejected)).hex())
         assert streams.call_count == 1  # built once, after the first draw was rejected
-        assert sample_state(spec, accepted).hex() == sample(spec, Stream(accepted)).hex()
+        assert (value_at(spec, first_random(accepted), accepted).hex()
+                == sample(spec, Stream(accepted)).hex())
         assert streams.call_count == 1  # an accepted first draw builds none
 
 
@@ -115,4 +118,6 @@ def test_plan_delay_equals_sample_on_a_fresh_stream(kind, client, rid, prefix):
         assert entry.delay_at is None and entry.tick == tick
         assert [x.hex() for x in entry.request.features] == [x.hex() for x in folded.features]
     else:
-        assert _draw_delay(entry.delay_at, prefix, rid).hex() == want.hex()
+        engine_draw = entry.delay_at(first_random(child(prefix, rid)))
+        kernel_draw = entry.delay_at(Lanes.of([prefix]).child(rid).first_random()[0])
+        assert engine_draw.hex() == kernel_draw.hex() == want.hex()

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 from oracles import order_probability_oracle
 from fairorder.noise import (ConfigurationError, NoiseKind, NoiseSpec, dp_ratio_bound,
                              laplace_order_probability, order_probability_at_gap,
-                             sample, sample_state, uniform_delta)
+                             sample, uniform_delta, value_at)
 from fairorder.model import ParameterError
 from fairorder.rng import Stream, derive, first_random, tag
 
@@ -178,12 +178,12 @@ class TestSamplers:
     @example(kind="laplace_infinite_scale", k=2**52 - 1, low=0)
     @given(kind=st.sampled_from(sorted(NAN_FREE_SPECS)), k=st.integers(0, 2**52 - 1),
            low=st.integers(0, 4095))
-    def test_sample_state_is_never_nan(self, kind, k, low):
+    def test_value_at_the_first_draw_is_never_nan(self, kind, k, low):
         # The engine relies on this: with every perceived total finite, an adjusted score
         # total + noise is then never NaN. The (k, low) pairs cover every 64-bit state.
         state = state_with_first_uniform(k, low)
         assert first_random(state) == (k + 0.5) * 2.0**-52
-        y = sample_state(NAN_FREE_SPECS[kind], state)
+        y = value_at(NAN_FREE_SPECS[kind], first_random(state), state)
         assert y == y
         if kind == "laplace_infinite_scale":
             assert math.isinf(y)

@@ -6,6 +6,7 @@ the engine's own answer on every seed of a block, not to a close p_hat,
 on static schedules and on schedules with random delays.
 """
 
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 from unittest import mock
@@ -499,14 +500,29 @@ def certify_shaped(issue_tick, **extra):
                           adversaries=(ByzantineClientSpec(client_id=1, bribe=2.0),), **extra)
 
 
+def counting_delays(prep):
+    """``prep`` with each drawn plan entry's ``delay_at`` wrapped to record the entry's id
+    on every call, and the list the ids go to."""
+    calls = []
+
+    def counted(e):
+        def delay_at(u):
+            calls.append(e.request.id)
+            return e.delay_at(u)
+        return e._replace(delay_at=delay_at)
+
+    plan = tuple(e if e.delay_at is None else counted(e) for e in prep.plan)
+    return replace(prep, plan=plan), calls
+
+
 def test_final_burst_draws_only_the_pairs_delays():
     # Issued at ticks 0-1 with delays in (0, 3], the pair is delivered at tick 1 or later
     # on every seed, so only its two delays matter.
     prep = prepare(certify_shaped(lambda i: i % 2))
-    with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
-        count, missing = pair_count(prep, (0, 1), 0, 400)
-    assert draws.call_count == 2 * 400
-    assert {call.args[2] for call in draws.call_args_list} == {0, 1}
+    counted, calls = counting_delays(prep)
+    count, missing = pair_count(counted, (0, 1), 0, 400)
+    assert len(calls) == 2 * 400
+    assert Counter(calls) == {0: 400, 1: 400}
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 400)
 
 
@@ -518,11 +534,11 @@ def test_fcfs_and_ttl_draw_the_pair_unless_gated_ttl(policy, gating):
     # all eight delivery ticks (with the deadline at eta, the delays set the keys too).
     prep = prepare(replace(certify_shaped(lambda i: i % 2), policy=policy,
                            stability_gating=gating))
-    with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
-        count, missing = pair_count(prep, (0, 1), 0, 400)
+    counted, calls = counting_delays(prep)
+    count, missing = pair_count(counted, (0, 1), 0, 400)
     drawn = 8 if gating and isinstance(policy, TtlPolicy) else 2
-    assert draws.call_count == drawn * 400
-    assert {call.args[2] for call in draws.call_args_list} == set(range(drawn))
+    assert len(calls) == drawn * 400
+    assert Counter(calls) == {rid: 400 for rid in range(drawn)}
     assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 400)
 
 
@@ -530,15 +546,15 @@ def test_a_pair_delivered_before_the_last_issue_tick_draws_every_entry():
     # The pair is issued at tick 0 and the rest at tick 2: a seed that delivers either
     # pair request at tick 1 or 2 goes through the fixpoint, which reads every delivery.
     prep = prepare(certify_shaped(lambda i: 0 if i < 2 else 2))
+    counted, calls = counting_delays(prep)
     seen = set()
     for seed in range(60):
         delivered = run_prepared(prep, seed).deliver_ticks
         early = frozenset(rid for rid in (0, 1) if delivered[rid] < 2)
         seen.add(early)
-        with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
-            result = pair_count(prep, (0, 1), seed, seed + 1)
-        assert sorted(call.args[2] for call in draws.call_args_list) == (
-            list(range(8)) if early else [0, 1])
+        calls.clear()
+        result = pair_count(counted, (0, 1), seed, seed + 1)
+        assert sorted(calls) == (list(range(8)) if early else [0, 1])
         assert result == engine_pair_count(prep, (0, 1), seed, seed + 1)
     assert seen == {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
 
@@ -547,10 +563,69 @@ def test_a_never_delivered_request_keeps_every_draw_and_the_missing_seed():
     # With request 5 never delivered there is no latest delivery, so no final burst:
     # every seed draws its seven delays and the pair is missing from the first seed on.
     prep = prepare(certify_shaped(lambda i: i % 2, deliver_overrides={5: None}))
-    with mock.patch.object(engine, "_draw_delay", wraps=engine._draw_delay) as draws:
-        result = pair_count(prep, (0, 1), 40, 90)
-    assert draws.call_count == 7 * 50
+    counted, calls = counting_delays(prep)
+    result = pair_count(counted, (0, 1), 40, 90)
+    assert len(calls) == 7 * 50
+    assert Counter(calls) == {rid: 50 for rid in range(8) if rid != 5}
     assert result == (0, 40) == engine_pair_count(prep, (0, 1), 40, 90)
+
+
+NO_TIE = {
+    "static": lambda: two_request_gap_scenario(1.0),
+    "final_burst": lambda: certify_shaped(lambda i: i % 2),
+    "fixpoint": lambda: certify_shaped(lambda i: 0 if i < 2 else 2),
+    "gated_ttl": lambda: replace(certify_shaped(lambda i: i % 2),
+                                 policy=TtlPolicy(deadline_feature=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TIE))
+def test_the_kernel_takes_every_stream_from_lanes(name):
+    # Off an exact tie the engine never runs, so no scalar derivation is made: every
+    # delay and noise state comes from the block's lanes.
+    prep = prepare(NO_TIE[name]())
+    with mock.patch.object(engine, "child", wraps=engine.child) as children, \
+            mock.patch.object(engine, "first_random", wraps=engine.first_random) as firsts, \
+            mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+        count, missing = pair_count(prep, (0, 1), 0, 300)
+    assert children.call_count == firsts.call_count == runs.call_count == 0
+    assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 300)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2)])
+def test_a_block_derives_the_other_delays_for_its_first_seed_off_the_final_burst(pair):
+    # Eight drawn entries: a block holds BLOCK seeds. In each of the first two blocks a
+    # seed that delivers both pair requests at or after tick 2 (the final burst) comes
+    # before one that does not, so the other delays are first read mid-block. For the
+    # pair (0, 2), request 1's delay decides such a seed: delivered at tick 1 with
+    # request 0, it lets request 0 go before request 2 is issued.
+    prep = prepare(certify_shaped(lambda i: 0 if i < 2 else 2))
+    lo, hi = 5, 5 + 2 * BLOCK + 5
+    late = [min(run_prepared(prep, seed).deliver_ticks[rid] for rid in pair) >= 2
+            for seed in range(lo, hi)]
+    for start in (0, BLOCK):
+        block = late[start:start + BLOCK]
+        assert block.index(True) < block.index(False, block.index(True))
+    assert pair_count(prep, pair, lo, hi) == engine_pair_count(prep, pair, lo, hi)
+
+
+def test_gated_ttl_finds_a_missing_seed_past_the_first_block():
+    # Request 2 has the least deadline and is issued at tick 2000, after the pair, and
+    # never delivered: a pair request is missing only when its order tick reaches 2000,
+    # so about one seed in a thousand. The range starts BLOCK + 5 seeds before such a
+    # seed, with none missing in between.
+    reqs = tuple(Request(id=i, client_id=i, features=(f, 0.0), issue_tick=t)
+                 for i, (f, t) in enumerate([(5.0, 0), (6.0, 0), (1.0, 2000)]))
+    prep = prepare(ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                                  eta_feature=1, policy=TtlPolicy(deadline_feature=0),
+                                  delay=DelayModel(kind="uniform", lo=0.0, hi=2000.0),
+                                  deliver_overrides={2: None}))
+    late = [seed for seed in range(8000) if 1 not in run_prepared(prep, seed).final_order]
+    first = next(m for prev, m in zip([-BLOCK] + late, late) if m - prev > 2 * BLOCK)
+    lo, hi = first - BLOCK - 5, first + 20
+    result = pair_count(prep, (0, 1), lo, hi)
+    assert result[1] == first
+    assert result == engine_pair_count(prep, (0, 1), lo, hi)
 
 
 # Pairs whose seeds span several blocks: a static fair pair, and the certify-shaped pair

@@ -1,4 +1,5 @@
-"""Peak memory budgets: a trace costs memory in proportion to its events.
+"""Peak memory budgets: a trace costs memory in proportion to its events, and a
+pair count in proportion to one block of seeds.
 
 Each case runs under ``tracemalloc`` and asserts the peak of Python
 allocations, with no timer. A budget is about twice the peak measured
@@ -10,13 +11,14 @@ check case alone.
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from fairorder.adversary import DelayModel
 from fairorder.checkers import check_all
 from fairorder.cli import main
-from fairorder.engine import parse_trace, run, serialize_trace
+from fairorder.engine import pair_count, parse_trace, prepare, run, serialize_trace
 from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.quorum import check_prefix_consistency, replicate_trace, serialize_view
@@ -63,6 +65,22 @@ def test_burst_record_run_through_every_trace_consumer():
     trace, verdicts, prefix, _ = kept
     assert len(trace.events) == 60_000
     assert all(v.passed for v in verdicts) and prefix.passed
+
+
+def test_a_pair_count_block_holds_a_bounded_number_of_draws():
+    # Gated fair, 2,000 requests, the pair issued first and delivered before the last
+    # issue tick: every seed reads every delay. A block of all 64 seeds would hold
+    # 128,000 delay uniforms (4.4 MiB peak when set); blocks of 8 seeds peaked at 1.1 MiB.
+    gen = Stream(21)
+    requests = tuple(Request(rid, rid % 16, (float(gen.randrange(20)), 0.0),
+                             0 if rid < 2 else 1 + rid // 4)
+                     for rid in range(2000))
+    prep = prepare(replace(burst_scenario(2), requests=requests))
+    results = []
+    peak = peak_bytes(lambda: results.append(pair_count(prep, (0, 1), 0, 64)))
+    assert peak < 2 * MIB
+    count, missing = results[0]
+    assert missing is None and 0 < count < 64
 
 
 TWO_REQUESTS = {

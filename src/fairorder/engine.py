@@ -43,12 +43,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
+from operator import add, eq, ge, gt, lt, neg, not_
 from typing import NamedTuple
 
 from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
 from .model import Request, score_parts
-from .noise import value_at
+from .noise import values_at
 from .noise import sample  # noqa: F401  (bench/tracing.py wraps engine.sample)
 from .rng import Lanes, Stream, child, derive, first_random, tag
 from .scenario import FairPolicy, FcfsPolicy, Policy, ScenarioConfig, TtlPolicy
@@ -61,7 +62,7 @@ BLOCK = 1024  # seeds whose streams ``pair_count`` derives at once, as ``rng.Lan
 BLOCK_DRAWS = 1 << 14  # delay uniforms a ``pair_count`` block holds at most, about
 BURST = "burst"  # ``_decide``: the pair is ordered in one fair burst
 
-# A selection key, least first: (delivery tick, id), (deadline, id) or ``_fair_key``.
+# A selection key, least first: (delivery tick, id), (deadline, id) or ``_fair_keys``.
 Key = tuple[float, int] | float
 
 
@@ -133,18 +134,22 @@ class Trace:
         return snapshots_from_events(self.events, self.horizon)
 
 
-def _fair_key(policy: FairPolicy, total: float, prefix: int, rid: int) -> float:
-    """A fair request's key: its perceived total plus its noise sample, negated for
+def _fair_keys(policy: FairPolicy, totals: dict[int, float], prefix: int) -> dict[int, float]:
+    """Each fair request's key: its perceived total plus its noise sample, negated for
     ``highest_first``, so the least key goes first either way. ``prefix`` is
-    ``child(derive(seed), TAG_NOISE)``, so the noise is ``derive(seed, TAG_NOISE, rid)``'s:
-    ``value_at`` its first draw, as ``_burst_count`` takes it from lanes."""
+    ``child(derive(seed), TAG_NOISE)``, so request rid's noise is
+    ``derive(seed, TAG_NOISE, rid)``'s: ``values_at`` of its first draw. One
+    ``values_at`` call maps the run's requests, as ``_burst_count`` maps a block's lanes."""
     spec = policy.spec
     if spec is None:
-        adjusted = total + 0.0
+        adjusted = [total + 0.0 for total in totals.values()]
     else:
-        state = child(prefix, rid)
-        adjusted = total + value_at(spec, first_random(state), state)
-    return -adjusted if policy.direction == "highest_first" else adjusted
+        states = [child(prefix, rid) for rid in totals]
+        noise = values_at(spec, list(map(first_random, states)), states)
+        adjusted = list(map(add, totals.values(), noise))
+    if policy.direction == "highest_first":
+        adjusted = list(map(neg, adjusted))
+    return dict(zip(totals, adjusted))
 
 
 @dataclass
@@ -220,7 +225,7 @@ def is_stable(rid: int, state: EngineState) -> bool:
 def fair_policy_step(pending, keys, rng: Stream) -> int:
     """Select the next id: minimum fair key, ties uniform.
 
-    ``keys[i]`` is the fair key of ``pending[i]`` (``_fair_key``);
+    ``keys[i]`` is the fair key of ``pending[i]`` (``_fair_keys``);
     ``rng`` (the pick stream) is drawn from only to break exact ties.
     """
     pending = list(pending)
@@ -333,7 +338,7 @@ def _key_of(prep: Prepared) -> Callable[[PlanEntry, float, float], Key]:
     """Each policy's key, written once: ``key(e, d, tick)`` for a plan entry with drawn
     delay ``d`` (0.0: none), delivered at ``tick``. fcfs: ``(tick, id)``. ttl:
     ``(deadline, id)``, with ``d`` folded into the deadline as ``delayed`` folds it
-    when the deadline feature is eta. fair: the perceived total, which ``_fair_key``
+    when the deadline feature is eta. fair: the perceived total, which ``_fair_keys``
     turns into the key. Built per call: the ``--jobs`` pool pickles ``Prepared``."""
     policy = prep.scenario.policy
     if isinstance(policy, FairPolicy):
@@ -367,8 +372,9 @@ def _schedule(prep: Prepared, root: int) -> Schedule:
         if tick is not None:
             delivers.setdefault(tick, []).append(rid)
         if tick is not None or ttl:
-            k = key(e, d, tick)
-            keys[rid] = _fair_key(policy, k, noise_prefix, rid) if fair else k
+            keys[rid] = key(e, d, tick)
+    if fair:
+        keys = _fair_keys(policy, keys, noise_prefix)
     for group in (*issues.values(), *delivers.values()):
         group.sort()
     return Schedule(issues, delivers, tuple(sorted(issues.keys() | delivers)), keys)
@@ -414,21 +420,24 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     draws, the range is decided at once and its bursts counted block by
     block. Otherwise the seeds go in blocks of ``BLOCK``, or fewer when
     more than ``BLOCK_DRAWS // BLOCK`` entries draw, and every random
-    quantity of a block comes from its lanes (``rng.Lanes``): a
-    drawn entry's delay uniform is ``roots.child(TAG_DELAY).child(rid)``'s
+    quantity of a block comes from its lanes (``rng.Lanes``): a drawn
+    entry's delay uniform is ``roots.child(TAG_DELAY).child(rid)``'s
     first draw, fed to ``delay_at`` as ``_schedule`` feeds it, and a
-    drawn request's key comes from ``_key_of``. The pair's own uniforms
-    are derived in every block, the others' once per block, by its
-    first seed that reads them. A block's burst seeds are counted by one
-    ``_burst_count`` call.
+    drawn request's key is ``_key_of``'s. A block decides by columns,
+    lists over its lanes: the pair's own delays, delivery ticks and keys
+    are one column each, and the others' uniforms are derived once per
+    block, only if one of its seeds misses the final burst. Per-seed
+    Python runs ``_decide`` on those seeds alone, and one
+    ``_burst_count`` call counts all the block's burst seeds.
 
-    A seed draws the pair's own delays first. Gated fair, with every
-    request delivered at some tick, a pair delivered at or after the last
-    issue tick L is ordered in the final burst: from any t >= L the
-    fixpoint reads the latest delivery of all, M >= t, and before M the
-    request delivered at M is in flight. Such a seed goes to
-    ``_burst_count`` without the other draws, which cannot change its count.
-    Every total is finite, so a fair key is finite or +-inf, never NaN.
+    Gated fair, with every request delivered at some tick, a pair
+    delivered at or after the last issue tick L is ordered in the final
+    burst: from any t >= L the fixpoint reads the latest delivery of all,
+    M >= t, and before M the request delivered at M is in flight. The
+    seeds whose two tick columns are both at or after L go to
+    ``_burst_count`` without the other draws, which cannot change their
+    count. Every total is finite, so a fair key is finite or +-inf, never
+    NaN.
     """
     policy = prep.scenario.policy
     fair = isinstance(policy, FairPolicy)
@@ -447,86 +456,98 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     # A block holds at most about BLOCK_DRAWS delay uniforms, and at least one seed.
     size = max(1, min(BLOCK, BLOCK_DRAWS // max(len(drawn), 1)))
     blocks = (seeds[k:k + size] for k in range(0, len(seeds), size))
+    ia, ib = at
     if not drawn:
         first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
         if first is None:
             return 0, seeds[0] if seeds else None
         if first is not BURST:
             return len(seeds) * first, None
-        totals = repeat(keys[at[0]]), repeat(keys[at[1]])
-        return sum(_burst_count(prep, pair, block, Lanes.derive(block),
-                                zip(range(len(block)), *totals)) for block in blocks), None
+        return sum(_burst_count(prep, pair, block, Lanes.derive(block), range(len(block)),
+                                [keys[ia]] * len(block), [keys[ib]] * len(block))
+                   for block in blocks), None
     own = [d for d in drawn if d[0] in at]
     rest = [d for d in drawn if d[0] not in at]
     # The final burst needs a latest delivery: no request may be never delivered.
     final = blocked and fair and all(e.tick is not None or e.delay_at is not None for e in plan)
-    last_issue, (ia, ib) = issue_ticks[-1], at
-    ceil = math.ceil
+    last_issue, ceil = issue_ticks[-1], math.ceil
     count, missing = 0, None
     for block in blocks:
+        n = len(block)
         roots = Lanes.derive(block)
         delays = roots.child(TAG_DELAY)
-        own_u = [delays.child(rid).first_random() for _, _, _, rid, _ in own]
-        rest_u = None  # derived by the block's first seed that misses the final burst
-        bursts = []  # (lane, total_a, total_b)
-        for j in range(len(block)):
+        # The pair's delivery ticks and keys on each lane; a drawn one's from its delays.
+        tick_cols = {i: [ticks[i]] * n for i in at}
+        key_cols = {i: [keys[i]] * n for i in at}
+        for i, issue, delay_at, rid, e in own:
+            ds = list(map(delay_at, delays.child(rid).first_random()))
+            tick_cols[i] = ts = [issue + ceil(d) for d in ds]
+            key_cols[i] = list(map(key, repeat(e), ds, ts))
+        if final:
+            late = list(map(ge, map(min, tick_cols[ia], tick_cols[ib]), repeat(last_issue)))
+            bursts, others = list(compress(range(n), late)), compress(range(n), map(not_, late))
+        else:
+            bursts, others = [], range(n)
+        # Derived by the block's first seed that misses the final burst; the previous
+        # block's are freed first, so at most one block's are held.
+        rest_u = None
+        for j in others:
             # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
-            for (i, issue, delay_at, _, e), u in zip(own, own_u):
+            for i, _, _, _, _ in own:
+                ticks[i], keys[i] = tick_cols[i][j], key_cols[i][j]
+            if rest_u is None:
+                rest_u = [delays.child(rid).first_random() for _, _, _, rid, _ in rest]
+            for (i, issue, delay_at, _, e), u in zip(rest, rest_u):
                 d = delay_at(u[j])
                 ticks[i] = issue + ceil(d)
-                keys[i] = key(e, d, ticks[i])
-            if final and ticks[ia] >= last_issue and ticks[ib] >= last_issue:
-                first = BURST
-            else:
-                if rest_u is None:
-                    rest_u = [delays.child(rid).first_random() for _, _, _, rid, _ in rest]
-                for (i, issue, delay_at, _, e), u in zip(rest, rest_u):
-                    d = delay_at(u[j])
-                    ticks[i] = issue + ceil(d)
-                    if not fair:  # only gated ttl reads another request's key: its blockers'
-                        keys[i] = key(e, d, ticks[i])
-                first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
+                if not fair:  # only gated ttl reads another request's key: its blockers'
+                    keys[i] = key(e, d, ticks[i])
+            first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
             if first is BURST:
-                bursts.append((j, keys[ia], keys[ib]))
+                bursts.append(j)
             elif first is None:
                 if missing is None:
                     missing = block[j]
             else:
                 count += first
         if bursts:
-            count += _burst_count(prep, pair, block, roots, bursts)
+            count += _burst_count(prep, pair, block, roots, sorted(bursts), key_cols[ia],
+                                  key_cols[ib])
     return count, missing
 
 
 def _burst_count(prep: Prepared, pair: tuple[int, int], seeds: range, roots: Lanes,
-                 bursts) -> int:
+                 lanes: range | list[int], totals_a: list[float], totals_b: list[float]) -> int:
     """Seeds on which pair[0] precedes pair[1], both ordered in one fair burst.
 
-    ``roots`` holds ``derive(seed)`` of each of ``seeds``, and ``bursts``
-    lists (lane, total_a, total_b): the pair's perceived totals on the
-    seed of that lane. The pair's noise states are ``roots``'
-    ``child(TAG_NOISE).child(rid)``, and ``value_at`` maps their first
-    draws as ``_fair_key`` does. The burst is emitted in key order, so
-    the two keys decide a seed unless they tie; a tied seed also depends
-    on the pick stream, so it runs through the engine and reads the
-    run's final order.
+    ``roots`` holds ``derive(seed)`` of each of ``seeds``, ``lanes`` the
+    burst seeds' lanes, ascending, and ``totals_a`` and ``totals_b`` the
+    pair's perceived totals on every lane of the block. The pair's noise
+    states are ``roots``' ``child(TAG_NOISE).child(rid)``, and one
+    ``values_at`` call per request maps the burst lanes' first draws as
+    ``_fair_keys`` does. The burst is emitted in key order, so the two
+    keys decide a seed unless they tie: the keys are two columns, compared
+    lane by lane in C. A tied seed also depends on the pick stream, so it
+    runs through the engine and reads the run's final order.
     """
     policy = prep.scenario.policy
-    spec, high = policy.spec, policy.direction == "highest_first"
+    spec, picked = policy.spec, len(lanes) < roots.n
+    if picked:
+        totals_a, totals_b = [totals_a[j] for j in lanes], [totals_b[j] for j in lanes]
     if spec is not None:
         prefix = roots.child(TAG_NOISE)
-        a, b = prefix.child(pair[0]), prefix.child(pair[1])
-        u_a, u_b = a.first_random(), b.first_random()
-        state_a, state_b = a.values().tolist(), b.values().tolist()  # a list indexes faster
-    count = 0
-    for j, adj_a, adj_b in bursts:
-        if spec is not None:
-            adj_a += value_at(spec, u_a[j], state_a[j])
-            adj_b += value_at(spec, u_b[j], state_b[j])
-        if adj_a == adj_b:
-            count += _engine_first(prep, pair, seeds[j])
-        elif (adj_a > adj_b) if high else (adj_a < adj_b):  # _fair_key's negation, exactly
-            count += 1
+        adjusted = []
+        for rid, totals in ((pair[0], totals_a), (pair[1], totals_b)):
+            lane_states = prefix.child(rid)
+            us, states = lane_states.first_random(), lane_states.values()
+            if picked:
+                us, states = [us[j] for j in lanes], [states[j] for j in lanes]
+            adjusted.append(list(map(add, totals, values_at(spec, us, states))))
+        totals_a, totals_b = adjusted
+    # _fair_keys' negation, exactly: under highest_first the greater total goes first.
+    count = sum(map(gt if policy.direction == "highest_first" else lt, totals_a, totals_b))
+    for k in compress(range(len(lanes)), map(eq, totals_a, totals_b)):
+        count += _engine_first(prep, pair, seeds[lanes[k]])
     return count
 
 

@@ -5,11 +5,14 @@ bounded Laplace (rejection until the draw fits the truncation window),
 and symmetric uniform. Laplace sampling uses the inverse CDF on a
 single uniform draw so that a stream position maps to exactly one
 output value and runs replay bit-identically. ``sample`` draws from a
-Stream; ``value_at(spec, u, state)`` returns what ``sample`` returns on
-a fresh Stream of ``state`` whose first draw is ``u``, so a caller that
-has the first draw (``rng.first_random``, or a block of them from
-``rng.Lanes``) needs no Stream. Both map a uniform through the one
-per-kind inverse CDF, ``_inverse_cdf``.
+Stream; ``values_at(spec, us, states)`` returns, for each state, what
+``sample`` returns on a fresh Stream of it, given its first draw in
+``us``, so a caller that has the first draws (``rng.first_random``, or
+a block of them from ``rng.Lanes``) needs no Stream. Both map uniforms
+through the one per-kind inverse CDF, ``_inverse_cdf``, which takes a
+list of them: a block of seeds, or a run's requests, costs one list
+comprehension. Bounded-Laplace rejection is decided in one place,
+``_rejected``.
 
 The analytic side gives Pr[X < Y] for two equal-scale Laplace
 variables, the same probability expressed at a normalized score gap,
@@ -20,9 +23,12 @@ failure probability of the uniform mechanism.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress, repeat
+from operator import ge, not_
 
 from .model import ParameterError, is_finite
 from .rng import Stream
@@ -103,35 +109,46 @@ class NoiseSpec:
 def sample(spec: NoiseSpec, rng: Stream) -> float:
     """Draw one value from the configured mechanism, advancing ``rng``."""
     while True:
-        y = _inverse_cdf(spec, rng.random())
-        if y is not None:
-            return y
+        ys = _inverse_cdf(spec, [rng.random()])
+        if not _rejected(spec, ys):
+            return ys[0]
 
 
-def value_at(spec: NoiseSpec, u: float, state: int) -> float:
-    """``sample(spec, Stream(state))``, given ``u = first_random(state)``: the inverse
-    CDF at ``u``, with no Stream.
+def values_at(spec: NoiseSpec, us: Sequence[float], states: Sequence[int]) -> list[float]:
+    """``[sample(spec, Stream(s)) for s in states]``, given ``us[i] = first_random(states[i])``:
+    the inverse CDF at each ``u``, with no Stream.
 
-    Only a bounded-Laplace first draw that is rejected builds the Stream:
-    ``sample`` then rejects that draw again and keeps drawing after it.
+    ``states`` is read only where a bounded-Laplace first draw is rejected:
+    that lane builds the Stream, and ``sample`` rejects the draw again and
+    keeps drawing after it.
     """
-    y = _inverse_cdf(spec, u)
-    return sample(spec, Stream(state)) if y is None else y
+    ys = _inverse_cdf(spec, us)
+    for i in _rejected(spec, ys):
+        ys[i] = sample(spec, Stream(states[i]))
+    return ys
 
 
-def _inverse_cdf(spec: NoiseSpec, u: float) -> float | None:
-    """The mechanism's value at the uniform ``u`` in (0, 1); None if bounded Laplace rejects it."""
+def _rejected(spec: NoiseSpec, ys: Sequence[float]) -> list[int]:
+    """The places of ``ys`` that bounded Laplace rejects: each ``y`` not within
+    [-bound, bound], NaN included. Other kinds reject none."""
+    if spec.kind is not _BOUNDED_LAPLACE:
+        return []
+    return list(compress(range(len(ys)), map(not_, map(ge, repeat(spec.bound), map(abs, ys)))))
+
+
+def _inverse_cdf(spec: NoiseSpec, us: Iterable[float]) -> list[float]:
+    """The mechanism's value at each uniform ``u`` in (0, 1), before bounded-Laplace
+    rejection (``_rejected``)."""
     kind = spec.kind
     if kind is _UNIFORM:
-        return spec.bound * (2.0 * u - 1.0)
+        bound = spec.bound
+        return [bound * (2.0 * u - 1.0) for u in us]
+    if kind is not _LAPLACE and kind is not _BOUNDED_LAPLACE:
+        raise ConfigurationError(f"unknown noise kind {kind!r}")
     # Laplace inverse CDF, sign-split around the median.
-    b, v = spec.scale, u - 0.5
-    y = -b * math.log(1.0 - 2.0 * v) if v >= 0.0 else b * math.log(1.0 + 2.0 * v)
-    if kind is _LAPLACE:
-        return y
-    if kind is _BOUNDED_LAPLACE:
-        return y if abs(y) <= spec.bound else None
-    raise ConfigurationError(f"unknown noise kind {kind!r}")
+    b, log = spec.scale, math.log
+    return [-b * log(1.0 - 2.0 * v) if v >= 0.0 else b * log(1.0 + 2.0 * v)
+            for u in us for v in [u - 0.5]]
 
 
 def laplace_order_probability(mu_x: float, mu_y: float, b: float) -> float:

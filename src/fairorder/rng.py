@@ -25,6 +25,9 @@ one shift, AND, XOR or multiply by a constant of that int; a lane's
 product fits in its 128 bits and each step masks the lane back to 64,
 so no bit crosses into the next lane. Every lane holds the integer the
 scalar step gives, so the draws made from it are the same floats.
+``Lanes.derive`` packs a range of seeds without a per-seed step, as
+start-in-every-lane plus a cached ramp, and ``Lanes.first_random`` reads
+its floats back through ``array('d')``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,12 @@ import sys
 from array import array
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import repeat
+from operator import sub
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_ONE = 0x3FF0000000000000  # the bits of 1.0: under them, a 52-bit x is 1 + x * 2**-52
 
 
 def _finalize(z: int) -> int:
@@ -114,6 +120,12 @@ def _repeated(n: int) -> tuple[int, int, int]:
     return ones, _MASK * ones, _GAMMA * ones
 
 
+@lru_cache(maxsize=8)
+def _ramp(n: int) -> int:
+    """j in lane j, for each of n lanes."""
+    return Lanes.of(range(n)).packed
+
+
 def _finalize_lanes(z: int, mask: int) -> int:
     """``_finalize`` of every lane of ``z``, whose lanes are each below 2**64."""
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
@@ -126,9 +138,9 @@ class Lanes:
     and bits [128j + 64, 128j + 128) are 0.
 
     ``Lanes.of(states)`` packs states, masked to 64 bits as a Stream masks
-    its seed. ``Lanes.derive(seeds)`` holds each ``derive(seed)``, ``child``
-    takes one ``child`` step in every lane, and ``values`` and
-    ``first_random`` read the lanes back through ``array('Q')``.
+    its seed. ``Lanes.derive(seeds)`` holds each ``derive(seed)`` of a
+    range, ``child`` takes one ``child`` step in every lane, and ``values``
+    and ``first_random`` read the lanes back through an ``array``.
     """
 
     __slots__ = ("n", "packed")
@@ -147,11 +159,13 @@ class Lanes:
         return cls(len(words), int.from_bytes(spread.tobytes(), "little"))
 
     @classmethod
-    def derive(cls, seeds: Iterable[int]) -> Lanes:
-        """``derive(seed)`` of each seed, one lane each."""
-        lanes = cls.of(seeds)
-        _, mask, gamma = _repeated(lanes.n)
-        return cls(lanes.n, _finalize_lanes(lanes.packed ^ gamma, mask))
+    def derive(cls, seeds: range) -> Lanes:
+        """``derive(seed)`` of each seed of ``seeds``, one lane each; its step must be 1."""
+        n = len(seeds)
+        ones, mask, gamma = _repeated(n)
+        # Lane j holds start + j < 2**65 before the mask: no carry reaches the next lane.
+        packed = ((seeds.start & _MASK) * ones + _ramp(n)) & mask
+        return cls(n, _finalize_lanes(packed ^ gamma, mask))
 
     def child(self, part: int) -> Lanes:
         """``child(state, part)`` of each lane's state."""
@@ -161,18 +175,20 @@ class Lanes:
 
     def values(self) -> array:
         """Each lane's state, in lane order."""
-        return self._low_words(self.packed)
+        return self._low_words(self.packed, "Q")
 
     def first_random(self) -> list[float]:
         """``first_random(state)`` of each lane's state."""
-        _, mask, gamma = _repeated(self.n)
-        # Each lane's top 52 bits; the next lane's low 12 land past the lane's 64.
-        top = self._low_words(_finalize_lanes((self.packed + gamma) & mask, mask) >> 12)
-        return [(x + 0.5) * 2.0**-52 for x in top]
+        ones, mask, gamma = _repeated(self.n)
+        # Each lane's top 52 bits x under the bits of 1.0 (the next lane's low 12 land past
+        # the lane's 64) read as the double 1 + x * 2**-52, and
+        # (1 + x * 2**-52) - (1 - 2**-53) is _unit's (x + 0.5) * 2**-52 exactly.
+        top = _finalize_lanes((self.packed + gamma) & mask, mask) >> 12 | _ONE * ones
+        return list(map(sub, self._low_words(top, "d"), repeat(1.0 - 2.0**-53)))
 
-    def _low_words(self, packed: int) -> array:
-        """The low 64 bits of each lane of ``packed``."""
-        spread = array("Q")
+    def _low_words(self, packed: int, typecode: str) -> array:
+        """The low 64 bits of each lane of ``packed``, as an array of ``typecode``."""
+        spread = array(typecode)
         spread.frombytes(packed.to_bytes(_STRIDE * self.n, "little"))
         if _SWAP:
             spread.byteswap()

@@ -30,12 +30,12 @@ SPECS = {
     "none": None,
 }
 
-VALUE_AT = engine.value_at
+VALUES_AT = engine.values_at
 
 
-def rounded_value_at(spec, u, state):
+def rounded_values_at(spec, us, states):
     """Noise rounded to whole units, so that adjusted scores tie in groups."""
-    return float(round(VALUE_AT(spec, u, state)))
+    return [float(round(y)) for y in VALUES_AT(spec, us, states)]
 
 
 def run_with(emit, prep, seed):
@@ -105,7 +105,7 @@ def scenarios(draw):
 @given(scenario=scenarios(), seed=st.integers(0, 10**9), quantized=st.booleans())
 def test_ready_queue_matches_the_rescan(scenario, seed, quantized):
     prep = prepare(scenario)
-    with mock.patch.object(engine, "value_at", rounded_value_at if quantized else VALUE_AT):
+    with mock.patch.object(engine, "values_at", rounded_values_at if quantized else VALUES_AT):
         assert (outcome(engine._emit_orders, prep, seed)
                 == outcome(emit_orders_by_rescan, prep, seed))
 

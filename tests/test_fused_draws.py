@@ -1,16 +1,18 @@
 """The per-seed prefix and the Stream-free first draw against the plain derivation.
 
-The engine derives a request's noise as ``value_at(spec, first_random(state),
-state)`` with ``state = child(derive(seed, TAG_NOISE), rid)``, and
-`pair_count` takes the same states and first draws from a block's
-``rng.Lanes``, instead of ``sample(spec, Stream(derive(seed, TAG_NOISE,
-rid)))``. Each delay comes from the client's model resolved once in
+The engine derives a run's noise with one ``values_at(spec, us,
+states)`` call over its fair requests, each ``state = child(derive(seed,
+TAG_NOISE), rid)`` and ``u = first_random(state)``, and `pair_count` calls
+``values_at`` once for the same states and first draws of a whole block,
+taken from its ``rng.Lanes``, instead of ``sample(spec, Stream(derive(seed, TAG_NOISE,
+rid)))`` per seed. Each delay comes from the client's model resolved once in
 ``Prepared.plan``: a drawing model's ``delay_at`` of its state's first
 draw, or a constant already folded into the request, instead of
 ``DelayModel.sample(client, Stream(state))``. These tests hold the forms
 equal bit for bit, so no count, trace or report can move.
 """
 
+import math
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from fairorder import noise
 from fairorder.adversary import DelayModel, delayed
 from fairorder.engine import prepare
 from fairorder.model import Request
-from fairorder.noise import NoiseSpec, sample, value_at
+from fairorder.noise import NoiseSpec, sample, values_at
 from fairorder.rng import Lanes, Stream, child, derive, first_random
 from fairorder.scenario import ScenarioConfig
 
@@ -62,9 +64,10 @@ def test_first_random_is_the_first_draw_of_the_stream(state):
 
 @settings(max_examples=300)
 @given(kind=st.sampled_from(sorted(SPECS)), state=INTS)
-def test_value_at_the_first_draw_equals_sample_on_a_fresh_stream(kind, state):
+def test_values_at_the_first_draw_equals_sample_on_a_fresh_stream(kind, state):
     spec = SPECS[kind]
-    assert value_at(spec, first_random(state), state).hex() == sample(spec, Stream(state)).hex()
+    (y,) = values_at(spec, [first_random(state)], [state])
+    assert y.hex() == sample(spec, Stream(state)).hex()
 
 
 def draws_of(spec, state):
@@ -78,12 +81,47 @@ def test_bounded_laplace_rejection_continues_on_the_same_stream():
     rejected = next(s for s in range(10_000) if draws_of(spec, s) >= 3)
     accepted = next(s for s in range(10_000) if draws_of(spec, s) == 1)
     with mock.patch.object(noise, "Stream", wraps=Stream) as streams:
-        assert (value_at(spec, first_random(rejected), rejected).hex()
+        assert (values_at(spec, [first_random(rejected)], [rejected])[0].hex()
                 == sample(spec, Stream(rejected)).hex())
         assert streams.call_count == 1  # built once, after the first draw was rejected
-        assert (value_at(spec, first_random(accepted), accepted).hex()
+        assert (values_at(spec, [first_random(accepted)], [accepted])[0].hex()
                 == sample(spec, Stream(accepted)).hex())
         assert streams.call_count == 1  # an accepted first draw builds none
+
+
+# Scale 2 against a bound of 0.05: about 98% of first draws are rejected.
+NARROW = NoiseSpec(kind="bounded_laplace", epsilon=0.5, sensitivity=1.0, bound=0.05)
+
+
+def assert_block_equals_sample(spec, states):
+    """``values_at`` over a block of lanes against ``sample`` on each lane's fresh Stream."""
+    lanes = Lanes.of(states)
+    want = [sample(spec, Stream(s)).hex() for s in lanes.values()]
+    assert [y.hex() for y in values_at(spec, lanes.first_random(), lanes.values())] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(SPECS)), states=st.lists(INTS, min_size=1, max_size=80))
+def test_values_at_a_block_equals_sample_lane_for_lane(kind, states):
+    assert_block_equals_sample(SPECS[kind], states)
+
+
+def test_a_narrow_bound_rejects_at_any_lane_and_builds_a_stream_per_rejection():
+    rejected = [s for s in range(2000) if draws_of(NARROW, s) > 1]
+    accepted = [s for s in range(2000) if draws_of(NARROW, s) == 1]
+    blocks = {"first and last": [rejected[0], *accepted[:5], rejected[1]],
+              "every": rejected[:64], "none": accepted[:5], "one": rejected[:1]}
+    for states in blocks.values():
+        with mock.patch.object(noise, "Stream", wraps=Stream) as streams:
+            assert_block_equals_sample(NARROW, states)
+        assert streams.call_count == len(set(states) & set(rejected))  # none for an accepted
+
+
+def test_one_rule_rejects_outside_the_bound_and_nan():
+    bound = SPECS["bounded_laplace"].bound
+    ys = [math.nan, bound, -bound, math.nextafter(bound, math.inf), -math.inf, 0.0]
+    assert noise._rejected(SPECS["bounded_laplace"], ys) == [0, 3, 4]
+    assert noise._rejected(SPECS["laplace"], ys) == []
 
 
 DELAYS = {

@@ -6,9 +6,9 @@ from hypothesis import example, given, strategies as st
 from oracles import order_probability_oracle
 from fairorder.noise import (ConfigurationError, NoiseKind, NoiseSpec, dp_ratio_bound,
                              laplace_order_probability, order_probability_at_gap,
-                             sample, uniform_delta, value_at)
+                             sample, uniform_delta, values_at)
 from fairorder.model import ParameterError
-from fairorder.rng import Stream, derive, first_random, tag
+from fairorder.rng import Lanes, Stream, derive, first_random, tag
 
 MASK = 2**64 - 1
 
@@ -178,15 +178,26 @@ class TestSamplers:
     @example(kind="laplace_infinite_scale", k=2**52 - 1, low=0)
     @given(kind=st.sampled_from(sorted(NAN_FREE_SPECS)), k=st.integers(0, 2**52 - 1),
            low=st.integers(0, 4095))
-    def test_value_at_the_first_draw_is_never_nan(self, kind, k, low):
+    def test_values_at_the_first_draw_is_never_nan(self, kind, k, low):
         # The engine relies on this: with every perceived total finite, an adjusted score
         # total + noise is then never NaN. The (k, low) pairs cover every 64-bit state.
         state = state_with_first_uniform(k, low)
         assert first_random(state) == (k + 0.5) * 2.0**-52
-        y = value_at(NAN_FREE_SPECS[kind], first_random(state), state)
+        (y,) = values_at(NAN_FREE_SPECS[kind], [first_random(state)], [state])
         assert y == y
         if kind == "laplace_infinite_scale":
             assert math.isinf(y)
+
+    def test_a_block_of_the_first_draws_next_to_the_median_equals_sample(self):
+        # A Stream's uniforms are (k + 0.5) * 2**-52, so 0.5 itself is never drawn: the two
+        # nearest lie on either side of it. At 0.5 the upper branch gives -b * log(1) = -0.0.
+        lanes = Lanes.of([state_with_first_uniform(k, 0) for k in (2**51 - 1, 2**51)])
+        us, states = lanes.first_random(), list(lanes.values())
+        assert [u < 0.5 for u in us] == [True, False]
+        for spec in NAN_FREE_SPECS.values():
+            assert ([y.hex() for y in values_at(spec, us, states)]
+                    == [sample(spec, Stream(s)).hex() for s in states])
+        assert values_at(NAN_FREE_SPECS["laplace"], [0.5], [0])[0].hex() == (-0.0).hex()
 
     def test_laplace_moments(self):
         spec = NoiseSpec(kind="laplace", epsilon=1.0, sensitivity=2.0)  # b = 2

@@ -321,12 +321,12 @@ def test_drawn_pair_totals_sum_in_score_order(eta):
     assert pair_count(prep, (0, 1), 0, 50) == (50, None) == engine_pair_count(prep, (0, 1), 0, 50)
 
 
-VALUE_AT = engine.value_at
+VALUES_AT = engine.values_at
 
 
-def rounded_value_at(spec, u, state):
+def rounded_values_at(spec, us, states):
     """Noise rounded to whole units, at the call both the kernel and the engine make."""
-    return float(round(VALUE_AT(spec, u, state)))
+    return [float(round(y)) for y in VALUES_AT(spec, us, states)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,7 +338,7 @@ def test_kernel_count_equals_engine_loop_on_rounded_noise(scenario, data, seed_l
     a = data.draw(st.sampled_from(ids))
     b = data.draw(st.sampled_from([i for i in ids if i != a]))
     seed_hi = seed_lo + n_seeds
-    with mock.patch.object(engine, "value_at", rounded_value_at):
+    with mock.patch.object(engine, "values_at", rounded_values_at):
         assert (pair_count(prep, (a, b), seed_lo, seed_hi)
                 == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
@@ -354,7 +354,7 @@ def test_rounded_noise_sends_tied_seeds_to_the_engine(delay):
                               delay=delay)
     prep = prepare(scenario)
     assert is_static(prep) == (delay.kind == "constant")
-    with mock.patch.object(engine, "value_at", rounded_value_at):
+    with mock.patch.object(engine, "values_at", rounded_values_at):
         with mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
             count, missing = pair_count(prep, (0, 1), 0, 300)
         assert (count, missing) == engine_pair_count(prep, (0, 1), 0, 300)
@@ -628,6 +628,37 @@ def test_gated_ttl_finds_a_missing_seed_past_the_first_block():
     assert result == engine_pair_count(prep, (0, 1), lo, hi)
 
 
+def cancelling_scenario():
+    """Gated fair: request 0 issued at tick 0, seven more at tick 2, uniform 0-3 delays. Every
+    request's irrelevant values are 1e16 and -1e16, with eta at the first: a delay rounds
+    to a multiple of 2 there, so totals tie often and rounded noise makes keys tie."""
+    reqs = tuple(Request(id=i, client_id=i, features=(0.0, 1e16, -1e16),
+                         issue_tick=0 if i == 0 else 2) for i in range(8))
+    return ScenarioConfig(feature_count=3, relevant=(0,), lam=1.0, requests=reqs,
+                          eta_feature=1, delay=DelayModel(kind="uniform", lo=0.0, hi=3.0),
+                          policy=FairPolicy(spec=SPECS["laplace"]))
+
+
+def test_a_block_counts_burst_lanes_that_are_neither_all_nor_contiguous():
+    # A seed that delivers request 0 before tick 2 orders it alone; any other seed orders
+    # the pair in the final burst. A block's burst lanes skip the first kind, and ties
+    # among them run the engine on the seed of their own lane.
+    prep = prepare(cancelling_scenario())
+    lo, hi = 9, 9 + 2 * BLOCK + 5
+    with mock.patch.object(engine, "values_at", rounded_values_at), \
+            mock.patch.object(engine, "_burst_count", wraps=engine._burst_count) as counts, \
+            mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
+        result = pair_count(prep, (0, 1), lo, hi)
+    assert runs.call_count > 50
+    burst_lanes = [c.args[4] for c in counts.call_args_list]
+    assert len(burst_lanes) == 3
+    for lanes in burst_lanes[:2]:
+        assert 0 < len(lanes) < BLOCK
+        assert lanes != list(range(lanes[0], lanes[-1] + 1))
+    with mock.patch.object(engine, "values_at", rounded_values_at):
+        assert result == engine_pair_count(prep, (0, 1), lo, hi)
+
+
 # Pairs whose seeds span several blocks: a static fair pair, and the certify-shaped pair
 # with a drawn delay of width 0, so that its totals stay 2 apart and rounded noise ties.
 BLOCK_PAIRS = {
@@ -642,7 +673,7 @@ SEED_LO, SEED_HI = 77, 77 + 2 * BLOCK + 5
 def rounded_block_count(name, seed_lo, seed_hi):
     """(pair_count, engine runs it made) over the seeds, with rounded noise."""
     prep = prepare(BLOCK_PAIRS[name]())
-    with mock.patch.object(engine, "value_at", rounded_value_at), \
+    with mock.patch.object(engine, "values_at", rounded_values_at), \
             mock.patch.object(engine, "run_prepared", wraps=run_prepared) as runs:
         return pair_count(prep, (0, 1), seed_lo, seed_hi), runs.call_count
 
@@ -651,7 +682,7 @@ def rounded_block_count(name, seed_lo, seed_hi):
 def test_kernel_equals_the_engine_loop_over_several_blocks(name):
     result, runs = rounded_block_count(name, SEED_LO, SEED_HI)
     assert runs > 50  # tied seeds went to the engine
-    with mock.patch.object(engine, "value_at", rounded_value_at):
+    with mock.patch.object(engine, "values_at", rounded_values_at):
         assert result == engine_pair_count(prepare(BLOCK_PAIRS[name]()), (0, 1), SEED_LO,
                                            SEED_HI)
 

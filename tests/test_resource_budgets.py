@@ -23,7 +23,7 @@ from fairorder.model import Request
 from fairorder.noise import NoiseSpec
 from fairorder.quorum import check_prefix_consistency, replicate_trace, serialize_view
 from fairorder.rng import Stream
-from fairorder.scenario import FairPolicy, ScenarioConfig
+from fairorder.scenario import FairPolicy, ScenarioConfig, two_request_gap_scenario
 
 MIB = 2**20
 
@@ -81,6 +81,30 @@ def test_a_pair_count_block_holds_a_bounded_number_of_draws():
     assert peak < 2 * MIB
     count, missing = results[0]
     assert missing is None and 0 < count < 64
+
+
+@pytest.mark.parametrize("shape", ["static", "certify_delay"])
+def test_a_pair_count_holds_its_columns_to_one_block(shape):
+    # A block's columns (delays, ticks, totals, noise) are lists over its lanes, freed
+    # before the next block: 25,000 or 5,000 seeds peak as one block of 1,024 does (0.28
+    # and 0.39 MiB when set). Columns over the whole range would hold 25 or 5 times as much.
+    if shape == "static":
+        prep = prepare(two_request_gap_scenario(1.0))
+        seeds = 25_000
+    else:
+        issue_ticks = Stream(22)
+        requests = tuple(Request(rid, rid, (4.0 if rid < 2 else float(rid), 0.0),
+                                 issue_ticks.randrange(2)) for rid in range(8))
+        prep = prepare(replace(burst_scenario(2), requests=requests, lam=5.0,
+                               policy=FairPolicy(direction="highest_first", spec=NoiseSpec(
+                                   kind="bounded_laplace", epsilon=1.0, sensitivity=5.0,
+                                   bound=15.0))))
+        seeds = 5_000
+    results = []
+    peak = peak_bytes(lambda: results.append(pair_count(prep, (0, 1), 0, seeds)))
+    assert peak < 1 * MIB
+    count, missing = results[0]
+    assert missing is None and 0 < count < seeds
 
 
 TWO_REQUESTS = {

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress, repeat
-from operator import add, eq, ge, gt, lt, neg, not_
+from operator import add, eq, gt, lt, neg
 from typing import NamedTuple
 
 from .adversary import apply_delay  # noqa: F401  (bench/tracing.py wraps engine.apply_delay)
@@ -60,7 +60,6 @@ TAG_PICK = tag("pick")
 
 BLOCK = 1024  # seeds whose streams ``pair_count`` derives at once, as ``rng.Lanes``
 BLOCK_DRAWS = 1 << 14  # delay uniforms a ``pair_count`` block holds at most, about
-BURST = "burst"  # ``_decide``: the pair is ordered in one fair burst
 
 # A selection key, least first: (delivery tick, id), (deadline, id) or ``_fair_keys``.
 Key = tuple[float, int] | float
@@ -410,34 +409,40 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     Exact shortcut for the engine: the result equals reading
     ``run_prepared(prep, seed).final_order`` for every seed. Returns
     (count, missing), where ``missing`` is the first seed whose final
-    order lacks either request, or None. One rule decides every policy
-    (``_decide``), and only a fair seed whose two keys tie exactly runs
-    the engine.
+    order lacks either request, or None.
 
-    It sorts ``prep.plan`` by issue tick once per call (ties in request
-    order). When requests block (gated fair or ttl), every drawn entry
-    matters; otherwise only the pair's own. When none that matters
-    draws, the range is decided at once and its bursts counted block by
-    block. Otherwise the seeds go in blocks of ``BLOCK``, or fewer when
-    more than ``BLOCK_DRAWS // BLOCK`` entries draw, and every random
-    quantity of a block comes from its lanes (``rng.Lanes``): a drawn
-    entry's delay uniform is ``roots.child(TAG_DELAY).child(rid)``'s
-    first draw, fed to ``delay_at`` as ``_schedule`` feeds it, and a
-    drawn request's key is ``_key_of``'s. A block decides by columns,
-    lists over its lanes: the pair's own delays, delivery ticks and keys
-    are one column each, and the others' uniforms are derived once per
-    block, only if one of its seeds misses the final burst. Per-seed
-    Python runs ``_decide`` on those seeds alone, and one
-    ``_burst_count`` call counts all the block's burst seeds.
+    One rule decides every seed: the pair request with the earlier order
+    tick goes first, and on one tick the lesser key. It sorts
+    ``prep.plan`` by issue tick once per call (ties in request order)
+    and walks the seeds in blocks of ``BLOCK``, or fewer when more than
+    ``BLOCK_DRAWS // BLOCK`` entries draw. Every random quantity of a
+    block comes from its lanes (``rng.Lanes``): a drawn entry's delay
+    uniform is ``roots.child(TAG_DELAY).child(rid)``'s first draw, fed
+    to ``delay_at`` as ``_schedule`` feeds it, and a drawn request's key
+    is ``_key_of``'s. A block builds the pair's two order-tick columns,
+    lists over its lanes (inf: never ordered), from its delivery-tick
+    columns. Under fcfs, or ungated, nothing blocks a request, so it is
+    ordered at its delivery and only the pair's own entries matter.
+    Under gated fair or ttl every drawn entry matters, and a request
+    waits for its blockers (``_order_ticks``): the fixpoint runs once
+    per call when none of them draws, and otherwise per seed, for the
+    seeds off the final burst (below), on the other entries' delays,
+    which a block derives once, for its first such seed.
 
     Gated fair, with every request delivered at some tick, a pair
     delivered at or after the last issue tick L is ordered in the final
     burst: from any t >= L the fixpoint reads the latest delivery of all,
-    M >= t, and before M the request delivered at M is in flight. The
-    seeds whose two tick columns are both at or after L go to
-    ``_burst_count`` without the other draws, which cannot change their
-    count. Every total is finite, so a fair key is finite or +-inf, never
-    NaN.
+    M >= t, and before M the request delivered at M is in flight. Both
+    requests of such a seed get one shared order tick without the other
+    draws, which cannot change its count.
+
+    The columns then decide the block. A lane with an infinite order
+    tick is missing and counts neither way; ``sum(map(lt, ...))`` counts
+    the lanes where pair[0]'s tick is the earlier; on the tied lanes
+    fcfs and ttl compare their key columns, which end in the id and so
+    never tie, and fair goes to one ``_burst_count`` call, where the
+    noise decides. Every total is finite, so a fair key is finite or
+    +-inf, never NaN.
     """
     policy = prep.scenario.policy
     fair = isinstance(policy, FairPolicy)
@@ -446,89 +451,87 @@ def pair_count(prep: Prepared, pair: tuple[int, int], seed_lo: int,
     plan = sorted(prep.plan, key=lambda e: e.request.issue_tick)
     issue_ticks = [e.request.issue_tick for e in plan]
     place = {e.request.id: i for i, e in enumerate(plan)}
-    at = (place[pair[0]], place[pair[1]])
+    ia, ib = at = (place[pair[0]], place[pair[1]])
     # Every delivery tick (inf: never) and key, by issue tick; a drawn one is set per seed.
     ticks = [math.inf if e.tick is None else e.tick for e in plan]
     keys = [key(e, 0.0, t) for e, t in zip(plan, ticks)]
     drawn = [(i, issue_ticks[i], e.delay_at, e.request.id, e)
              for i, e in enumerate(plan) if e.delay_at is not None and (blocked or i in at)]
+    own = [d for d in drawn if d[0] in at]
+    rest = [d for d in drawn if d[0] not in at]
+    if blocked and not drawn:  # every seed has this one schedule
+        ticks[ia], ticks[ib] = _order_ticks(ticks, keys, at, issue_ticks, fair)
+    # Only a request that is never delivered leaves an order tick infinite, and the
+    # final burst needs a latest delivery.
+    undelivered = any(e.tick is None and e.delay_at is None for e in plan)
+    final = blocked and fair and not undelivered
+    last_issue, ceil, inf = issue_ticks[-1], math.ceil, math.inf
     seeds = range(seed_lo, seed_hi)
     # A block holds at most about BLOCK_DRAWS delay uniforms, and at least one seed.
     size = max(1, min(BLOCK, BLOCK_DRAWS // max(len(drawn), 1)))
-    blocks = (seeds[k:k + size] for k in range(0, len(seeds), size))
-    ia, ib = at
-    if not drawn:
-        first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
-        if first is None:
-            return 0, seeds[0] if seeds else None
-        if first is not BURST:
-            return len(seeds) * first, None
-        return sum(_burst_count(prep, pair, block, Lanes.derive(block), range(len(block)),
-                                [keys[ia]] * len(block), [keys[ib]] * len(block))
-                   for block in blocks), None
-    own = [d for d in drawn if d[0] in at]
-    rest = [d for d in drawn if d[0] not in at]
-    # The final burst needs a latest delivery: no request may be never delivered.
-    final = blocked and fair and all(e.tick is not None or e.delay_at is not None for e in plan)
-    last_issue, ceil = issue_ticks[-1], math.ceil
     count, missing = 0, None
-    for block in blocks:
+    for k in range(0, len(seeds), size):
+        block = seeds[k:k + size]
         n = len(block)
         roots = Lanes.derive(block)
-        delays = roots.child(TAG_DELAY)
         # The pair's delivery ticks and keys on each lane; a drawn one's from its delays.
         tick_cols = {i: [ticks[i]] * n for i in at}
         key_cols = {i: [keys[i]] * n for i in at}
+        delays = roots.child(TAG_DELAY) if drawn else None
         for i, issue, delay_at, rid, e in own:
             ds = list(map(delay_at, delays.child(rid).first_random()))
             tick_cols[i] = ts = [issue + ceil(d) for d in ds]
             key_cols[i] = list(map(key, repeat(e), ds, ts))
-        if final:
-            late = list(map(ge, map(min, tick_cols[ia], tick_cols[ib]), repeat(last_issue)))
-            bursts, others = list(compress(range(n), late)), compress(range(n), map(not_, late))
+        ta, tb = tick_cols[ia], tick_cols[ib]
+        if blocked and drawn:
+            off = (compress(range(n), map(lt, map(min, ta, tb), repeat(last_issue))) if final
+                   else range(n))
+            # A lane in the final burst keeps one shared tick, ta's; a lane off it takes the
+            # fixpoint, and the first such lane derives the other entries' uniforms.
+            ta, tb, rest_u = ta.copy(), ta.copy(), None
+            for j in off:
+                # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
+                for i, _, _, _, _ in own:
+                    ticks[i], keys[i] = tick_cols[i][j], key_cols[i][j]
+                if rest_u is None:
+                    rest_u = [delays.child(rid).first_random() for _, _, _, rid, _ in rest]
+                for (i, issue, delay_at, _, e), u in zip(rest, rest_u):
+                    d = delay_at(u[j])
+                    ticks[i] = issue + ceil(d)
+                    if not fair:  # only gated ttl reads another request's key: its blockers'
+                        keys[i] = key(e, d, ticks[i])
+                ta[j], tb[j] = _order_ticks(ticks, keys, at, issue_ticks, fair)
+        if undelivered and (inf in ta or inf in tb):
+            gone = [j for j in range(n) if inf in (ta[j], tb[j])]
+            if missing is None:
+                missing = block[gone[0]]
+            for j in gone:  # pair[1] first, so a missing lane counts neither way
+                ta[j], tb[j] = 1, 0
+        if ta == tb:  # every lane ties: the final burst, or one schedule
+            ties = range(n)
         else:
-            bursts, others = [], range(n)
-        # Derived by the block's first seed that misses the final burst; the previous
-        # block's are freed first, so at most one block's are held.
-        rest_u = None
-        for j in others:
-            # A seed sets every drawn entry that it reads, so ticks and keys are not copied.
-            for i, _, _, _, _ in own:
-                ticks[i], keys[i] = tick_cols[i][j], key_cols[i][j]
-            if rest_u is None:
-                rest_u = [delays.child(rid).first_random() for _, _, _, rid, _ in rest]
-            for (i, issue, delay_at, _, e), u in zip(rest, rest_u):
-                d = delay_at(u[j])
-                ticks[i] = issue + ceil(d)
-                if not fair:  # only gated ttl reads another request's key: its blockers'
-                    keys[i] = key(e, d, ticks[i])
-            first = _decide(prep, ticks, keys, at, issue_ticks, blocked)
-            if first is BURST:
-                bursts.append(j)
-            elif first is None:
-                if missing is None:
-                    missing = block[j]
-            else:
-                count += first
-        if bursts:
-            count += _burst_count(prep, pair, block, roots, sorted(bursts), key_cols[ia],
-                                  key_cols[ib])
+            count += sum(map(lt, ta, tb))
+            ties = list(compress(range(n), map(eq, ta, tb)))
+        if not fair:  # fcfs and ttl keys end in the id, so they never tie
+            count += sum(key_cols[ia][j] < key_cols[ib][j] for j in ties)
+        elif ties:
+            count += _burst_count(prep, pair, block, roots, ties, key_cols[ia], key_cols[ib])
     return count, missing
 
 
 def _burst_count(prep: Prepared, pair: tuple[int, int], seeds: range, roots: Lanes,
                  lanes: range | list[int], totals_a: list[float], totals_b: list[float]) -> int:
-    """Seeds on which pair[0] precedes pair[1], both ordered in one fair burst.
+    """Seeds on which pair[0] precedes pair[1], both ordered at one tick under fair.
 
     ``roots`` holds ``derive(seed)`` of each of ``seeds``, ``lanes`` the
-    burst seeds' lanes, ascending, and ``totals_a`` and ``totals_b`` the
+    tied seeds' lanes, ascending, and ``totals_a`` and ``totals_b`` the
     pair's perceived totals on every lane of the block. The pair's noise
     states are ``roots``' ``child(TAG_NOISE).child(rid)``, and one
-    ``values_at`` call per request maps the burst lanes' first draws as
-    ``_fair_keys`` does. The burst is emitted in key order, so the two
-    keys decide a seed unless they tie: the keys are two columns, compared
-    lane by lane in C. A tied seed also depends on the pick stream, so it
-    runs through the engine and reads the run's final order.
+    ``values_at`` call per request maps the tied lanes' first draws as
+    ``_fair_keys`` does. The two requests are ordered in key order, so
+    the two keys decide a seed unless they tie: the keys are two columns,
+    compared lane by lane in C. A tied seed also depends on the pick
+    stream, so it runs through the engine and reads the run's final order.
     """
     policy = prep.scenario.policy
     spec, picked = policy.spec, len(lanes) < roots.n
@@ -547,57 +550,36 @@ def _burst_count(prep: Prepared, pair: tuple[int, int], seeds: range, roots: Lan
     # _fair_keys' negation, exactly: under highest_first the greater total goes first.
     count = sum(map(gt if policy.direction == "highest_first" else lt, totals_a, totals_b))
     for k in compress(range(len(lanes)), map(eq, totals_a, totals_b)):
-        count += _engine_first(prep, pair, seeds[lanes[k]])
+        order = run_prepared(prep, seeds[lanes[k]]).final_order
+        count += order.index(pair[0]) < order.index(pair[1])
     return count
 
 
-def _engine_first(prep: Prepared, pair: tuple[int, int], seed: int) -> bool:
-    """Whether the seed's engine run orders pair[0] before pair[1]."""
-    order = run_prepared(prep, seed).final_order
-    return order.index(pair[0]) < order.index(pair[1])
+def _order_ticks(ticks: list, keys: list, at: tuple[int, int], issue_ticks: list[int],
+                 fair: bool) -> tuple[float, float]:
+    """The order ticks of the pair at ``at`` (inf: never) on a blocked seed, gated fair or
+    ttl, that gives these delivery ticks (inf: never) and keys, listed by issue tick.
 
-
-def _decide(prep: Prepared, ticks: list, keys: list, at: tuple[int, int],
-            issue_ticks: list[int], blocked: bool) -> int | str | None:
-    """Whether pair[0] goes first on a seed that gives these delivery ticks (inf: never)
-    and keys, listed by issue tick with the pair at ``at``: 1 or 0; None if either is
-    never ordered; ``BURST`` if both are ordered in one fair burst, where the seed's
-    noise decides (``_burst_count``).
-
-    A pair request is ordered at the first tick at or after its delivery
-    at which none of its blockers is in flight (``_order_tick``). When
-    ``blocked`` (gating on, not fcfs), every request blocks under fair
-    and a request with a lesser key under ttl; otherwise none does (an
-    in-flight fcfs request always has a later key). Two requests ordered
-    at one tick go in key order.
+    A request is ordered at the first tick at or after its delivery at
+    which none of its blockers is in flight (issued, not delivered):
+    every request under fair, one with a lesser key under ttl. That is
+    the fixpoint of t <- the latest delivery among its blockers issued by
+    t, where ``latest[k]`` is the latest delivery among the blockers
+    within the first k + 1 requests (-inf: none); inf when one of them is
+    never delivered.
     """
-    fair = isinstance(prep.scenario.policy, FairPolicy)
-    ia, ib = at
-    ta, tb = ticks[ia], ticks[ib]
-    if blocked and ta != math.inf and tb != math.inf:
-        if fair:
-            latest_a = latest_b = list(accumulate(ticks, max))
-        else:
-            latest_a, latest_b = (list(accumulate(
-                (t if k < keys[i] else -math.inf for t, k in zip(ticks, keys)), max)) for i in at)
-        ta, tb = _order_tick(ta, issue_ticks, latest_a), _order_tick(tb, issue_ticks, latest_b)
-    if ta == math.inf or tb == math.inf:
-        return None
-    if ta != tb:
-        return int(ta < tb)
     if fair:
-        return BURST
-    return int(keys[ia] < keys[ib])
-
-
-def _order_tick(t: float, issue_ticks: list[int], latest_by: list[float]) -> float:
-    """The first tick at or after t, a request's delivery, at which none of its blockers
-    is in flight (issued, not delivered): the fixpoint of t <- the latest delivery among
-    its blockers issued by t. inf: one of them is never delivered. ``latest_by[k]`` is
-    the latest delivery among the blockers within the first k + 1 requests (-inf: none)."""
-    while (latest := latest_by[bisect_right(issue_ticks, t) - 1]) > t:
-        t = latest
-    return t
+        latests = [list(accumulate(ticks, max))] * 2
+    else:
+        latests = [list(accumulate((t if k < keys[i] else -math.inf for t, k in zip(ticks, keys)),
+                                   max)) for i in at]
+    order = []
+    for i, latest in zip(at, latests):
+        t = ticks[i]
+        while (last := latest[bisect_right(issue_ticks, t) - 1]) > t:
+            t = last
+        order.append(t)
+    return order[0], order[1]
 
 
 def run(scenario: ScenarioConfig, seed: int = 0) -> Trace:

@@ -169,16 +169,15 @@ def order_probability_at_gap(n: float, epsilon: float) -> tuple[float, float]:
     """Ordering probabilities for two requests whose scores differ by n·lambda.
 
     Returns (p_low_first, p_high_first) under the Laplace mechanism with
-    scale lambda/epsilon; the value depends only on the product
-    n·epsilon, so it matches laplace_order_probability(0, n·lam, lam/epsilon)
-    for every lam > 0.
+    scale lambda/epsilon. The value depends only on the product n·epsilon,
+    so it is laplace_order_probability(0, n·epsilon, 1), whose operations
+    at b = 1 are this form's own, bit for bit.
     """
     if n < 0:
         raise ParameterError("normalized gap n must be non-negative")
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    ne = n * epsilon
-    p_low = 1.0 - ((2.0 + ne) / 4.0) * math.exp(-ne)
+    p_low = laplace_order_probability(0.0, n * epsilon, 1.0)
     return p_low, 1.0 - p_low
 
 

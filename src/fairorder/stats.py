@@ -4,11 +4,13 @@ The estimator counts, over a contiguous range of seeds, how often one
 request of a pair precedes the other in the engine's final order. It
 counts with the engine's exact pair kernel (``pair_count``), which
 takes every delay and noise draw of a block of up to 1,024 seeds from
-lanes (``rng.Lanes``) and decides each seed by the pair's order ticks,
-or else by its two keys. A block's delays, ticks, totals and noise are
-columns, one list over its seeds each, so a seed takes its own Python
-step only off the final burst; the engine runs only for a fair seed
-whose two keys tie exactly.
+lanes (``rng.Lanes``) and decides every seed by one rule: the request
+with the earlier order tick goes first, and on one tick the one with
+the lesser key. A block's delays, order ticks, keys and noise are
+columns, one list over its seeds each. A seed takes its own Python
+step only where a blocker can hold it back off the final burst, or
+where fcfs or ttl order both requests at one tick; the engine runs only
+for a fair seed whose two keys tie exactly.
 Certifiers then compare the estimate against a fairness bound:
 
   multiplicative   Pr[r before r'] <= B * Pr[r' before r],

@@ -89,16 +89,20 @@ def test_kernel_count_equals_engine_loop(scenario, data, seed_lo, n_seeds):
             == engine_pair_count(prep, (a, b), seed_lo, seed_hi))
 
 
-def test_undelivered_request_still_raises_liveness_error():
+@pytest.mark.parametrize("seed_lo, seed_hi", [(40, 90), (40, 40 + 2 * BLOCK + 5)],
+                         ids=["one-block", "multi-block"])
+@pytest.mark.parametrize("policy", [FairPolicy(spec=SPECS["laplace"]), FcfsPolicy()],
+                         ids=["fair", "fcfs"])
+def test_undelivered_request_still_raises_liveness_error(policy, seed_lo, seed_hi):
     reqs = tuple(Request(id=i, client_id=i, features=(0.0, 0.0), issue_tick=0) for i in range(3))
     scenario = ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
-                              eta_feature=1, policy=FairPolicy(spec=SPECS["laplace"]),
+                              eta_feature=1, policy=policy,
                               stability_gating=False, deliver_overrides={1: None})
     prep = prepare(scenario)
-    assert pair_count(prep, (0, 1), 40, 90) == (0, 40) == engine_pair_count(
-        prep, (0, 1), 40, 90)
-    with pytest.raises(LivenessError, match="seed 40"):
-        estimate_order_probability(scenario, (0, 1), 50, 40)
+    assert pair_count(prep, (0, 1), seed_lo, seed_hi) == (0, seed_lo) == engine_pair_count(
+        prep, (0, 1), seed_lo, seed_hi)
+    with pytest.raises(LivenessError, match=f"seed {seed_lo}"):
+        estimate_order_probability(scenario, (0, 1), seed_hi - seed_lo, seed_lo)
 
 
 def test_kernel_skips_the_engine_unless_scores_tie():
@@ -661,10 +665,17 @@ def test_a_block_counts_burst_lanes_that_are_neither_all_nor_contiguous():
 
 # Pairs whose seeds span several blocks: a static fair pair, and the certify-shaped pair
 # with a drawn delay of width 0, so that its totals stay 2 apart and rounded noise ties.
+# Two more take the column tail with random delays: an fcfs pair, whose tied ticks its
+# key columns decide, and an ungated fair pair, whose tied ticks the noise decides. The
+# latter is cancelling_scenario's, all issued at tick 0: a third of its seeds deliver the
+# pair at one tick, and its totals tie often.
 BLOCK_PAIRS = {
     "static": lambda: two_request_gap_scenario(),
     "delay": lambda: replace(certify_shaped(lambda i: i % 2),
                              delay=DelayModel(kind="uniform", lo=1.0, hi=1.0)),
+    "fcfs": lambda: replace(certify_shaped(lambda i: i % 2), policy=FcfsPolicy()),
+    "ungated": lambda: replace(cancelling_scenario(), stability_gating=False, requests=tuple(
+        replace(r, issue_tick=0) for r in cancelling_scenario().requests)),
 }
 SEED_LO, SEED_HI = 77, 77 + 2 * BLOCK + 5
 
@@ -678,13 +689,20 @@ def rounded_block_count(name, seed_lo, seed_hi):
         return pair_count(prep, (0, 1), seed_lo, seed_hi), runs.call_count
 
 
-@pytest.mark.parametrize("name", sorted(BLOCK_PAIRS))
+@pytest.mark.parametrize("name", sorted(BLOCK_PAIRS.keys() - {"fcfs"}))
 def test_kernel_equals_the_engine_loop_over_several_blocks(name):
     result, runs = rounded_block_count(name, SEED_LO, SEED_HI)
     assert runs > 50  # tied seeds went to the engine
     with mock.patch.object(engine, "values_at", rounded_values_at):
         assert result == engine_pair_count(prepare(BLOCK_PAIRS[name]()), (0, 1), SEED_LO,
                                            SEED_HI)
+
+
+def test_fcfs_keys_decide_tied_ticks_over_several_blocks():
+    # fcfs keys end in the id, so they never tie and the engine never runs.
+    result, runs = rounded_block_count("fcfs", SEED_LO, SEED_HI)
+    assert runs == 0
+    assert result == engine_pair_count(prepare(BLOCK_PAIRS["fcfs"]()), (0, 1), SEED_LO, SEED_HI)
 
 
 @pytest.mark.parametrize("offset", [1, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK],
@@ -699,3 +717,59 @@ def test_a_split_range_counts_the_sum_of_its_parts(name, offset):
     (right, right_missing), _ = rounded_block_count(name, split, SEED_HI)
     assert missing is left_missing is right_missing is None
     assert count == left + right
+
+
+ORDER_TICKS = engine._order_ticks
+UNBLOCKED = {
+    "fcfs": {"policy": FcfsPolicy()},
+    "ungated_fair": {"stability_gating": False},
+    "ungated_ttl": {"policy": TtlPolicy(deadline_feature=0), "stability_gating": False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBLOCKED))
+def test_unblocked_policies_never_run_the_fixpoint(name):
+    # Nothing blocks a request, so its order tick is its delivery tick: the delivery-tick
+    # columns decide every block, with no per-seed step.
+    prep = prepare(delay_scenario(**UNBLOCKED[name]))
+    lo, hi = 3, 3 + 2 * BLOCK + 5
+    for pair in [(0, 1), (3, 0)]:
+        with mock.patch.object(engine, "_order_ticks", wraps=ORDER_TICKS) as fixpoints:
+            result = pair_count(prep, pair, lo, hi)
+        assert fixpoints.call_count == 0
+        assert result == engine_pair_count(prep, pair, lo, hi)
+
+
+def static_gated(policy, third_issue, **extra):
+    """Gated, with constant delays of 1: requests 0 and 1 issued at tick 0 and request 2,
+    which has the least relevant value, at ``third_issue``."""
+    reqs = tuple(Request(id=i, client_id=i, features=(float((i + 1) % 3), 0.0), issue_tick=t)
+                 for i, t in enumerate((0, 0, third_issue)))
+    return ScenarioConfig(feature_count=2, relevant=(0,), lam=1.0, requests=reqs,
+                          eta_feature=1, delay=DelayModel(d=1.0), policy=policy, **extra)
+
+
+# A third request issued after the pair is delivered, or one never delivered: either way
+# the pair is not ordered in a final burst.
+STATIC_GATED = {
+    "fair_issued_after": lambda: static_gated(FairPolicy(spec=SPECS["laplace"]), 2),
+    "fair_never_delivered": lambda: static_gated(FairPolicy(spec=SPECS["laplace"]), 0,
+                                                 deliver_overrides={2: None}),
+    "ttl_issued_after": lambda: static_gated(TtlPolicy(deadline_feature=0), 2),
+    "ttl_never_delivered": lambda: static_gated(TtlPolicy(deadline_feature=0), 0,
+                                                deliver_overrides={2: None}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIC_GATED))
+def test_a_gated_static_range_runs_the_fixpoint_once(name):
+    # No entry draws, so every seed has one schedule: its fixpoint runs once per call,
+    # however many blocks the range spans.
+    prep = prepare(STATIC_GATED[name]())
+    assert is_static(prep)
+    lo, hi = 11, 11 + 2 * BLOCK + 5
+    for pair in [(0, 1), (1, 0)]:
+        with mock.patch.object(engine, "_order_ticks", wraps=ORDER_TICKS) as fixpoints:
+            result = pair_count(prep, pair, lo, hi)
+        assert fixpoints.call_count == 1
+        assert result == engine_pair_count(prep, pair, lo, hi)
